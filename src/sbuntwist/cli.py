@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Cycle data travels as a JSON document: {"label": "gamma"|"gamma_inv"|
-"trivial", "d": int, "orbits": [{"degree": int, "mult": int}, ...],
+Cycle data travels as a JSON document: {"label": "gamma"|"gamma_inv",
+"d": int, "orbits": [{"degree": int, "mult": int}, ...],
 "declared_target": optional label}.  Orbit ids are assigned positionally
 (x1, x2, ...) on parse, in document order.
 
@@ -24,8 +24,10 @@ from .cycles import (
     noether_check,
     self_intersection,
 )
+from .gf import _is_prime
 from .links import (
     DegenerateImage,
+    Link,
     UnsupportedDegree,
     WrongDegree,
     phi3_push,
@@ -38,13 +40,9 @@ from .untwist import (
     ParityContradiction,
     untwist,
 )
-from .verify import scan_closed_points, scan_phi3, scan_phi6, scan_table
+from .verify import census_failures, scan_closed_points, scan_phi3, scan_phi6, scan_table
 
-LABELS = {
-    "gamma": BrauerLabel.GAMMA,
-    "gamma_inv": BrauerLabel.GAMMA_INVERSE,
-    "trivial": BrauerLabel.TRIVIAL,
-}
+LABELS = {"gamma": BrauerLabel.GAMMA, "gamma_inv": BrauerLabel.GAMMA_INVERSE}
 LABEL_NAMES = {v: k for k, v in LABELS.items()}
 
 
@@ -135,6 +133,11 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     cycle, _ = _load(args.file)
     report = noether_check(cycle)
@@ -171,12 +174,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_push(args: argparse.Namespace) -> int:
     cycle, declared = _load(args.file)
     if args.center is not None and cycle.find(args.center) is None:
-        print(
-            f"error: no orbit with id {args.center!r} in the input cycle "
-            f"(ids: {[o.id for o in cycle.orbits] or 'none'})",
-            file=sys.stderr,
+        return _usage_error(
+            f"no orbit with id {args.center!r} in the input cycle "
+            f"(ids: {[o.id for o in cycle.orbits] or 'none'})"
         )
-        return 2
     pushed_fn = phi3_push if args.kind == "phi3" else phi6_push
     try:
         out, link = pushed_fn(cycle, args.center)
@@ -185,18 +186,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
         return 1
     doc = render_cycle_document(out, declared)
     if args.format == "machine":
-        _emit(
-            {
-                "cycle": doc,
-                "link": {
-                    "kind": link.kind.value,
-                    "center_id": link.center_id,
-                    "image_orbit_id": link.image_orbit_id,
-                    "source_label": LABEL_NAMES[link.source_label],
-                    "target_label": LABEL_NAMES[link.target_label],
-                },
-            }
-        )
+        _emit({"cycle": doc, "link": _link_doc(link)})
     else:
         _emit(doc)
     return 0
@@ -244,19 +234,20 @@ def _cmd_untwist(args: argparse.Namespace) -> int:
     return 0
 
 
+def _link_doc(link: Link) -> dict:
+    return {
+        "kind": link.kind.value,
+        "center_id": link.center_id,
+        "image_orbit_id": link.image_orbit_id,
+        "source_label": LABEL_NAMES[link.source_label],
+        "target_label": LABEL_NAMES[link.target_label],
+    }
+
+
 def _factorization_doc(fact: Factorization) -> dict:
     return {
         "initial": render_cycle_document(fact.initial),
-        "steps": [
-            {
-                "kind": link.kind.value,
-                "center_id": link.center_id,
-                "image_orbit_id": link.image_orbit_id,
-                "source_label": LABEL_NAMES[link.source_label],
-                "target_label": LABEL_NAMES[link.target_label],
-            }
-            for link in fact.steps
-        ],
+        "steps": [_link_doc(link) for link in fact.steps],
         "d_trace": list(fact.d_trace),
         "parity": fact.parity.value,
         "terminal_label": LABEL_NAMES[fact.terminal.label],
@@ -267,26 +258,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode in ("lemma3", "table"):
         if args.prime is None:
-            print("error: --prime is required for this mode", file=sys.stderr)
-            return 2
+            return _usage_error("--prime is required for this mode")
         if args.seed is None:
-            print("error: --seed is required for randomized modes", file=sys.stderr)
-            return 2
-        if args.prime in (2, 3) or any(
-            args.prime % k == 0 for k in range(2, args.prime)
-        ) or args.prime < 2:
-            print(
-                f"error: --prime must be a prime other than 2 and 3, got {args.prime}",
-                file=sys.stderr,
+            return _usage_error("--seed is required for randomized modes")
+        if args.prime in (2, 3) or not _is_prime(args.prime):
+            return _usage_error(
+                f"--prime must be a prime other than 2 and 3, got {args.prime}"
             )
-            return 2
+        if args.samples < 1:
+            return _usage_error(f"--samples must be >= 1, got {args.samples}")
+    elif args.dmax < 1:
+        return _usage_error(f"--dmax must be >= 1, got {args.dmax}")
 
-    if mode == "oracle-phi3":
-        report = scan_phi3(args.dmax)
-        detail = {"mode": mode, "checked": report.checked, "violations": report.violations,
-                  "first_mismatch": report.first_mismatch}
-    elif mode == "oracle-phi6":
-        report = scan_phi6(args.dmax)
+    if mode in ("oracle-phi3", "oracle-phi6"):
+        report = (scan_phi3 if mode == "oracle-phi3" else scan_phi6)(args.dmax)
         detail = {"mode": mode, "checked": report.checked, "violations": report.violations,
                   "first_mismatch": report.first_mismatch}
     elif mode == "lemma3":
@@ -299,6 +284,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "collinear_hits": report.collinear_hits,
             "conic_hits": report.conic_hits,
             "collinear_case_breakdown": dict(report.case_breakdown),
+            "failures": census_failures(report),
         }
     else:  # table
         report = scan_table(args.prime, args.samples, args.seed)
@@ -324,7 +310,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"mode: {mode}")
         for key, value in detail.items():
-            if key != "mode":
+            if key == "failures":
+                for failure in value:
+                    print(f"  failure: {failure}")
+            elif key != "mode":
                 print(f"  {key}: {value}")
         print("result: " + ("ok" if report.ok else "VIOLATIONS FOUND"))
     return 0 if report.ok else 1
@@ -401,8 +390,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
 
 
 def entry() -> None:

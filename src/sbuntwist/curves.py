@@ -15,14 +15,7 @@ the right order reproduces the degree-6 link formula exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
-
-from .plane import ProjPoint, collinear
-
-
-class CollinearCenters(Exception):
-    """The three chosen centers are geometrically collinear, so no
-    quadratic transformation is based there."""
+from typing import Mapping, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -78,22 +71,10 @@ def fresh_label(label: str, taken: set[str]) -> str:
 
 
 def _quad_push(
-    curve: CurveClass,
-    centers: Sequence[str],
-    geometry: Optional[Mapping[str, ProjPoint]],
+    curve: CurveClass, centers: Sequence[str]
 ) -> tuple[CurveClass, tuple[str, str, str]]:
     if len(centers) != 3 or len(set(centers)) != 3:
         raise ValueError(f"need three distinct centers, got {centers!r}")
-    if geometry is not None:
-        missing = [c for c in centers if c not in geometry]
-        if missing:
-            raise ValueError(f"geometry missing for centers {missing!r}")
-        a, b, c = (geometry[c] for c in centers)
-        if collinear(a, b, c):
-            raise CollinearCenters(
-                f"centers {tuple(centers)!r} lie on one line"
-            )
-
     n = curve.line_degree
     m = [curve.multiplicity(c) for c in centers]
     out: dict[str, int] = {
@@ -111,44 +92,33 @@ def _quad_push(
     return pushed, tuple(images)
 
 
-def quad_transform_push(
-    curve: CurveClass,
-    centers: Sequence[str],
-    geometry: Optional[Mapping[str, ProjPoint]] = None,
-) -> CurveClass:
+def quad_transform_push(curve: CurveClass, centers: Sequence[str]) -> CurveClass:
     """Push a curve class through the quadratic transformation based at
     three distinct centers.
 
     Centers may carry multiplicity 0 (including labels absent from the
-    class).  When ``geometry`` supplies coordinates for all three centers,
-    their non-collinearity is verified; purely symbolic pushes skip the
-    check, mirroring how the cycle layer works without coordinates.
+    class).  The push is symbolic: like the cycle layer, it assumes the
+    centers are not collinear and never sees their coordinates.
     """
-    pushed, _ = _quad_push(curve, centers, geometry)
+    pushed, _ = _quad_push(curve, centers)
     return pushed
 
 
-def phi6_decomposition_push(
-    curve: CurveClass,
-    six_labels: Sequence[str],
-    geometry: Optional[Mapping[str, ProjPoint]] = None,
-) -> CurveClass:
+def phi6_decomposition_push(curve: CurveClass, six_labels: Sequence[str]) -> CurveClass:
     """Realize the degree-6 link as three quadratic transformations.
 
     The six labels split into the first triple A and the second triple B;
     the composite transforms at A, then at B, then at the fresh triple that
     the first step created.  For input (n = 3d, multiplicity b at all six)
     the result is (15d - 12b; 6d - 5b at six points), i.e. the degree-6
-    link in the line basis.  The third step's centers are images of the
-    coordinate triangle and are never collinear, so only the first two
-    steps consult ``geometry``.
+    link in the line basis.
     """
     if len(six_labels) != 6 or len(set(six_labels)) != 6:
         raise ValueError(f"need six distinct labels, got {six_labels!r}")
     triple_a = six_labels[:3]
     triple_b = six_labels[3:]
-    step1, images_a = _quad_push(curve, triple_a, geometry)
-    step2, _ = _quad_push(step1, triple_b, geometry)
+    step1, images_a = _quad_push(curve, triple_a)
+    step2, _ = _quad_push(step1, triple_b)
     return quad_transform_push(step2, images_a)
 
 

@@ -18,19 +18,18 @@ from typing import Iterable, Optional
 
 
 class BrauerLabel(Enum):
-    """Which surface family a cycle lives on: the trivial class or one of
-    the two mutually inverse classes of order 3."""
+    """Which surface family a cycle lives on: one of the two mutually
+    inverse Brauer classes of order 3.  The trivial class, the plane
+    itself, is not modelled: it also has links at points of degree 1, 2,
+    4, ..., which the phi3/phi6 formulas do not cover."""
 
-    TRIVIAL = "trivial"
     GAMMA = "gamma"
     GAMMA_INVERSE = "gamma_inv"
 
     def inverse(self) -> "BrauerLabel":
         if self is BrauerLabel.GAMMA:
             return BrauerLabel.GAMMA_INVERSE
-        if self is BrauerLabel.GAMMA_INVERSE:
-            return BrauerLabel.GAMMA
-        return BrauerLabel.TRIVIAL
+        return BrauerLabel.GAMMA
 
 
 def id_sort_key(orbit_id: str) -> tuple[int, str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .gf import Element, FiniteField, field
 
@@ -373,45 +373,3 @@ def sample_configuration(
         if pt not in points:
             points.append(pt)
     return tuple(points)
-
-
-@dataclass(frozen=True)
-class PlaneConfig:
-    """Labelled plane points together with their Frobenius-orbit grouping;
-    the geometric instantiation handed to curve-class transforms."""
-
-    points: tuple[tuple[str, ProjPoint], ...]
-    orbits: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        labels = [lbl for lbl, _ in self.points]
-        if len(set(labels)) != len(labels):
-            raise ValueError("point labels must be unique")
-        grouped = [lbl for orbit in self.orbits for lbl in orbit]
-        if sorted(grouped) != sorted(labels):
-            raise ValueError("orbits must partition the labelled points")
-        geometry = dict(self.points)
-        for orbit in self.orbits:
-            members = {geometry[lbl] for lbl in orbit}
-            if len(members) != len(orbit):
-                raise ValueError(f"orbit {orbit!r} repeats a geometric point")
-            first = geometry[orbit[0]]
-            if set(frobenius_orbit(first)) != members:
-                raise ValueError(
-                    f"orbit {orbit!r} is not a single transitive Frobenius orbit"
-                )
-
-    @classmethod
-    def from_closed_points(
-        cls, named: Iterable[tuple[str, ClosedPoint]]
-    ) -> "PlaneConfig":
-        points: list[tuple[str, ProjPoint]] = []
-        orbits: list[tuple[str, ...]] = []
-        for prefix, cp in named:
-            labels = tuple(f"{prefix}_{i}" for i in range(cp.degree))
-            points.extend(zip(labels, cp.points))
-            orbits.append(labels)
-        return cls(tuple(points), tuple(orbits))
-
-    def geometry(self) -> dict[str, ProjPoint]:
-        return dict(self.points)

@@ -26,7 +26,6 @@ from .links import (
     IdSource,
     Link,
     LinkKind,
-    UnsupportedDegree,
     phi3_push,
     phi6_push,
     push,
@@ -116,12 +115,8 @@ def untwist(
             raise InconsistentCycle(
                 f"no center available at d={current.d}; corrupted cycle data"
             )
-        if center.degree not in (3, 6):
-            raise UnsupportedDegree(
-                f"maximal-multiplicity orbit {center.id!r} has degree "
-                f"{center.degree}; impossible for consistent data"
-            )
         try:
+            # raises UnsupportedDegree at a center of degree other than 3, 6
             current, link = push(current, center.id, ids)
         except DegenerateImage as exc:
             # Satisfying the Noether relations is necessary but not

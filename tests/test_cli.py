@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from sbuntwist import cli
 from sbuntwist.cli import main, parse_cycle_document, render_cycle_document
 from sbuntwist.cycles import BrauerLabel
+from sbuntwist.verify import PositionScanReport, census_failures
 
 
 def write_doc(tmp_path, doc, name="cycle.json"):
@@ -205,8 +207,8 @@ def test_verify_rejects_bad_prime(capsys):
 
 
 def test_verify_lemma3_reports_finite_field_violations(capsys):
-    # over F_5 the scan is expected to find rational-conic orbits; the
-    # command signals them via exit code 1 and itemized counts
+    # over F_5 the scan is expected to find rational-conic orbits; they are
+    # itemized, and the exit code is 1 only if the census rejects them
     rc = main(
         [
             "verify", "--mode", "lemma3", "--prime", "5",
@@ -215,7 +217,69 @@ def test_verify_lemma3_reports_finite_field_violations(capsys):
     )
     data = json.loads(capsys.readouterr().out)
     assert data["checked"] == 40
-    assert rc == (1 if data["violations"] else 0)
+    report = PositionScanReport(
+        prime=5,
+        samples=data["checked"],
+        collinear_hits=data["collinear_hits"],
+        conic_hits=data["conic_hits"],
+        violating_samples=data["violations"],
+        case_breakdown=tuple(
+            sorted((int(k), v) for k, v in data["collinear_case_breakdown"].items())
+        ),
+    )
+    assert data["failures"] == census_failures(report)
+    assert rc == (1 if census_failures(report) else 0)
+
+
+def test_verify_lemma3_passes_at_the_family_rates(capsys):
+    # 3 conic hits in 30 samples over F_7, where 4.9 are expected
+    rc = main(["verify", "--mode", "lemma3", "--prime", "7", "--samples", "30", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "conic_hits: 3" in out and "failure" not in out and "result: ok" in out
+
+
+def test_verify_lemma3_lists_census_failures(capsys, monkeypatch):
+    # a collinear hit in case 2 cannot come from a transitive orbit
+    fake = PositionScanReport(
+        prime=7, samples=30, collinear_hits=1, conic_hits=1,
+        violating_samples=1, case_breakdown=((2, 1),),
+    )
+    monkeypatch.setattr(cli, "scan_closed_points", lambda p, samples, seed: fake)
+    rc = main(["verify", "--mode", "lemma3", "--prime", "7", "--samples", "30", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "failure: p=7: 1 collinear hits in case 2" in out
+    assert "VIOLATIONS FOUND" in out
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--mode", "lemma3", "--prime", "7", "--seed", "1", "--samples", "0"], "--samples"),
+        (["--mode", "table", "--prime", "7", "--seed", "1", "--samples", "-5"], "--samples"),
+        (["--mode", "oracle-phi3", "--dmax", "-3"], "--dmax"),
+        (["--mode", "oracle-phi6", "--dmax", "0"], "--dmax"),
+        (["--mode", "table", "--prime", "91", "--seed", "1"], "--prime"),
+    ],
+)
+def test_verify_rejects_vacuous_or_bad_input(capsys, argv, flag):
+    assert main(["verify", *argv]) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "push", "untwist"])
+def test_trivial_label_is_a_parse_error(tmp_path, capsys, command):
+    doc = {"label": "trivial", "d": 1, "orbits": []}
+    extra = ["--kind", "phi3"] if command == "push" else []
+    assert main([command, write_doc(tmp_path, doc), *extra]) == 2
+    assert "'label'" in capsys.readouterr().err
+
+
+def test_untwist_rejects_trivial_target(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["untwist", write_doc(tmp_path, CHAIN_DOC), "--target", "trivial"])
+    assert exc.value.code == 2
 
 
 def test_usage_error_exits_2():

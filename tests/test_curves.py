@@ -2,14 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sbuntwist.curves import (
-    CollinearCenters,
     CurveClass,
     cycle_point_multiset,
     phi6_decomposition_push,
     quad_transform_push,
 )
-from sbuntwist.gf import field
-from sbuntwist.plane import affine_point, sample_closed_point
 
 
 def test_curve_class_is_canonical():
@@ -79,30 +76,6 @@ def test_quad_transform_involution_generic(n, ms):
     twice = quad_transform_push(once, ("a'", "b'", "c'"))
     assert twice.line_degree == n
     assert (twice.multiplicity("a''"), twice.multiplicity("b''"), twice.multiplicity("c''")) == ms
-
-
-def test_collinear_centers_raise_with_geometry():
-    F = field(7, 1)
-    geometry = {
-        "a": affine_point(F, 0, 0),
-        "b": affine_point(F, 1, 0),
-        "c": affine_point(F, 2, 0),
-    }
-    with pytest.raises(CollinearCenters):
-        quad_transform_push(CurveClass.make(3), ("a", "b", "c"), geometry)
-
-
-def test_geometry_accepts_sampled_degree3_center():
-    # a general-position sampled orbit is a valid quadratic-transform base
-    cp = sample_closed_point(7, 3, seed=4)
-    geometry = {f"t{i}": q for i, q in enumerate(cp.points)}
-    from sbuntwist.plane import collinear
-
-    if not collinear(*cp.points):
-        out = quad_transform_push(
-            CurveClass.make(3), tuple(geometry), geometry
-        )
-        assert out.line_degree == 6
 
 
 def test_phi6_decomposition_reproduces_eq_of_the_link():

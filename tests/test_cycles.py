@@ -26,7 +26,6 @@ def cyc(d, orbits=(), label=GAMMA):
     [
         (BrauerLabel.GAMMA, BrauerLabel.GAMMA_INVERSE),
         (BrauerLabel.GAMMA_INVERSE, BrauerLabel.GAMMA),
-        (BrauerLabel.TRIVIAL, BrauerLabel.TRIVIAL),
     ],
 )
 def test_label_inverse(label, inverse):

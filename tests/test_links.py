@@ -176,11 +176,6 @@ def test_every_link_flips_the_label():
         assert link.target_label is link.source_label.inverse()
 
 
-def test_trivial_label_stays_trivial():
-    out, _ = phi3_push(cyc(1, label=BrauerLabel.TRIVIAL))
-    assert out.label is BrauerLabel.TRIVIAL
-
-
 def test_outputs_are_normalized():
     out, _ = phi3_push(cyc(2, [(3, 3), (6, 0)]), "c1")
     assert out.orbits == ()

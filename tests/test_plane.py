@@ -7,7 +7,6 @@ from sbuntwist.plane import (
     ClosedPoint,
     ConfigCase,
     EXPECTED_LINE_COUNTS,
-    PlaneConfig,
     ProjPoint,
     SamplingExhausted,
     classify_configuration,
@@ -299,22 +298,3 @@ def test_classifier_agrees_with_definition_based_route():
     for pts in configs:
         assert pts is not None
         assert classify_configuration(pts) == _case_by_definition(pts)
-
-
-# --- labelled configurations ---
-
-def test_plane_config_from_closed_points():
-    cp3 = sample_closed_point(7, 3, seed=1)
-    cp6 = sample_closed_point(7, 6, seed=2)
-    cfg = PlaneConfig.from_closed_points([("a", cp3)])
-    assert sorted(cfg.geometry()) == ["a_0", "a_1", "a_2"]
-    cfg6 = PlaneConfig.from_closed_points([("b", cp6)])
-    assert len(cfg6.geometry()) == 6
-
-
-def test_plane_config_rejects_broken_orbits():
-    F = field(7, 3)
-    a = ProjPoint.of_ints(F, (1, 2, 3))
-    b = ProjPoint.of_ints(F, (1, 2, 4))
-    with pytest.raises(ValueError):
-        PlaneConfig((("u", a), ("v", b)), (("u", "v"),))

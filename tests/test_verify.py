@@ -28,7 +28,9 @@ def test_phi3_scan_is_clean():
 def test_phi6_scan_is_clean():
     report = scan_phi6(dmax=25)
     assert report.ok
-    assert report.checked > 0
+    assert report.checked == sum(
+        min(6 * d // 5, (5 * d - 1) // 4) + 1 for d in range(1, 26)
+    )
 
 
 @pytest.mark.parametrize("q", [7, 11])
