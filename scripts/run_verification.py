@@ -19,8 +19,9 @@ Usage: python scripts/run_verification.py [--samples N] [--seed S]
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sbuntwist.verify import (  # noqa: E402
     TAIL_BOUND,

@@ -5,6 +5,12 @@ modulo a canonical irreducible: the lexicographically least monic
 irreducible of degree m over F_p, comparing coefficient vectors from the
 top degree down.  Canonical moduli make field towers reproducible across
 runs and machines.
+
+Inversion is the extended Euclidean algorithm over F_p[x] against the
+modulus, with scalar inverses pow(c, p - 2, p); for m = 1 it is that
+scalar power alone.  Frobenius x -> x^p is F_p-linear, so it is applied as
+a multiplication by the m x m matrix over F_p whose row i is x^(i p) mod
+the modulus, built once per field.
 """
 
 from __future__ import annotations
@@ -56,6 +62,14 @@ def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
                 r[shift + i] = (r[shift + i] - lead * fi) % p
         r.pop()
     return _ptrim(r)
+
+
+def _psubmul(a: Sequence[int], b: Sequence[int], c: int, shift: int, p: int) -> list[int]:
+    """a - c * x^shift * b over F_p."""
+    out = list(a) + [0] * (len(b) + shift - len(a))
+    for i, bi in enumerate(b):
+        out[shift + i] = (out[shift + i] - c * bi) % p
+    return _ptrim(out)
 
 
 def _ppowmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
@@ -128,7 +142,7 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FiniteField:
     """F_{p^m} with elements as coefficient tuples of length m."""
 
-    __slots__ = ("p", "m", "modulus", "zero", "one", "_xpow")
+    __slots__ = ("p", "m", "modulus", "zero", "one", "_xpow", "_frob")
 
     def __init__(self, p: int, m: int):
         if not _is_prime(p) or p in (2, 3):
@@ -147,6 +161,11 @@ class FiniteField:
             xpow.append(tuple(cur + [0] * (m - len(cur))))
             cur = _pmod([0] + cur, self.modulus, p)
         self._xpow = tuple(xpow)
+        # row i is x^(i p) mod the modulus: the matrix of x -> x^p
+        self._frob = tuple(
+            tuple(row + [0] * (m - len(row)))
+            for row in (_ppowmod([0, 1], i * p, self.modulus, p) for i in range(m))
+        )
 
     @property
     def order(self) -> int:
@@ -215,13 +234,34 @@ class FiniteField:
         return result
 
     def inv(self, a: Element) -> Element:
+        """Extended Euclid over F_p[x]; each step cancels the leading term
+        of the larger remainder with a shifted multiple of the smaller."""
         if a == self.zero:
             raise ZeroDivisionError("inversion of 0")
-        return self.pow(a, self.order - 2)
+        p = self.p
+        # invariant for both pairs: s * a == r modulo the modulus
+        r0, s0 = list(self.modulus), []
+        r1, s1 = _ptrim(list(a)), [1]
+        while len(r1) > 1:
+            if len(r0) < len(r1):
+                r0, s0, r1, s1 = r1, s1, r0, s0
+                continue
+            c = r0[-1] * pow(r1[-1], p - 2, p) % p
+            shift = len(r0) - len(r1)
+            r0 = _psubmul(r0, r1, c, shift, p)
+            s0 = _psubmul(s0, s1, c, shift, p)
+        scale = pow(r1[0], p - 2, p)
+        return tuple((x * scale) % p for x in s1) + (0,) * (self.m - len(s1))
 
     def frobenius(self, a: Element) -> Element:
         """x -> x^p, the canonical generator of the Galois group."""
-        return self.pow(a, self.p)
+        out = [0] * self.m
+        for ai, row in zip(a, self._frob):
+            if ai:
+                for j, rj in enumerate(row):
+                    out[j] += ai * rj
+        p = self.p
+        return tuple(c % p for c in out)
 
     def random_element(self, rng: random.Random) -> Element:
         p = self.p

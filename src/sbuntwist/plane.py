@@ -1,11 +1,11 @@
 """Projective-plane geometry over finite fields.
 
 Closed points are modeled as Frobenius orbits of plane points; incidence
-tests (collinearity, common conics) are exact determinant computations;
-and six-point configurations are classified by their profile of connecting
-lines.  This layer supplies the geometric side of the oracle: the symbolic
-link formulas never see coordinates, so every geometric claim is checked
-here explicitly.
+tests (collinearity, common conics) are exact singularity tests by
+inversion-free elimination; and six-point configurations are classified by
+their profile of connecting lines.  This layer supplies the geometric
+side of the oracle: the symbolic link formulas never see coordinates, so
+every geometric claim is checked here explicitly.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ def affine_point(F: FiniteField, x: int, y: int) -> ProjPoint:
 
 
 def frobenius_point(pt: ProjPoint) -> ProjPoint:
+    # Frobenius fixes 0 and 1, so the image is already normalized
     F = pt.field
-    return ProjPoint.make(F, tuple(F.frobenius(c) for c in pt.coords))
+    return ProjPoint(F, tuple(F.frobenius(c) for c in pt.coords))
 
 
 def frobenius_orbit(pt: ProjPoint) -> list[ProjPoint]:
@@ -75,34 +76,43 @@ def frobenius_orbit(pt: ProjPoint) -> list[ProjPoint]:
     return orbit
 
 
-def _det(F: FiniteField, rows: list[list[Element]]) -> Element:
-    """Exact determinant by Gaussian elimination with pivot search."""
+def _singular(F: FiniteField, rows: Sequence[Sequence[Element]]) -> bool:
+    """True iff the square matrix has determinant 0.
+
+    Fraction-free elimination (Bareiss' idea reduced to a zero test):
+    ``row_r <- pivot * row_r - a[r][col] * row_col`` scales the determinant
+    only by the nonzero pivot, so no inversion is needed.  A row whose entry
+    in the pivot column is already 0 is left as it is.
+    """
     n = len(rows)
-    a = [row[:] for row in rows]
-    det = F.one
+    a = [list(row) for row in rows]
+    zero = F.zero
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != F.zero), None)
+        pivot = next((r for r in range(col, n) if a[r][col] != zero), None)
         if pivot is None:
-            return F.zero
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = F.neg(det)
-        det = F.mul(det, a[col][col])
-        inv = F.inv(a[col][col])
+            return True
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
         for r in range(col + 1, n):
-            if a[r][col] != F.zero:
-                factor = F.mul(a[r][col], inv)
-                for c in range(col, n):
-                    a[r][c] = F.sub(a[r][c], F.mul(factor, a[col][c]))
-    return det
+            lead = a[r][col]
+            if lead != zero:
+                row = a[r]
+                for c in range(col + 1, n):
+                    row[c] = F.sub(F.mul(top[col], row[c]), F.mul(lead, top[c]))
+    return False
+
+
+def _check_same_field(points: Sequence[ProjPoint]) -> FiniteField:
+    F = points[0].field
+    if any(pt.field != F for pt in points):
+        raise ValueError("points must share a coordinate field")
+    return F
 
 
 def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
     """True iff the 3x3 coordinate determinant vanishes."""
-    F = a.field
-    if b.field != F or c.field != F:
-        raise ValueError("points must share a coordinate field")
-    return _det(F, [list(a.coords), list(b.coords), list(c.coords)]) == F.zero
+    F = _check_same_field((a, b, c))
+    return _singular(F, (a.coords, b.coords, c.coords))
 
 
 def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[Element, Element, Element]:
@@ -139,7 +149,7 @@ def on_common_conic(points: Sequence[ProjPoint]) -> bool:
     the 6x6 determinant of Veronese images (x^2, xy, xz, y^2, yz, z^2)."""
     if len(points) != 6:
         raise ValueError(f"need exactly 6 points, got {len(points)}")
-    F = points[0].field
+    F = _check_same_field(points)
     rows = []
     for pt in points:
         x, y, z = pt.coords
@@ -153,13 +163,13 @@ def on_common_conic(points: Sequence[ProjPoint]) -> bool:
                 F.mul(z, z),
             ]
         )
-    return _det(F, rows) == F.zero
+    return _singular(F, rows)
 
 
 @dataclass(frozen=True)
 class ClosedPoint:
     """A closed point of the plane over F_p: a single transitive Frobenius
-    orbit of geometric points."""
+    orbit of geometric points, listed in orbit order."""
 
     points: tuple[ProjPoint, ...]
 
@@ -168,10 +178,11 @@ class ClosedPoint:
         return len(self.points)
 
     def __post_init__(self) -> None:
-        orbit = frobenius_orbit(self.points[0])
-        if len(orbit) != len(self.points) or set(orbit) != set(self.points):
+        # orbit order (points[i + 1] is the Frobenius image of points[i])
+        # is what lets general_position_report test one triple per rotation
+        if tuple(frobenius_orbit(self.points[0])) != self.points:
             raise ValueError(
-                "points do not form a single transitive Frobenius orbit"
+                "points are not a transitive Frobenius orbit in orbit order"
             )
 
 
@@ -212,21 +223,33 @@ class PositionReport:
         return self.no_three_collinear and self.off_conic
 
 
-def general_position_report(points: Sequence[ProjPoint]) -> PositionReport:
-    """Check all 20 triples for collinearity and the sextuple for a common
-    conic.  A valid degree-6 link center must pass both."""
-    if len(points) != 6:
-        raise ValueError(f"need exactly 6 points, got {len(points)}")
-    triples = []
-    for i in range(6):
-        for j in range(i + 1, 6):
-            for k in range(j + 1, 6):
-                if collinear(points[i], points[j], points[k]):
-                    triples.append((i, j, k))
+#: One index triple from each class of the 20 triples of a degree-6 orbit
+#: under the rotation i -> i + 1 mod 6 (class sizes 6, 6, 6 and 2).
+_ROTATION_REPRESENTATIVES = ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 4))
+
+
+def general_position_report(cp: ClosedPoint) -> PositionReport:
+    """Check the six points of a degree-6 closed point for a collinear
+    triple and for a common conic.  A valid degree-6 link center must pass
+    both.
+
+    Frobenius sends point i to point i + 1 mod 6 and preserves
+    collinearity, so triple (i, j, k) is collinear iff its rotation
+    (i + 1, j + 1, k + 1) mod 6 is: one triple per rotation class is
+    tested, and each hit is expanded to its class.  ``collinear_triples``
+    lists every collinear triple of all 20, sorted.
+    """
+    if cp.degree != 6:
+        raise ValueError(f"need a degree-6 closed point, got degree {cp.degree}")
+    points = cp.points
+    triples = set()
+    for rep in _ROTATION_REPRESENTATIVES:
+        if collinear(*(points[i] for i in rep)):
+            triples.update(tuple(sorted((i + s) % 6 for i in rep)) for s in range(6))
     return PositionReport(
         no_three_collinear=not triples,
         off_conic=not on_common_conic(points),
-        collinear_triples=tuple(triples),
+        collinear_triples=tuple(sorted(triples)),
     )
 
 

@@ -143,7 +143,7 @@ def scan_closed_points(p: int, samples: int, seed: int) -> PositionScanReport:
     breakdown: dict[int, int] = {}
     for i in range(samples):
         cp = sample_closed_point(p, 6, seed=seed * 1_000_000 + i)
-        rep = general_position_report(cp.points)
+        rep = general_position_report(cp)
         bad = False
         if not rep.no_three_collinear:
             collinear_hits += 1

@@ -182,7 +182,7 @@ def test_criterion_5_degree6_general_position_scan():
         rep = scan_closed_points(p, samples=100, seed=1)
         problems.extend(census_failures(rep))
         for expected, cp in _family_controls(p).items():
-            pos = general_position_report(cp.points)
+            pos = general_position_report(cp)
             case = 0 if pos.no_three_collinear else classify_configuration(cp.points)[0].case_id
             got = (pos.no_three_collinear, pos.off_conic, case)
             if cp.degree != 6 or got != expected:

@@ -81,6 +81,17 @@ def test_frobenius_is_an_automorphism_of_order_m(p, m):
         assert cur == a
 
 
+@pytest.mark.parametrize("p,m", PARAMS)
+def test_inverse_and_frobenius_agree_with_the_pow_route(p, m):
+    # reference route: a^(q - 2) = a^-1 and a^p = frobenius(a)
+    F = field(p, m)
+    xs = [a for a in elements_of(F, 40, seed=7 * p + m) if a != F.zero]
+    assert xs
+    for a in xs:
+        assert F.inv(a) == F.pow(a, F.order - 2)
+        assert F.frobenius(a) == F.pow(a, p)
+
+
 def test_frobenius_fixes_exactly_the_prime_field():
     F = field(5, 3)
     fixed = []

@@ -65,6 +65,48 @@ def test_sampled_line_points_are_collinear():
         assert collinear(a, b, q)
 
 
+def _cofactor_det(F, rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    mul, sub = F.mul, F.sub
+    return F.add(
+        sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
+        mul(c, sub(mul(d, h), mul(e, g))),
+    )
+
+
+@pytest.mark.parametrize("p,m", [(7, 2), (13, 6)])
+def test_collinear_agrees_with_the_cofactor_determinant(p, m):
+    F = field(p, m)
+    rng = random.Random(p + m)
+
+    def coord():
+        # zeros a third of the time, so pivots must be searched for
+        return F.zero if rng.randrange(3) == 0 else F.random_element(rng)
+
+    def point():
+        while True:
+            coords = (coord(), coord(), coord())
+            if any(c != F.zero for c in coords):
+                return ProjPoint.make(F, coords)
+
+    hits = 0
+    for trial in range(300):
+        a, b = point(), point()
+        if trial % 2:
+            c = point()
+        else:
+            # on the line through a and b (or a itself when a == b)
+            s, t = coord(), coord()
+            combo = tuple(F.add(F.mul(s, u), F.mul(t, v)) for u, v in zip(a.coords, b.coords))
+            if all(x == F.zero for x in combo):
+                continue
+            c = ProjPoint.make(F, combo)
+        expected = _cofactor_det(F, [a.coords, b.coords, c.coords]) == F.zero
+        assert collinear(a, b, c) == expected
+        hits += expected
+    assert 0 < hits < 300
+
+
 def test_conic_detects_points_on_x0x1_equals_x2sq():
     # points (1 : t^2 : t) satisfy x*y = z^2
     pts = [pt(1, t * t % 7, t) for t in range(6)]
@@ -92,6 +134,15 @@ def test_conic_with_a_collinear_triple_is_determinant_only():
     on_line = [pt(1, 0, 1), pt(2, 0, 1), pt(3, 0, 1)]
     assert on_common_conic(on_line + [pt(1, 1, 1), pt(2, 1, 1), pt(3, 1, 1)])
     assert not on_common_conic(on_line + [pt(1, 1, 1), pt(2, 3, 1), pt(0, 1, 0)])
+
+
+def test_incidence_tests_require_one_coordinate_field():
+    F49 = field(7, 2)
+    on_conic = [pt(1, t * t % 7, t, F=F49) for t in range(5)]
+    with pytest.raises(ValueError, match="share a coordinate field"):
+        on_common_conic(on_conic + [pt(1, 1, 1)])
+    with pytest.raises(ValueError, match="share a coordinate field"):
+        collinear(on_conic[0], on_conic[1], pt(1, 1, 1))
 
 
 # --- Frobenius orbits and closed points ---
@@ -122,6 +173,17 @@ def test_closed_point_rejects_non_orbits():
     other = ProjPoint.of_ints(F, (1, 2, 4))
     with pytest.raises(ValueError):
         ClosedPoint((one, other, one))
+
+
+def test_closed_point_requires_orbit_order():
+    # a rotation starts the same orbit at another point; any other
+    # reordering of the same six points is refused
+    pts = sample_closed_point(7, 6, seed=3).points
+    assert ClosedPoint(pts[2:] + pts[:2]).points[0] == pts[2]
+    for reordered in (pts[:1] + pts[:0:-1], (pts[1], pts[0]) + pts[2:]):
+        assert set(reordered) == set(pts)
+        with pytest.raises(ValueError):
+            ClosedPoint(reordered)
 
 
 def test_sampling_exhausted_is_raised_for_zero_budget():
@@ -160,11 +222,42 @@ def test_degree3_collinearity_happens_only_on_stable_lines():
 def test_degree6_negative_controls():
     # hand-built non-orbit sets: 3 collinear and 6 on a conic
     pts = [pt(1, 0, 1), pt(2, 0, 1), pt(3, 0, 1), pt(0, 0, 1), pt(1, 2, 1), pt(1, 3, 1)]
-    rep = general_position_report(pts)
-    assert not rep.no_three_collinear
+    assert collinear(*pts[:3])
     conic_pts = [pt(1, t * t % 7, t) for t in range(6)]
-    rep2 = general_position_report(conic_pts)
-    assert not rep2.off_conic
+    assert on_common_conic(conic_pts)
+
+
+def _collinear_triples_by_brute_force(points):
+    return tuple(
+        (i, j, k)
+        for i in range(6)
+        for j in range(i + 1, 6)
+        for k in range(j + 1, 6)
+        if collinear(points[i], points[j], points[k])
+    )
+
+
+def test_rotation_report_equals_the_twenty_triple_scan():
+    from test_acceptance import _family_controls
+
+    orbits = []
+    for p in (5, 7, 11, 13):
+        orbits += [sample_closed_point(p, 6, seed=500 + i) for i in range(100)]
+        orbits += _family_controls(p).values()
+    with_hits = 0
+    for cp in orbits:
+        expected = _collinear_triples_by_brute_force(cp.points)
+        rep = general_position_report(cp)
+        assert rep.collinear_triples == expected
+        assert rep.no_three_collinear == (not expected)
+        with_hits += bool(expected)
+    # the line controls hit all 20 triples, the line-pair controls 2
+    assert with_hits > 8
+
+
+def test_general_position_report_needs_degree_6():
+    with pytest.raises(ValueError, match="degree-6"):
+        general_position_report(sample_closed_point(5, 3, seed=1))
 
 
 def test_degree6_violations_are_only_the_brauer_excluded_cases():
@@ -174,7 +267,7 @@ def test_degree6_violations_are_only_the_brauer_excluded_cases():
     found = 0
     for seed in range(250):
         cp = sample_closed_point(5, 6, seed=seed)
-        rep = general_position_report(cp.points)
+        rep = general_position_report(cp)
         if not rep.no_three_collinear:
             found += 1
             case, _ = classify_configuration(cp.points)
