@@ -261,6 +261,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error("--prime is required for this mode")
         if args.seed is None:
             return _usage_error("--seed is required for randomized modes")
+        # bounded before the O(sqrt(p)) primality test, which would spin
+        # for minutes on a prime near 2**61
+        if args.prime >= 2**31:
+            return _usage_error(f"--prime must be below 2**31, got {args.prime}")
         if args.prime in (2, 3) or not _is_prime(args.prime):
             return _usage_error(
                 f"--prime must be a prime other than 2 and 3, got {args.prime}"

@@ -126,8 +126,14 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m, ordering coefficient vectors
-    (a_{m-1}, ..., a_0) lexicographically."""
-    for k in range(p**m):
+    (a_{m-1}, ..., a_0) lexicographically.
+
+    The first p candidates are the binomials x^m + c.  One is irreducible
+    only if every prime factor of m divides p - 1 (Lidl and Niederreiter,
+    Finite Fields, Thm 3.75), so otherwise the search skips them.
+    """
+    skip = any((p - 1) % r for r in _prime_factors(m))
+    for k in range(p if skip else 0, p**m):
         coeffs = [0] * m
         kk = k
         for i in range(m):  # a_0 varies fastest

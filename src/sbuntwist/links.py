@@ -79,28 +79,27 @@ _ID_PATTERN = re.compile(r"^x(\d+)$")
 
 @dataclass
 class IdSource:
-    """Deterministic fresh-orbit-id counter.
+    """Deterministic fresh-orbit-id counter handing out x1, x2, ...
 
     The only stateful piece of the link machinery; confine one instance to
     each chain or factorization session so runs reproduce byte-for-byte.
     """
 
-    prefix: str = "x"
     counter: int = 1
 
     @classmethod
-    def past(cls, cycle: CycleClass, prefix: str = "x") -> "IdSource":
+    def past(cls, cycle: CycleClass) -> "IdSource":
         """A source whose ids avoid every x<k> id already in the cycle."""
         taken = [
             int(m.group(1))
             for o in cycle.orbits
             if (m := _ID_PATTERN.match(o.id)) is not None
         ]
-        return cls(prefix=prefix, counter=max(taken, default=0) + 1)
+        return cls(counter=max(taken, default=0) + 1)
 
     def take(self, used: frozenset[str] | set[str] = frozenset()) -> str:
         while True:
-            name = f"{self.prefix}{self.counter}"
+            name = f"x{self.counter}"
             self.counter += 1
             if name not in used:
                 return name

@@ -11,7 +11,7 @@ every geometric claim is checked here explicitly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Sequence
 
@@ -50,11 +50,6 @@ class ProjPoint:
     def of_ints(cls, F: FiniteField, triple: Sequence[int]) -> "ProjPoint":
         """Convenience constructor from prime-subfield coordinates."""
         return cls.make(F, tuple(F.element(t) for t in triple))
-
-
-def affine_point(F: FiniteField, x: int, y: int) -> ProjPoint:
-    """The point (x : y : 1) of the standard affine chart."""
-    return ProjPoint.of_ints(F, (x, y, 1))
 
 
 def frobenius_point(pt: ProjPoint) -> ProjPoint:
@@ -168,22 +163,20 @@ def on_common_conic(points: Sequence[ProjPoint]) -> bool:
 
 @dataclass(frozen=True)
 class ClosedPoint:
-    """A closed point of the plane over F_p: a single transitive Frobenius
-    orbit of geometric points, listed in orbit order."""
+    """A closed point of the plane over F_p: the Frobenius orbit of a
+    geometric point, listed in orbit order starting at that point."""
 
-    points: tuple[ProjPoint, ...]
+    point: ProjPoint
+    # orbit order (points[i + 1] is the Frobenius image of points[i]) is
+    # what lets general_position_report test one triple per rotation
+    points: tuple[ProjPoint, ...] = dataclass_field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(frobenius_orbit(self.point)))
 
     @property
     def degree(self) -> int:
         return len(self.points)
-
-    def __post_init__(self) -> None:
-        # orbit order (points[i + 1] is the Frobenius image of points[i])
-        # is what lets general_position_report test one triple per rotation
-        if tuple(frobenius_orbit(self.points[0])) != self.points:
-            raise ValueError(
-                "points are not a transitive Frobenius orbit in orbit order"
-            )
 
 
 def sample_closed_point(
@@ -201,10 +194,9 @@ def sample_closed_point(
         coords = tuple(F.random_element(rng) for _ in range(3))
         if all(c == F.zero for c in coords):
             continue
-        pt = ProjPoint.make(F, coords)
-        orbit = frobenius_orbit(pt)
-        if len(orbit) == degree:
-            return ClosedPoint(tuple(orbit))
+        cp = ClosedPoint(ProjPoint.make(F, coords))
+        if cp.degree == degree:
+            return cp
     raise SamplingExhausted(
         f"no degree-{degree} point found over F_{p}^{degree} in {attempts} tries"
     )

@@ -36,7 +36,6 @@ from sbuntwist.plane import (
     ClosedPoint,
     ProjPoint,
     classify_configuration,
-    frobenius_orbit,
     general_position_report,
 )
 from sbuntwist.untwist import Parity, ParityContradiction, random_chain, replay, untwist
@@ -169,7 +168,7 @@ def _family_controls(p: int) -> dict[tuple[bool, bool, int], ClosedPoint]:
         (True, False, 0): (F.one, a, F.mul(a, a)),
     }
     return {
-        key: ClosedPoint(tuple(frobenius_orbit(ProjPoint.make(F, coords))))
+        key: ClosedPoint(ProjPoint.make(F, coords))
         for key, coords in controls.items()
     }
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,6 +194,37 @@ def test_verify_table_mode(capsys):
     assert rc == 0
     assert data["unclassifiable"] == 0
     assert [w["lines"] for w in data["witnesses"]] == [1, 6, 10, 8, 11, 13, 11, 9, 7]
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(*argv, timeout=30):
+    """The CLI in a child process, killed (and the test failed) on timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "sbuntwist.cli", *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_verify_table_mode_at_a_large_prime():
+    # the witnesses are a fixed table; a per-field search grew as q^3
+    proc = run_cli("verify", "--mode", "table", "--prime", "101", "--samples", "1", "--seed", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_verify_lemma3_at_a_large_prime_and_the_prime_bound():
+    # p = 1000037 is 2 mod 3, where no x^6 + c is irreducible
+    proc = run_cli("verify", "--mode", "lemma3", "--prime", "1000037", "--samples", "1", "--seed", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = run_cli(
+        "verify", "--mode", "lemma3", "--prime", str(2**61 - 1), "--samples", "1", "--seed", "1"
+    )
+    assert proc.returncode == 2
+    assert "--prime" in proc.stderr
 
 
 def test_verify_requires_seed_for_sampling(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbuntwist.gf import FiniteField, field
+from sbuntwist.gf import FiniteField, _is_irreducible, _is_prime, _least_irreducible, field
 
 PARAMS = [(5, 1), (7, 1), (7, 2), (5, 3), (7, 3), (5, 6), (13, 2), (11, 3)]
 
@@ -45,6 +45,20 @@ def test_canonical_moduli_frozen_values(p, m, modulus):
     # irreducibility and lexicographic minimality of each tuple were
     # confirmed against an independent computer-algebra factorizer
     assert field(p, m).modulus == modulus
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 60) if _is_prime(p) and p % 3 == 2])
+@pytest.mark.parametrize("m", [3, 6])
+def test_least_irreducible_equals_the_unskipped_search(p, m):
+    # for p = 2 mod 3 no binomial x^m + c is irreducible and the search
+    # starts past them; an unskipped scan from k = 0 must agree
+    expected = None
+    for k in range(p**m):
+        coeffs = [(k // p**i) % p for i in range(m)] + [1]
+        if _is_irreducible(coeffs, p):
+            expected = tuple(coeffs)
+            break
+    assert _least_irreducible(p, m) == expected
 
 
 @pytest.mark.parametrize("p,m", PARAMS)

@@ -1,7 +1,11 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+from sbuntwist import verify
+from sbuntwist.gf import _is_prime
 from sbuntwist.plane import ConfigCase, EXPECTED_LINE_COUNTS, classify_configuration
 from sbuntwist.verify import (
     TAIL_BOUND,
@@ -33,14 +37,46 @@ def test_phi6_scan_is_clean():
     )
 
 
-@pytest.mark.parametrize("q", [7, 11])
+@pytest.mark.parametrize("q", [q for q in range(5, 100) if _is_prime(q)])
 @pytest.mark.parametrize("case_id", range(1, 10))
 def test_every_case_has_a_witness_with_the_forced_line_count(case_id, q):
-    pts = case_witness(case_id, q)
-    assert pts is not None, f"case {case_id} not realized over F_{q}"
-    case, count = classify_configuration(pts)
+    case, count = classify_configuration(case_witness(case_id, q))
     assert case.case_id == case_id
     assert count == EXPECTED_LINE_COUNTS[case]
+
+
+def _is_3_smooth(n):
+    for r in (2, 3):
+        while n and n % r == 0:
+            n //= r
+    return abs(n) == 1
+
+
+def test_witness_minors_and_cross_products_are_3_smooth():
+    # what makes each integer witness realize its case over every F_q,
+    # q >= 5: no nonzero minor vanishes mod q, and no two points meet mod q
+    for case_id, pts in verify._WITNESSES.items():
+        assert len(pts) == 6
+        for a, b, c in itertools.combinations(pts, 3):
+            minor = (
+                a[0] * (b[1] * c[2] - b[2] * c[1])
+                - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0])
+            )
+            assert minor == 0 or _is_3_smooth(minor), (case_id, a, b, c, minor)
+        for a, b in itertools.combinations(pts, 2):
+            g = math.gcd(
+                a[1] * b[2] - a[2] * b[1],
+                a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0],
+            )
+            assert _is_3_smooth(g), (case_id, a, b, g)
+
+
+def test_case_witness_rejects_ids_outside_1_to_9():
+    for case_id in (0, 10):
+        with pytest.raises(ValueError):
+            case_witness(case_id, 7)
 
 
 def test_witnesses_are_deterministic():
@@ -52,6 +88,25 @@ def test_table_scan_is_clean():
     assert report.ok
     assert report.unclassifiable == 0
     assert all(w.realized for w in report.witnesses)
+
+
+def test_table_scan_fails_when_the_classifier_swaps_two_cases(monkeypatch):
+    # cases 5 and 7 force the same 11 lines, so only the witnesses can
+    # catch a classifier that swaps them; a missed witness is no pass
+    swap = {
+        ConfigCase.TWO_TRIPLES_SHARING_A_POINT: ConfigCase.TWO_DISJOINT_TRIPLES,
+        ConfigCase.TWO_DISJOINT_TRIPLES: ConfigCase.TWO_TRIPLES_SHARING_A_POINT,
+    }
+
+    def swapped(pts):
+        case, count = classify_configuration(pts)
+        return swap.get(case, case), count
+
+    monkeypatch.setattr(verify, "classify_configuration", swapped)
+    report = scan_table(7, random_samples=50, seed=2)
+    assert not report.ok
+    assert [w.case_id for w in report.witnesses if not w.ok] == [5, 7]
+    assert all(w.line_count == w.expected_count for w in report.witnesses)
 
 
 def test_closed_point_scan_reports_structure():
