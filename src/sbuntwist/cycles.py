@@ -178,10 +178,6 @@ class NoetherReport:
     def consistent(self) -> bool:
         return self.e2 and self.e3
 
-    @property
-    def all_ok(self) -> bool:
-        return self.e2 and self.e3 and self.e4 and self.e5
-
 
 def noether_check(cycle: CycleClass) -> NoetherReport:
     """Evaluate the Noether-type relations; never raises."""

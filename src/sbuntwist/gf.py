@@ -173,10 +173,6 @@ class FiniteField:
             for row in (_ppowmod([0, 1], i * p, self.modulus, p) for i in range(m))
         )
 
-    @property
-    def order(self) -> int:
-        return self.p**self.m
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FiniteField)
@@ -202,10 +198,6 @@ class FiniteField:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def neg(self, a: Element) -> Element:
-        p = self.p
-        return tuple((-x) % p for x in a)
-
     def sub(self, a: Element, b: Element) -> Element:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
@@ -226,18 +218,6 @@ class FiniteField:
                     if red[i]:
                         out[i] = (out[i] + c * red[i]) % p
         return tuple(out)
-
-    def pow(self, a: Element, e: int) -> Element:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
 
     def inv(self, a: Element) -> Element:
         """Extended Euclid over F_p[x]; each step cancels the leading term

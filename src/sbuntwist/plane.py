@@ -3,13 +3,16 @@
 Closed points are modeled as Frobenius orbits of plane points; incidence
 tests (collinearity, common conics) are exact singularity tests by
 inversion-free elimination; and six-point configurations are classified by
-their profile of connecting lines.  This layer supplies the geometric
-side of the oracle: the symbolic link formulas never see coordinates, so
-every geometric claim is checked here explicitly.
+their line profile, read off by grouping the 15 point pairs by the line
+they span and looked up in one table of the ten profiles six points can
+have.  This layer supplies the geometric side of the oracle: the symbolic
+link formulas never see coordinates, so every geometric claim is checked
+here explicitly.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
@@ -210,10 +213,6 @@ class PositionReport:
     off_conic: bool
     collinear_triples: tuple[tuple[int, int, int], ...]
 
-    @property
-    def general_position(self) -> bool:
-        return self.no_three_collinear and self.off_conic
-
 
 #: One index triple from each class of the 20 triples of a degree-6 orbit
 #: under the rotation i -> i + 1 mod 6 (class sizes 6, 6, 6 and 2).
@@ -285,20 +284,35 @@ EXPECTED_LINE_COUNTS = {
 
 def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
     """All lines through at least two of the points, each as the index set
-    of the configuration points incident to it."""
-    seen: dict[tuple[Element, Element, Element], frozenset[int]] = {}
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = line_through(points[i], points[j])
-            if key in seen:
-                continue
-            line = key
-            members = frozenset(
-                k for k in range(n) if incident(line, points[k])
-            )
-            seen[key] = members
-    return list(seen.values())
+    of the configuration points on it.  Two points span exactly one line,
+    so grouping the pairs by the normalized ``line_through`` key gives each
+    line's members without an incidence test."""
+    members: dict[tuple[Element, Element, Element], set[int]] = {}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        members.setdefault(line_through(points[i], points[j]), set()).update((i, j))
+    return [frozenset(m) for m in members.values()]
+
+
+#: Case of each line profile: the sizes of the lines through at least three
+#: of the six points, largest first, and how many points those lines cover.
+#: Two lines of a plane share at most one point, and that leaves exactly
+#: these ten profiles for six points: a line through 5 or 6 leaves too few
+#: points for a second rich line, a 4-point line admits only the one
+#: 3-point line through the two points off it, and each point lies on at
+#: most two 3-point lines, so there are at most four, and three or four of
+#: them meet pairwise and cover all six points.
+_CASE_BY_PROFILE = {
+    ((), 0): ConfigCase.GENERAL_POSITION,
+    ((6,), 6): ConfigCase.ALL_SIX_ON_A_LINE,
+    ((5,), 5): ConfigCase.FIVE_ON_A_LINE,
+    ((4,), 4): ConfigCase.FOUR_ON_A_LINE,
+    ((4, 3), 6): ConfigCase.FOUR_AND_A_TRIPLE,
+    ((3, 3), 5): ConfigCase.TWO_TRIPLES_SHARING_A_POINT,
+    ((3,), 3): ConfigCase.ONE_TRIPLE,
+    ((3, 3), 6): ConfigCase.TWO_DISJOINT_TRIPLES,
+    ((3, 3, 3), 6): ConfigCase.TRIPLE_TRIANGLE,
+    ((3, 3, 3, 3), 6): ConfigCase.QUADRILATERAL,
+}
 
 
 def classify_configuration(
@@ -307,72 +321,27 @@ def classify_configuration(
     """Classify six distinct points by their connecting-line profile and
     return (case, number of connecting lines).
 
-    Raises :class:`UnclassifiableConfiguration` if the profile matches no
-    case; a correct enumeration makes that unreachable, so any raise would
-    expose a gap in the case analysis.
+    The profile is the sizes of the lines through at least three points,
+    largest first, and the number of points those lines cover; it is
+    looked up in ``_CASE_BY_PROFILE``.  Raises
+    :class:`UnclassifiableConfiguration` if the profile is not there; a
+    correct line grouping makes that unreachable, so any raise would expose
+    a gap in the case analysis.
     """
     if len(points) != 6:
         raise ValueError(f"need exactly 6 points, got {len(points)}")
+    _check_same_field(points)
     if len(set(points)) != 6:
         raise ValueError("configuration points must be distinct")
     lines = connecting_lines(points)
-    count = len(lines)
-    sizes = sorted((len(m) for m in lines), reverse=True)
-    top = sizes[0]
-    triples = [m for m in lines if len(m) == 3]
-
-    if top == 2:
-        return ConfigCase.GENERAL_POSITION, count
-    if top == 6:
-        return ConfigCase.ALL_SIX_ON_A_LINE, count
-    if top == 5:
-        return ConfigCase.FIVE_ON_A_LINE, count
-    if top == 4:
-        if sizes.count(4) != 1 or len(triples) > 1:
-            raise UnclassifiableConfiguration(
-                f"unexpected profile with a 4-point line: {sizes}"
-            )
-        if triples:
-            return ConfigCase.FOUR_AND_A_TRIPLE, count
-        return ConfigCase.FOUR_ON_A_LINE, count
-
-    # top == 3
-    if len(triples) == 1:
-        return ConfigCase.ONE_TRIPLE, count
-    if len(triples) == 2:
-        if triples[0] & triples[1]:
-            return ConfigCase.TWO_TRIPLES_SHARING_A_POINT, count
-        return ConfigCase.TWO_DISJOINT_TRIPLES, count
-    if len(triples) == 3:
-        shared = [a & b for a, b in _pairs(triples)]
-        vertices = frozenset().union(*shared)
-        if (
-            all(len(s) == 1 for s in shared)
-            and len(vertices) == 3
-            and len(frozenset().union(*triples)) == 6
-        ):
-            return ConfigCase.TRIPLE_TRIANGLE, count
-        raise UnclassifiableConfiguration(
-            f"three 3-point lines without triangle structure: {triples}"
-        )
-    if len(triples) == 4:
-        incidence = {k: sum(1 for m in triples if k in m) for k in range(6)}
-        if all(v == 2 for v in incidence.values()) and all(
-            len(a & b) == 1 for a, b in _pairs(triples)
-        ):
-            return ConfigCase.QUADRILATERAL, count
-        raise UnclassifiableConfiguration(
-            f"four 3-point lines without quadrilateral structure: {triples}"
-        )
-    raise UnclassifiableConfiguration(
-        f"{len(triples)} three-point lines cannot occur on six points"
+    rich = [m for m in lines if len(m) >= 3]
+    profile = (
+        tuple(sorted((len(m) for m in rich), reverse=True)),
+        len(frozenset().union(*rich)),
     )
-
-
-def _pairs(items: Sequence[frozenset[int]]):
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            yield items[i], items[j]
+    if profile not in _CASE_BY_PROFILE:
+        raise UnclassifiableConfiguration(f"unknown line profile {profile}")
+    return _CASE_BY_PROFILE[profile], len(lines)
 
 
 def sample_configuration(

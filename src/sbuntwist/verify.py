@@ -318,7 +318,8 @@ def case_witness(case_id: int, q: int) -> tuple[ProjPoint, ...]:
 class WitnessResult:
     """The classifier's verdict on one case witness: ``realized`` means it
     put the witness in the witness's own case, ``line_count`` is the number
-    of connecting lines it counted."""
+    of connecting lines it counted (0 if it raised
+    :class:`UnclassifiableConfiguration`)."""
 
     case_id: int
     realized: bool
@@ -363,7 +364,10 @@ def scan_table(q: int, random_samples: int, seed: int) -> TableScanReport:
     witnesses = []
     for case_id in range(1, 10):
         case = ConfigCase(case_id)
-        got, count = classify_configuration(case_witness(case_id, q))
+        try:
+            got, count = classify_configuration(case_witness(case_id, q))
+        except UnclassifiableConfiguration:
+            got, count = None, 0
         witnesses.append(
             WitnessResult(case_id, got is case, count, EXPECTED_LINE_COUNTS[case])
         )

@@ -160,7 +160,12 @@ def _family_controls(p: int) -> dict[tuple[bool, bool, int], ClosedPoint]:
     conic y^2 = x z."""
     F = field(p, 6)
     a = F.element((0, 1))  # a root of the degree-6 modulus
-    norms = (F.pow(F.add(a, F.element(k)), 1 + p**2 + p**4) for k in range(p))
+
+    def norm(x):  # x^(1 + p^2 + p^4), the norm from F_{p^6} to F_{p^2}
+        x2 = F.frobenius(F.frobenius(x))
+        return F.mul(x, F.mul(x2, F.frobenius(F.frobenius(x2))))
+
+    norms = (norm(F.add(a, F.element(k))) for k in range(p))
     c = next(n for n in norms if F.frobenius(n) != n)
     controls = {
         (False, False, 1): (F.one, a, F.zero),

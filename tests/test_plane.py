@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from sbuntwist.plane import (
     ConfigCase,
     EXPECTED_LINE_COUNTS,
     ProjPoint,
+    _CASE_BY_PROFILE,
     SamplingExhausted,
     classify_configuration,
     collinear,
@@ -143,6 +145,8 @@ def test_incidence_tests_require_one_coordinate_field():
         on_common_conic(on_conic + [pt(1, 1, 1)])
     with pytest.raises(ValueError, match="share a coordinate field"):
         collinear(on_conic[0], on_conic[1], pt(1, 1, 1))
+    with pytest.raises(ValueError, match="share a coordinate field"):
+        classify_configuration(on_conic + [pt(1, 1, 1)])
 
 
 # --- Frobenius orbits and closed points ---
@@ -314,6 +318,20 @@ def test_classifier_requires_six_distinct_points():
 def test_connecting_lines_of_a_triangle():
     tri = [pt(0, 0, 1), pt(1, 0, 1), pt(0, 1, 1)]
     assert len(connecting_lines(tri)) == 3
+
+
+def test_each_case_has_exactly_one_profile():
+    assert sorted(c.case_id for c in _CASE_BY_PROFILE.values()) == list(range(10))
+
+
+@pytest.mark.parametrize("profile", sorted(_CASE_BY_PROFILE))
+def test_profile_table_agrees_with_the_line_counts(profile):
+    # the 15 pairs split among the lines: a line through s points takes
+    # C(s, 2) pairs and counts once
+    sizes, covered = profile
+    assert covered <= 6 and all(covered >= s for s in sizes)
+    expected = 15 - sum(math.comb(s, 2) - 1 for s in sizes)
+    assert EXPECTED_LINE_COUNTS[_CASE_BY_PROFILE[profile]] == expected
 
 
 def test_random_configurations_always_classify():

@@ -6,7 +6,13 @@ import pytest
 
 from sbuntwist import verify
 from sbuntwist.gf import _is_prime
-from sbuntwist.plane import ConfigCase, EXPECTED_LINE_COUNTS, classify_configuration
+from sbuntwist.cli import main
+from sbuntwist.plane import (
+    ConfigCase,
+    EXPECTED_LINE_COUNTS,
+    UnclassifiableConfiguration,
+    classify_configuration,
+)
 from sbuntwist.verify import (
     TAIL_BOUND,
     PositionScanReport,
@@ -107,6 +113,23 @@ def test_table_scan_fails_when_the_classifier_swaps_two_cases(monkeypatch):
     assert not report.ok
     assert [w.case_id for w in report.witnesses if not w.ok] == [5, 7]
     assert all(w.line_count == w.expected_count for w in report.witnesses)
+
+
+def test_a_witness_that_fails_to_classify_is_unrealized(monkeypatch):
+    # an UnclassifiableConfiguration on a witness is a reported miss, not
+    # a traceback
+    quadrilateral = case_witness(9, 7)
+
+    def raising(pts):
+        if tuple(pts) == quadrilateral:
+            raise UnclassifiableConfiguration("forced")
+        return classify_configuration(pts)
+
+    monkeypatch.setattr(verify, "classify_configuration", raising)
+    report = scan_table(7, random_samples=10, seed=1)
+    assert [w.case_id for w in report.witnesses if not w.realized] == [9]
+    assert report.count_mismatches == 1 and not report.ok
+    assert main(["verify", "--mode", "table", "--prime", "7", "--samples", "10", "--seed", "1"]) == 1
 
 
 def test_closed_point_scan_reports_structure():
