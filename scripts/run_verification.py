@@ -13,7 +13,8 @@ the table are exact, collinear hits stay in cases 1 and 7, every collinear
 hit is a conic hit, and every family's tail probability is at least
 ``TAIL_BOUND``; otherwise it lists the failures and exits 1.
 
-Usage: python scripts/run_verification.py [--samples N] [--seed S]
+Usage: python scripts/run_verification.py [--samples N] [--seed S] [--dmax D]
+(N and D must be at least 1)
 """
 
 import argparse
@@ -40,6 +41,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--dmax", type=int, default=50)
     args = parser.parse_args()
+    for flag in ("samples", "dmax"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
     failures = []
 

@@ -105,7 +105,7 @@ def render_cycle_document(
     """Canonical document form: orbits sorted by descending multiplicity,
     then ascending degree; multiplicity-0 orbits dropped."""
     orbits = sorted(
-        (o for o in cycle.orbits if o.multiplicity > 0),
+        cycle.normalized().orbits,
         key=lambda o: (-o.multiplicity, o.degree),
     )
     doc = {

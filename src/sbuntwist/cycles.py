@@ -91,10 +91,7 @@ class CycleClass:
         return cls(label, d, tuple(Orbit(i, n, b) for i, n, b in orbits))
 
     def find(self, orbit_id: str) -> Optional[Orbit]:
-        for o in self.orbits:
-            if o.id == orbit_id:
-                return o
-        return None
+        return next((o for o in self.orbits if o.id == orbit_id), None)
 
     def normalized(self) -> "CycleClass":
         """Drop multiplicity-0 orbits."""
@@ -138,19 +135,14 @@ def max_multiplicity_orbit(cycle: CycleClass) -> Optional[Orbit]:
     """The orbit of maximal positive multiplicity, or None.
 
     Ties break to the smallest degree first (degree-3 links shorten words),
-    then to the smallest id, so factorizations are deterministic.
+    then to the smallest id, so factorizations are deterministic.  The
+    key below is the one statement of this greedy order.
     """
-    best: Optional[Orbit] = None
-    for o in cycle.orbits:
-        if o.multiplicity <= 0:
-            continue
-        if best is None or (-o.multiplicity, o.degree, id_sort_key(o.id)) < (
-            -best.multiplicity,
-            best.degree,
-            id_sort_key(best.id),
-        ):
-            best = o
-    return best
+    return min(
+        (o for o in cycle.orbits if o.multiplicity > 0),
+        key=lambda o: (-o.multiplicity, o.degree, id_sort_key(o.id)),
+        default=None,
+    )
 
 
 @dataclass(frozen=True)

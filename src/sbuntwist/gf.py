@@ -6,9 +6,10 @@ irreducible of degree m over F_p, comparing coefficient vectors from the
 top degree down.  Canonical moduli make field towers reproducible across
 runs and machines.
 
-Inversion is the extended Euclidean algorithm over F_p[x] against the
-modulus, with scalar inverses pow(c, p - 2, p); for m = 1 it is that
-scalar power alone.  Frobenius x -> x^p is F_p-linear, so it is applied as
+One extended Euclidean loop over F_p[x] serves field inversion against the
+modulus and the coprimality condition of Rabin's irreducibility test
+(gcd(h, f) is constant iff h is invertible modulo f); scalar inverses are
+pow(c, p - 2, p).  Frobenius x -> x^p is F_p-linear, so it is applied as
 a multiplication by the m x m matrix over F_p whose row i is x^(i p) mod
 the modulus, built once per field.
 """
@@ -20,17 +21,6 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 Element = tuple[int, ...]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 # --- dense polynomial helpers over F_p (ascending coefficients) ---
@@ -83,14 +73,29 @@ def _ppowmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]
     return result
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    x, y = _ptrim(list(a)), _ptrim(list(b))
-    while y:
-        if y[-1] != 1:  # make monic so _pmod applies
-            inv = pow(y[-1], p - 2, p)
-            y = [(c * inv) % p for c in y]
-        x, y = y, _pmod(x, y, p)
-    return x
+def _pinv(a: Sequence[int], f: Sequence[int], p: int) -> list[int] | None:
+    """The inverse of a modulo f over F_p, or None when gcd(a, f) is not a
+    constant.  Extended Euclid: each step cancels the leading term of the
+    larger remainder with a shifted multiple of the smaller."""
+    # invariant for both pairs: s * a == r modulo f
+    r0, s0 = list(f), []
+    r1, s1 = _ptrim(list(a)), [1]
+    while len(r1) > 1:
+        if len(r0) < len(r1):
+            r0, s0, r1, s1 = r1, s1, r0, s0
+            continue
+        c = r0[-1] * pow(r1[-1], p - 2, p) % p
+        shift = len(r0) - len(r1)
+        r0 = _psubmul(r0, r1, c, shift, p)
+        s0 = _psubmul(s0, s1, c, shift, p)
+    if not r1:
+        return None
+    scale = pow(r1[0], p - 2, p)
+    return [(x * scale) % p for x in s1]
+
+
+def _pad(coeffs: Sequence[int], m: int) -> tuple[int, ...]:
+    return tuple(coeffs) + (0,) * (m - len(coeffs))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -106,20 +111,22 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
+
+
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
     """Rabin's test for a monic polynomial of degree >= 1 over F_p."""
     m = len(f) - 1
     if m == 1:
         return True
     x = [0, 1]
-    if _ptrim(list(_ppowmod(x, p**m, f, p))) != x:
+    if _ppowmod(x, p**m, f, p) != x:
         return False
     for r in _prime_factors(m):
-        h = _ppowmod(x, p ** (m // r), f, p)
         # gcd(x^(p^(m/r)) - x, f) must be constant
-        h = _ptrim([(c - (1 if i == 1 else 0)) % p for i, c in enumerate(h + [0, 0])])
-        g = _pgcd(h, f, p)
-        if len(g) != 1:
+        h = _psubmul(_ppowmod(x, p ** (m // r), f, p), [1], 1, 1, p)
+        if _pinv(h, f, p) is None:
             return False
     return True
 
@@ -161,16 +168,12 @@ class FiniteField:
         self.zero: Element = (0,) * m
         self.one: Element = (1,) + (0,) * (m - 1)
         # reductions of x^k for k = m .. 2m-2, used by mul
-        xpow = []
-        cur = _pmod([0] * m + [1], self.modulus, p)
-        for _ in range(m, 2 * m - 1):
-            xpow.append(tuple(cur + [0] * (m - len(cur))))
-            cur = _pmod([0] + cur, self.modulus, p)
-        self._xpow = tuple(xpow)
+        self._xpow = tuple(
+            _pad(_ppowmod([0, 1], k, self.modulus, p), m) for k in range(m, 2 * m - 1)
+        )
         # row i is x^(i p) mod the modulus: the matrix of x -> x^p
         self._frob = tuple(
-            tuple(row + [0] * (m - len(row)))
-            for row in (_ppowmod([0, 1], i * p, self.modulus, p) for i in range(m))
+            _pad(_ppowmod([0, 1], i * p, self.modulus, p), m) for i in range(m)
         )
 
     def __eq__(self, other: object) -> bool:
@@ -192,7 +195,7 @@ class FiniteField:
         coeffs = [c % self.p for c in value]
         if len(coeffs) > self.m:
             raise ValueError(f"too many coefficients for degree {self.m}")
-        return tuple(coeffs + [0] * (self.m - len(coeffs)))
+        return _pad(coeffs, self.m)
 
     def add(self, a: Element, b: Element) -> Element:
         p = self.p
@@ -220,24 +223,10 @@ class FiniteField:
         return tuple(out)
 
     def inv(self, a: Element) -> Element:
-        """Extended Euclid over F_p[x]; each step cancels the leading term
-        of the larger remainder with a shifted multiple of the smaller."""
         if a == self.zero:
             raise ZeroDivisionError("inversion of 0")
-        p = self.p
-        # invariant for both pairs: s * a == r modulo the modulus
-        r0, s0 = list(self.modulus), []
-        r1, s1 = _ptrim(list(a)), [1]
-        while len(r1) > 1:
-            if len(r0) < len(r1):
-                r0, s0, r1, s1 = r1, s1, r0, s0
-                continue
-            c = r0[-1] * pow(r1[-1], p - 2, p) % p
-            shift = len(r0) - len(r1)
-            r0 = _psubmul(r0, r1, c, shift, p)
-            s0 = _psubmul(s0, s1, c, shift, p)
-        scale = pow(r1[0], p - 2, p)
-        return tuple((x * scale) % p for x in s1) + (0,) * (self.m - len(s1))
+        # the modulus is irreducible, so every nonzero a is invertible
+        return _pad(_pinv(a, self.modulus, self.p), self.m)
 
     def frobenius(self, a: Element) -> Element:
         """x -> x^p, the canonical generator of the Galois group."""

@@ -57,21 +57,18 @@ KIND_BY_DEGREE = {3: LinkKind.PHI3, 6: LinkKind.PHI6}
 
 @dataclass(frozen=True)
 class Link:
-    """One elementary transformation: kind, center orbit, label flip, and
-    the fresh id given to the image orbit it creates."""
+    """One elementary transformation: kind, center orbit, source label, and
+    the fresh id given to the image orbit it creates.  Every link flips the
+    Brauer label."""
 
     kind: LinkKind
     center_id: str
     source_label: BrauerLabel
-    target_label: BrauerLabel
     image_orbit_id: str
 
-    def __post_init__(self) -> None:
-        if self.target_label is not self.source_label.inverse():
-            raise ValueError(
-                f"link must flip the Brauer label: {self.source_label} -> "
-                f"{self.target_label}"
-            )
+    @property
+    def target_label(self) -> BrauerLabel:
+        return self.source_label.inverse()
 
 
 _ID_PATTERN = re.compile(r"^x(\d+)$")
@@ -149,7 +146,6 @@ def _apply(
         kind=kind,
         center_id=center_id,
         source_label=cycle.label,
-        target_label=out.label,
         image_orbit_id=image_id,
     )
     return out, link

@@ -1,8 +1,9 @@
 """Projective-plane geometry over finite fields.
 
-Closed points are modeled as Frobenius orbits of plane points; incidence
+Closed points are modeled as Frobenius orbits of plane points, and points
+and lines share one normalization (first nonzero coordinate 1).  Incidence
 tests (collinearity, common conics) are exact singularity tests by
-inversion-free elimination; and six-point configurations are classified by
+inversion-free elimination, and six-point configurations are classified by
 their line profile, read off by grouping the 15 point pairs by the line
 they span and looked up in one table of the ten profiles six points can
 have.  This layer supplies the geometric side of the oracle: the symbolic
@@ -30,6 +31,15 @@ class UnclassifiableConfiguration(Exception):
     signal a gap in the case enumeration."""
 
 
+def _normalized(F: FiniteField, coords: Sequence[Element]) -> tuple[Element, ...]:
+    """Homogeneous coordinates scaled so the first nonzero one is 1."""
+    for c in coords:
+        if c != F.zero:
+            scale = F.inv(c)
+            return tuple(F.mul(scale, x) for x in coords)
+    raise ValueError("(0 : 0 : 0) is not a projective point")
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of P^2 with homogeneous coordinates normalized so the first
@@ -42,12 +52,7 @@ class ProjPoint:
     def make(cls, F: FiniteField, coords: Sequence[Element]) -> "ProjPoint":
         if len(coords) != 3:
             raise ValueError("projective points need 3 homogeneous coordinates")
-        coords = tuple(coords)
-        for c in coords:
-            if c != F.zero:
-                scale = F.inv(c)
-                return cls(F, tuple(F.mul(scale, x) for x in coords))
-        raise ValueError("(0 : 0 : 0) is not a projective point")
+        return cls(F, _normalized(F, coords))
 
     @classmethod
     def of_ints(cls, F: FiniteField, triple: Sequence[int]) -> "ProjPoint":
@@ -123,19 +128,18 @@ def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[
 
 def line_through(a: ProjPoint, b: ProjPoint) -> tuple[Element, Element, Element]:
     """Normalized dual coordinates of the line joining two distinct points."""
+    if b.field != a.field:
+        raise ValueError("points must share a coordinate field")
     if a == b:
         raise ValueError("two coincident points do not span a line")
     F = a.field
-    coeffs = _cross(F, a.coords, b.coords)
-    for c in coeffs:
-        if c != F.zero:
-            scale = F.inv(c)
-            return tuple(F.mul(scale, x) for x in coeffs)
-    raise AssertionError("cross product of distinct points cannot vanish")
+    return _normalized(F, _cross(F, a.coords, b.coords))
 
 
 def incident(line: Sequence[Element], pt: ProjPoint) -> bool:
     F = pt.field
+    if any(len(c) != F.m for c in line):
+        raise ValueError("line and point must share a coordinate field")
     acc = F.zero
     for l, c in zip(line, pt.coords):
         acc = F.add(acc, F.mul(l, c))
@@ -182,36 +186,40 @@ class ClosedPoint:
         return len(self.points)
 
 
-def sample_closed_point(
-    p: int,
-    degree: int,
-    seed: int,
-    attempts: int = 1000,
-) -> ClosedPoint:
+def _random_point(F: FiniteField, rng: random.Random) -> ProjPoint:
+    """A uniform point of P^2(F): draws triples until one is nonzero."""
+    while True:
+        coords = tuple(F.random_element(rng) for _ in range(3))
+        if any(c != F.zero for c in coords):
+            return ProjPoint.make(F, coords)
+
+
+#: Points drawn by ``sample_closed_point`` before it gives up.
+SAMPLING_ATTEMPTS = 1000
+
+
+def sample_closed_point(p: int, degree: int, seed: int) -> ClosedPoint:
     """A pseudo-random closed point of the requested degree: a uniformly
     sampled point of P^2(F_{p^degree}) whose Frobenius orbit has exactly
     ``degree`` elements.  Deterministic per seed."""
     F = field(p, degree)
     rng = random.Random(seed)
-    for _ in range(attempts):
-        coords = tuple(F.random_element(rng) for _ in range(3))
-        if all(c == F.zero for c in coords):
-            continue
-        cp = ClosedPoint(ProjPoint.make(F, coords))
+    for _ in range(SAMPLING_ATTEMPTS):
+        cp = ClosedPoint(_random_point(F, rng))
         if cp.degree == degree:
             return cp
     raise SamplingExhausted(
-        f"no degree-{degree} point found over F_{p}^{degree} in {attempts} tries"
+        f"no degree-{degree} point found over F_{p}^{degree} in "
+        f"{SAMPLING_ATTEMPTS} tries"
     )
 
 
 @dataclass(frozen=True)
 class PositionReport:
-    """General-position verdicts for a six-point set."""
+    """General-position verdicts for the six points of a degree-6 closed point."""
 
     no_three_collinear: bool
     off_conic: bool
-    collinear_triples: tuple[tuple[int, int, int], ...]
 
 
 #: One index triple from each class of the 20 triples of a degree-6 orbit
@@ -226,21 +234,17 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
 
     Frobenius sends point i to point i + 1 mod 6 and preserves
     collinearity, so triple (i, j, k) is collinear iff its rotation
-    (i + 1, j + 1, k + 1) mod 6 is: one triple per rotation class is
-    tested, and each hit is expanded to its class.  ``collinear_triples``
-    lists every collinear triple of all 20, sorted.
+    (i + 1, j + 1, k + 1) mod 6 is: testing one triple per rotation class
+    decides whether any of the 20 triples is collinear.
     """
     if cp.degree != 6:
         raise ValueError(f"need a degree-6 closed point, got degree {cp.degree}")
     points = cp.points
-    triples = set()
-    for rep in _ROTATION_REPRESENTATIVES:
-        if collinear(*(points[i] for i in rep)):
-            triples.update(tuple(sorted((i + s) % 6 for i in rep)) for s in range(6))
     return PositionReport(
-        no_three_collinear=not triples,
+        no_three_collinear=not any(
+            collinear(*(points[i] for i in rep)) for rep in _ROTATION_REPRESENTATIVES
+        ),
         off_conic=not on_common_conic(points),
-        collinear_triples=tuple(sorted(triples)),
     )
 
 
@@ -350,10 +354,7 @@ def sample_configuration(
     """Six distinct pseudo-random points of P^2 over F."""
     points: list[ProjPoint] = []
     while len(points) < 6:
-        coords = tuple(F.random_element(rng) for _ in range(3))
-        if all(c == F.zero for c in coords):
-            continue
-        pt = ProjPoint.make(F, coords)
+        pt = _random_point(F, rng)
         if pt not in points:
             points.append(pt)
     return tuple(points)

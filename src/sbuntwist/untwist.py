@@ -136,11 +136,7 @@ def untwist(
     return Factorization(steps=tuple(steps), trace=tuple(trace))
 
 
-def random_chain(
-    length: int,
-    seed: int,
-    label: BrauerLabel = BrauerLabel.GAMMA,
-) -> tuple[CycleClass, list[Link]]:
+def random_chain(length: int, seed: int) -> tuple[CycleClass, list[Link]]:
     """Push -omega through ``length`` links at fresh multiplicity-0 centers
     with kinds chosen pseudo-randomly from the seed.  Deterministic per
     seed; returns the resulting cycle and the ground-truth chain."""
@@ -148,7 +144,7 @@ def random_chain(
         raise ValueError(f"chain length must be >= 0, got {length}")
     rng = random.Random(seed)
     ids = IdSource()
-    current = CycleClass(label, 1)
+    current = CycleClass(BrauerLabel.GAMMA, 1)
     chain: list[Link] = []
     for _ in range(length):
         pushed = phi3_push if rng.randrange(2) == 0 else phi6_push

@@ -125,6 +125,31 @@ def test_max_orbit_tie_prefers_smaller_id():
 
 # --- property tests ---
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=30),
+            st.sampled_from([3, 6, 9]),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=8,
+        unique_by=lambda t: t[0],
+    )
+)
+def test_max_orbit_equals_the_stepwise_reference(orbits):
+    # reference: max multiplicity, then min degree, then min id number
+    c = CycleClass.make(GAMMA, 2, [(f"x{k}", n, b) for k, n, b in orbits])
+    candidates = [o for o in c.orbits if o.multiplicity > 0]
+    if candidates:
+        top = max(o.multiplicity for o in candidates)
+        candidates = [o for o in candidates if o.multiplicity == top]
+        low = min(o.degree for o in candidates)
+        candidates = [o for o in candidates if o.degree == low]
+        candidates.sort(key=lambda o: int(o.id[1:]))
+    expected = candidates[0] if candidates else None
+    assert max_multiplicity_orbit(c) is expected
+
+
 orbit_lists = st.lists(
     st.tuples(st.sampled_from([3, 6, 9]), st.integers(min_value=0, max_value=40)),
     max_size=5,

@@ -59,6 +59,41 @@ def test_canonical_moduli_frozen_values(p, m, modulus):
     assert field(p, m).modulus == modulus
 
 
+def _monic(p, m):
+    """Every monic polynomial of degree m over F_p, ascending coefficients."""
+    return [[(k // p**i) % p for i in range(m)] + [1] for k in range(p**m)]
+
+
+def _divides(g, f, p):
+    """Schoolbook long division by the monic g; True iff the remainder is 0."""
+    r = list(f)
+    for top in range(len(f) - 1, len(g) - 2, -1):
+        c = r[top]
+        for i, gi in enumerate(g):
+            r[top - len(g) + 1 + i] = (r[top - len(g) + 1 + i] - c * gi) % p
+    return not any(r)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rabin_test_agrees_with_trial_division(p, m):
+    # a reducible polynomial of degree m has a monic factor of degree <= m/2
+    divisors = [g for k in range(1, m // 2 + 1) for g in _monic(p, k)]
+    for f in _monic(p, m):
+        expected = not any(_divides(g, f, p) for g in divisors)
+        assert _is_irreducible(f, p) == expected, f
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 2000
+    sieve = [False, False] + [True] * (n - 2)
+    for k in range(2, n):
+        if sieve[k]:
+            for j in range(k * k, n, k):
+                sieve[j] = False
+    assert [k for k in range(-3, n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
 @pytest.mark.parametrize("p", [p for p in range(5, 60) if _is_prime(p) and p % 3 == 2])
 @pytest.mark.parametrize("m", [3, 6])
 def test_least_irreducible_equals_the_unskipped_search(p, m):
