@@ -218,10 +218,10 @@ def _cmd_untwist(args: argparse.Namespace) -> int:
     else:
         print(f"initial: {LABEL_NAMES[fact.initial.label]}, d = {fact.initial.d}")
         if fact.steps:
-            for i, (link, cyc) in enumerate(zip(fact.steps, fact.trace[1:]), 1):
+            for i, (link, d) in enumerate(zip(fact.steps, fact.d_trace[1:]), 1):
                 print(
                     f"  step {i}: {link.kind.value} at {link.center_id}"
-                    f"  ->  d = {cyc.d}, label {LABEL_NAMES[cyc.label]}"
+                    f"  ->  d = {d}, label {LABEL_NAMES[link.target_label]}"
                 )
         else:
             print("  (empty word)")

@@ -131,16 +131,21 @@ def arithmetic_genus(cycle: CycleClass) -> int:
     return genus
 
 
-def max_multiplicity_orbit(cycle: CycleClass) -> Optional[Orbit]:
-    """The orbit of maximal positive multiplicity, or None.
+def greedy_key(orbit: Orbit) -> tuple[int, int, tuple[int, str]]:
+    """The greedy order on orbits, smallest first: maximal multiplicity,
+    then the smallest degree (degree-3 links shorten words), then the
+    smallest id, so factorizations are deterministic.  Keys of distinct
+    ids differ, so the order is total."""
+    return (-orbit.multiplicity, orbit.degree, id_sort_key(orbit.id))
 
-    Ties break to the smallest degree first (degree-3 links shorten words),
-    then to the smallest id, so factorizations are deterministic.  The
-    key below is the one statement of this greedy order.
-    """
+
+def max_multiplicity_orbit(cycle: CycleClass) -> Optional[Orbit]:
+    """The orbit of maximal positive multiplicity, or None; the first orbit
+    in :func:`greedy_key` order.  This is the one statement of the greedy
+    choice; the untwisting heap pops centers in the same order."""
     return min(
         (o for o in cycle.orbits if o.multiplicity > 0),
-        key=lambda o: (-o.multiplicity, o.degree, id_sort_key(o.id)),
+        key=greedy_key,
         default=None,
     )
 

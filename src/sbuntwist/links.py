@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Container, Optional
 
 from .cycles import BrauerLabel, CycleClass, Orbit
 
@@ -94,12 +94,97 @@ class IdSource:
         ]
         return cls(counter=max(taken, default=0) + 1)
 
-    def take(self, used: frozenset[str] | set[str] = frozenset()) -> str:
+    def take(self, used: Container[str] = frozenset()) -> str:
         while True:
             name = f"x{self.counter}"
             self.counter += 1
             if name not in used:
                 return name
+
+
+class _Walk:
+    """A cycle being pushed through links in place: the label, ``d``, an
+    insertion-ordered ``id -> Orbit`` map and the id source.  One link
+    costs O(1) dict work; :meth:`freeze` builds the :class:`CycleClass`.
+
+    Multiplicity-0 orbits of the starting cycle stay visible to the first
+    link (as centers and as taken ids) and are dropped by it, so every
+    frozen cycle after a link is normalized.
+    """
+
+    def __init__(self, cycle: CycleClass, ids: Optional[IdSource] = None) -> None:
+        self.label = cycle.label
+        self.d = cycle.d
+        self.orbits = {o.id: o for o in cycle.orbits}
+        self.ids = ids if ids is not None else IdSource.past(cycle)
+        self._zeros = any(o.multiplicity == 0 for o in cycle.orbits)
+
+    def step(
+        self,
+        kind: LinkKind,
+        center_id: Optional[str] = None,
+        image_id: Optional[str] = None,
+    ) -> Link:
+        """Apply the link of this kind; see :func:`phi3_push`."""
+        n = kind.center_degree
+        orbits = self.orbits
+        center = orbits.get(center_id) if center_id is not None else None
+        if center is not None:
+            if center.degree != n:
+                raise WrongDegree(
+                    f"{kind.value} needs a degree-{n} center, orbit {center.id!r} "
+                    f"has degree {center.degree}"
+                )
+            b = center.multiplicity
+        else:
+            # A center absent from the orbit list is a valid choice with b = 0.
+            b = 0
+            if center_id is None:
+                center_id = self.ids.take(orbits)
+
+        d2 = (n - 1) * self.d - (n - 2) * b
+        m2 = n * self.d - (n - 1) * b
+        if d2 < 1 or m2 < 0:
+            raise DegenerateImage(
+                f"{kind.value} at (degree={n}, b={b}) on d={self.d} gives "
+                f"d'={d2}, image multiplicity {m2}"
+            )
+
+        if image_id is None:
+            image_id = self.ids.take(orbits)
+            # a pinned absent center may be the id the counter gives next
+            if image_id == center_id:
+                image_id = self.ids.take(orbits)
+        orbits.pop(center_id, None)
+        if self._zeros:
+            self.orbits = orbits = {
+                k: o for k, o in orbits.items() if o.multiplicity > 0
+            }
+            self._zeros = False
+        if m2 > 0:
+            if image_id in orbits:
+                raise ValueError(f"orbit ids must be unique, {image_id!r} is taken")
+            orbits[image_id] = Orbit(image_id, n, m2)
+        link = Link(kind, center_id, self.label, image_id)
+        self.label = self.label.inverse()
+        self.d = d2
+        return link
+
+    def push(self, center_id: str) -> Link:
+        """Apply the link whose kind the existing center's degree selects."""
+        orbit = self.orbits.get(center_id)
+        if orbit is None:
+            raise UnknownCenter(f"cycle has no orbit with id {center_id!r}")
+        kind = KIND_BY_DEGREE.get(orbit.degree)
+        if kind is None:
+            raise UnsupportedDegree(
+                f"no elementary link at a degree-{orbit.degree} center (orbit "
+                f"{center_id!r})"
+            )
+        return self.step(kind, center_id)
+
+    def freeze(self) -> CycleClass:
+        return CycleClass(self.label, self.d, tuple(self.orbits.values()))
 
 
 def _apply(
@@ -109,46 +194,9 @@ def _apply(
     ids: Optional[IdSource],
     image_id: Optional[str] = None,
 ) -> tuple[CycleClass, Link]:
-    n = kind.center_degree
-    if ids is None:
-        ids = IdSource.past(cycle)
-    used = {o.id for o in cycle.orbits}
-
-    center = cycle.find(center_id) if center_id is not None else None
-    if center is not None:
-        if center.degree != n:
-            raise WrongDegree(
-                f"{kind.value} needs a degree-{n} center, orbit {center.id!r} "
-                f"has degree {center.degree}"
-            )
-        b = center.multiplicity
-    else:
-        # A center absent from the orbit list is a valid choice with b = 0.
-        b = 0
-        if center_id is None:
-            center_id = ids.take(used)
-
-    d2 = (n - 1) * cycle.d - (n - 2) * b
-    m2 = n * cycle.d - (n - 1) * b
-    if d2 < 1 or m2 < 0:
-        raise DegenerateImage(
-            f"{kind.value} at (degree={n}, b={b}) on d={cycle.d} gives "
-            f"d'={d2}, image multiplicity {m2}"
-        )
-
-    if image_id is None:
-        image_id = ids.take(used | {center_id})
-    carried = [o for o in cycle.orbits if o.id != center_id and o.multiplicity > 0]
-    if m2 > 0:
-        carried.append(Orbit(image_id, n, m2))
-    out = CycleClass(cycle.label.inverse(), d2, tuple(carried))
-    link = Link(
-        kind=kind,
-        center_id=center_id,
-        source_label=cycle.label,
-        image_orbit_id=image_id,
-    )
-    return out, link
+    walk = _Walk(cycle, ids)
+    link = walk.step(kind, center_id, image_id)
+    return walk.freeze(), link
 
 
 def phi3_push(
@@ -184,13 +232,6 @@ def push(
     ids: Optional[IdSource] = None,
 ) -> tuple[CycleClass, Link]:
     """Dispatch on the degree of an existing center orbit."""
-    orbit = cycle.find(center_id)
-    if orbit is None:
-        raise UnknownCenter(f"cycle has no orbit with id {center_id!r}")
-    kind = KIND_BY_DEGREE.get(orbit.degree)
-    if kind is None:
-        raise UnsupportedDegree(
-            f"no elementary link at a degree-{orbit.degree} center (orbit "
-            f"{center_id!r})"
-        )
-    return _apply(cycle, center_id, kind, ids)
+    walk = _Walk(cycle, ids)
+    link = walk.push(center_id)
+    return walk.freeze(), link

@@ -11,6 +11,7 @@ an implementation bug or a claim that genuinely fails over the chosen field.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 from .curves import CurveClass, cycle_point_multiset, phi6_decomposition_push, quad_transform_push
 from .cycles import BrauerLabel, CycleClass
 from .gf import field
-from .links import LinkKind, push
+from .links import DegenerateImage, LinkKind, push
 from .plane import (
     ConfigCase,
     EXPECTED_LINE_COUNTS,
@@ -64,8 +65,13 @@ def _scan_link(kind: LinkKind, dmax: int) -> EquivalenceReport:
     checked = mismatches = 0
     first = ""
     for d in range(1, dmax + 1):
-        for b in range(min(n * d // (n - 1), ((n - 1) * d - 1) // (n - 2)) + 1):
-            pushed, _ = push(CycleClass.make(BrauerLabel.GAMMA, d, [("c", n, b)]), "c")
+        # d' and b' decrease in b, so the valid b are 0, 1, ..., up to the
+        # first b whose image the link rejects
+        for b in itertools.count():
+            try:
+                pushed, _ = push(CycleClass.make(BrauerLabel.GAMMA, d, [("c", n, b)]), "c")
+            except DegenerateImage:
+                break
             symbolic = cycle_point_multiset(
                 pushed.d, [(o.degree, o.multiplicity) for o in pushed.orbits]
             )

@@ -149,6 +149,48 @@ def test_untwist_machine_reproduces_factorization(tmp_path, capsys):
     assert data["terminal_label"] == "gamma"
 
 
+# random_chain(4, seed=4): phi3, phi6, phi3, phi6 from -omega on gamma
+WORD_DOC = {
+    "label": "gamma",
+    "d": 100,
+    "orbits": [
+        {"degree": 6, "mult": 120},
+        {"degree": 3, "mult": 30},
+        {"degree": 6, "mult": 12},
+        {"degree": 3, "mult": 3},
+    ],
+}
+
+WORD_TEXT = """\
+initial: gamma, d = 100
+  step 1: phi6 at x1  ->  d = 20, label gamma_inv
+  step 2: phi3 at x2  ->  d = 10, label gamma
+  step 3: phi6 at x3  ->  d = 2, label gamma_inv
+  step 4: phi3 at x4  ->  d = 1, label gamma
+d-trace: 100 -> 20 -> 10 -> 2 -> 1
+parity: even
+terminal: -omega on gamma (biregular automorphism)
+"""
+
+
+def test_untwist_output_needs_no_trajectory(tmp_path, capsys, monkeypatch):
+    # both formats read the word, d_trace and the endpoints only; the
+    # O(L^2) trajectory is never rebuilt
+    from sbuntwist.untwist import Factorization
+
+    def no_trace(self):
+        raise AssertionError("Factorization.trace was rebuilt")
+
+    monkeypatch.setattr(Factorization, "trace", property(no_trace))
+    path = write_doc(tmp_path, WORD_DOC)
+    assert main(["untwist", path]) == 0
+    assert capsys.readouterr().out == WORD_TEXT
+    assert main(["untwist", path, "--format", "machine"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["d_trace"] == [100, 20, 10, 2, 1]
+    assert [s["target_label"] for s in data["steps"]] == ["gamma_inv", "gamma"] * 2
+
+
 def test_untwist_empty_word(tmp_path, capsys):
     doc = {"label": "gamma_inv", "d": 1, "orbits": []}
     rc = main(["untwist", write_doc(tmp_path, doc), "--format", "machine"])

@@ -83,6 +83,14 @@ def test_wrong_degree():
         phi6_push(cyc(2, [(3, 3)]), "c1")
 
 
+def test_wrong_degree_at_an_explicit_multiplicity_0_orbit():
+    # a listed orbit of multiplicity 0 is still a center of its own degree
+    with pytest.raises(WrongDegree):
+        phi3_push(cyc(2, [(3, 3), (6, 0)]), "c2")
+    with pytest.raises(WrongDegree):
+        phi6_push(cyc(2, [(3, 3), (3, 0)]), "c2")
+
+
 def test_degenerate_image_on_inconsistent_data():
     # d' = 2*2 - 5 < 1
     with pytest.raises(DegenerateImage):
@@ -117,6 +125,46 @@ def test_default_id_source_avoids_existing_ids():
     c = CycleClass.make(GAMMA, 2, [("x7", 3, 3)])
     out, link = phi3_push(c, "x7")
     assert link.image_orbit_id == "x8"
+
+
+def test_pinned_absent_center_is_never_the_image_id():
+    # the pinned center is the counter's next id; the image skips it
+    out, link = phi3_push(cyc(1), "x1", IdSource())
+    assert (link.center_id, link.image_orbit_id) == ("x1", "x2")
+    assert [o.id for o in out.orbits] == ["x2"]
+    c = CycleClass.make(GAMMA, 2, [("x1", 3, 3)])
+    out, link = phi6_push(c, "x2")
+    assert (link.center_id, link.image_orbit_id) == ("x2", "x3")
+    assert [o.id for o in out.orbits] == ["x1", "x3"]
+
+
+def test_pinned_image_id_of_a_carried_orbit_is_rejected():
+    with pytest.raises(ValueError):
+        phi3_push(cyc(10, [(3, 3), (6, 2)]), "c1", image_id="c2")
+    # the center's own id and a dropped multiplicity-0 id are free again
+    out, _ = phi3_push(cyc(10, [(3, 3), (6, 0)]), "c1", image_id="c2")
+    assert [(o.id, o.multiplicity) for o in out.orbits] == [("c2", 24)]
+    out, _ = phi3_push(cyc(10, [(3, 3)]), "c1", image_id="c1")
+    assert [(o.id, o.multiplicity) for o in out.orbits] == [("c1", 24)]
+
+
+def test_replay_from_a_non_normalized_cycle():
+    from sbuntwist.untwist import replay
+
+    # c2 and x3 are listed with multiplicity 0; x4 is the first link's image
+    start = CycleClass.make(GAMMA, 2, [("c1", 3, 3), ("c2", 6, 0), ("x3", 3, 0)])
+    ids = IdSource.past(start)
+    trajectory = [start]
+    links = []
+    for pushed, center in [
+        (phi6_push, "c2"), (phi3_push, "x3"), (phi6_push, "x4"), (phi3_push, "c1"),
+        (phi3_push, None),
+    ]:
+        out, link = pushed(trajectory[-1], center, ids)
+        trajectory.append(out)
+        links.append(link)
+    assert links[0].image_orbit_id == "x4"
+    assert replay(start, links) == trajectory
 
 
 # --- algebraic properties ---

@@ -5,11 +5,21 @@ from sbuntwist.cycles import (
     BrauerLabel,
     CycleClass,
     arithmetic_genus,
+    max_multiplicity_orbit,
     noether_check,
     self_intersection,
 )
+from sbuntwist.links import (
+    DegenerateImage,
+    IdSource,
+    UnsupportedDegree,
+    phi3_push,
+    phi6_push,
+    push,
+)
 from sbuntwist.untwist import (
     InconsistentCycle,
+    NonTermination,
     Parity,
     ParityContradiction,
     random_chain,
@@ -156,3 +166,138 @@ def test_intermediate_invariants_along_untwisting(length, seed):
         assert arithmetic_genus(c) == 1
         rep = noether_check(c)
         assert rep.consistent and rep.e4 and rep.e5
+
+
+# --- the engine against the stepwise reference ---
+
+UNTWIST_ERRORS = (InconsistentCycle, NonTermination, ParityContradiction, UnsupportedDegree)
+
+
+def reference_untwist(cycle, declared_target=None):
+    """The stepwise loop: max_multiplicity_orbit, then push on frozen
+    cycles, collecting every cycle of the trajectory."""
+    if not noether_check(cycle).consistent:
+        raise InconsistentCycle("fails the Noether relations")
+    declared = declared_target if declared_target is not None else cycle.label
+    current = cycle.normalized()
+    ids = IdSource.past(current)
+    steps, trace = [], [current]
+    while not current.is_anticanonical():
+        if len(steps) >= trace[0].d:
+            raise NonTermination("too many steps")
+        center = max_multiplicity_orbit(current)
+        if center is None:
+            raise InconsistentCycle("no center")
+        try:
+            current, link = push(current, center.id, ids)
+        except DegenerateImage as exc:
+            raise InconsistentCycle("degenerate step") from exc
+        steps.append(link)
+        trace.append(current)
+    if current.label is not declared:
+        raise ParityContradiction("wrong family")
+    return tuple(steps), tuple(c.d for c in trace), trace[-1], tuple(trace)
+
+
+def engine_untwist(cycle, declared_target=None):
+    fact = untwist(cycle, declared_target)
+    return fact.steps, fact.d_trace, fact.terminal, fact.trace
+
+
+def outcome(run, cycle, declared_target):
+    try:
+        return run(cycle, declared_target)
+    except UNTWIST_ERRORS as exc:
+        return type(exc)
+
+
+def assert_engine_matches_reference(cycle):
+    for target in (GAMMA, GAMMA_INV):
+        expected = outcome(reference_untwist, cycle, target)
+        assert outcome(engine_untwist, cycle, target) == expected
+        if isinstance(expected, tuple):
+            # the heap pops each center in max_multiplicity_orbit order
+            steps, _, _, trace = expected
+            assert [s.center_id for s in steps] == [
+                max_multiplicity_orbit(c).id for c in trace[:-1]
+            ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=10**9))
+def test_engine_matches_reference_on_chains(length, seed):
+    cycle, _ = random_chain(length, seed)
+    assert_engine_matches_reference(cycle)
+
+
+@st.composite
+def pushed_words(draw):
+    """-omega pushed through phi3/phi6 links, each at a fresh center or
+    again at an existing orbit (every orbit is some link's image)."""
+    ids = IdSource()
+    cycle = CycleClass(GAMMA, 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        at = draw(st.none() | st.integers(min_value=0, max_value=9))
+        if at is None or not cycle.orbits:
+            center = None
+            pushed = draw(st.sampled_from([phi3_push, phi6_push]))
+        else:
+            orbit = cycle.orbits[at % len(cycle.orbits)]
+            center = orbit.id
+            pushed = phi3_push if orbit.degree == 3 else phi6_push
+        try:
+            cycle, _ = pushed(cycle, center, ids)
+        except DegenerateImage:
+            pass
+    return cycle
+
+
+@settings(max_examples=150, deadline=None)
+@given(pushed_words())
+def test_engine_matches_reference_on_words_pushing_at_existing_orbits(cycle):
+    assert_engine_matches_reference(cycle)
+
+
+def test_engine_matches_reference_on_a_tie_between_x9_and_x10():
+    # two degree-3 orbits of multiplicity 6: the tie breaks to x9, which
+    # sorts after x10 as a plain string
+    ids = IdSource()
+    c, _ = phi3_push(CycleClass(GAMMA, 1), None, ids)
+    c, _ = phi3_push(c, None, ids, image_id="x9")
+    c, _ = phi3_push(c, "x2", ids, image_id="x10")
+    assert sorted((o.id, o.degree, o.multiplicity) for o in c.orbits) == [
+        ("x10", 3, 6), ("x9", 3, 6)
+    ]
+    assert untwist(c, GAMMA).steps[0].center_id == "x9"
+    assert_engine_matches_reference(c)
+
+
+@pytest.mark.parametrize(
+    "cycle,target,error",
+    [
+        (cyc(2, [(3, 2)]), None, InconsistentCycle),
+        (cyc(10, [(3, 16), (3, 4), (3, 4), (3, 3)]), None, InconsistentCycle),
+        (cyc(10, [(6, 12), (3, 3)]), GAMMA_INV, ParityContradiction),
+    ],
+)
+def test_engine_raises_what_the_reference_raises(cycle, target, error):
+    assert outcome(reference_untwist, cycle, target) is error
+    assert outcome(engine_untwist, cycle, target) is error
+
+
+def test_chain_and_untwist_build_constant_many_cycles(monkeypatch):
+    # one walk per call: a word of length L must not freeze L cycles
+    built = []
+    post_init = CycleClass.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CycleClass, "__post_init__", counted)
+    cycle, _ = random_chain(2000, seed=2)
+    assert len(built) <= 2
+    built.clear()
+    fact = untwist(cycle, GAMMA)
+    assert len(fact.steps) == 2000
+    assert len(built) <= 2
