@@ -298,6 +298,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "checked": report.checked,
             "violations": report.violations,
             "unclassifiable": report.unclassifiable,
+            "first_failure": report.first_failure,
             "witnesses": [
                 {
                     "case": w.case_id,

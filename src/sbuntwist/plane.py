@@ -6,7 +6,20 @@ tests (collinearity, common conics) are exact singularity tests by
 inversion-free elimination, and six-point configurations are classified by
 their line profile, read off by grouping the 15 point pairs by the line
 they span and looked up in one table of the ten profiles six points can
-have.  This layer supplies the geometric side of the oracle: the symbolic
+have.
+
+Whether a degree-6 closed point lies on a conic is decided by Galois
+descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
+defined over F_p.  Write the Veronese image v of one orbit point in the
+basis 1, x, ..., x^5 of F_{p^6} over F_p, as the rows of a 6x6 matrix C
+over F_p.  The Veronese rows of the whole orbit form A C^T, where
+A[i][k] = x^(k p^i) is the Moore matrix of the basis, invertible because
+the basis is F_p-independent (Lidl and Niederreiter, Finite Fields,
+Sec. 3.4).  So the six points lie on a conic iff det C = 0.  The argument
+needs the orbit degree to equal the field degree, so the coordinates must
+lie in F_{p^6} itself.
+
+This layer supplies the geometric side of the oracle: the symbolic
 link formulas never see coordinates, so every geometric claim is checked
 here explicitly.
 """
@@ -236,15 +249,32 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
     collinearity, so triple (i, j, k) is collinear iff its rotation
     (i + 1, j + 1, k + 1) mod 6 is: testing one triple per rotation class
     decides whether any of the 20 triples is collinear.
+
+    The six points lie on a common conic iff the 6x6 matrix over F_p of
+    the coordinates of ``cp.point``'s Veronese image in the basis 1, x,
+    ..., x^5 is singular: the orbit's Veronese rows form A C^T, with A the
+    invertible Moore matrix of the basis (see the module docstring).
+    This gives the verdict of ``on_common_conic(cp.points)`` from 6
+    multiplications over F_{p^6} and one determinant over F_p.  Raises
+    ``ValueError`` unless the coordinates lie in F_{p^6}: over a larger
+    field the coordinate matrix is not square and the argument fails.
     """
     if cp.degree != 6:
         raise ValueError(f"need a degree-6 closed point, got degree {cp.degree}")
+    F = cp.point.field
+    if F.m != 6:
+        raise ValueError(
+            f"the conic test needs coordinates in F_{{p^6}}, got F_{{{F.p}^{F.m}}}"
+        )
     points = cp.points
+    x, y, z = cp.point.coords
+    veronese = (F.mul(x, x), F.mul(x, y), F.mul(x, z), F.mul(y, y), F.mul(y, z), F.mul(z, z))
     return PositionReport(
         no_three_collinear=not any(
             collinear(*(points[i] for i in rep)) for rep in _ROTATION_REPRESENTATIVES
         ),
-        off_conic=not on_common_conic(points),
+        # row j of C is the coordinate tuple of Veronese entry j over F_p
+        off_conic=not _singular(field(F.p, 1), [[(c,) for c in v] for v in veronese]),
     )
 
 

@@ -28,6 +28,7 @@ from .plane import (
     ProjPoint,
     UnclassifiableConfiguration,
     classify_configuration,
+    connecting_lines,
     general_position_report,
     sample_closed_point,
     sample_configuration,
@@ -342,13 +343,16 @@ class TableScanReport:
     """Witness results for all nine cases plus a randomized totality check
     of the classifier.  ``count_mismatches`` counts the witnesses that are
     not ``ok`` and the random samples whose line count differs from their
-    case's; ``ok`` needs both it and ``unclassifiable`` to be 0."""
+    case's; ``ok`` needs both it and ``unclassifiable`` to be 0.
+    ``first_failure`` names the first witness that is not ``ok``, else the
+    first random configuration that failed, else is empty."""
 
     q: int
     witnesses: tuple[WitnessResult, ...]
     random_checked: int
     unclassifiable: int
     count_mismatches: int
+    first_failure: str = ""
 
     @property
     def checked(self) -> int:
@@ -368,33 +372,47 @@ def scan_table(q: int, random_samples: int, seed: int) -> TableScanReport:
     the forced line counts, and classify random six-point sets to probe
     for profile gaps."""
     witnesses = []
+    first = ""
     for case_id in range(1, 10):
         case = ConfigCase(case_id)
         try:
             got, count = classify_configuration(case_witness(case_id, q))
         except UnclassifiableConfiguration:
             got, count = None, 0
-        witnesses.append(
-            WitnessResult(case_id, got is case, count, EXPECTED_LINE_COUNTS[case])
-        )
+        result = WitnessResult(case_id, got is case, count, EXPECTED_LINE_COUNTS[case])
+        witnesses.append(result)
+        if not result.ok and not first:
+            read = "unclassifiable" if got is None else f"case {got.case_id}"
+            first = (
+                f"case {case_id} witness read as {read} with {count} lines, "
+                f"expected {result.expected_count}"
+            )
     mismatches = sum(not w.ok for w in witnesses)
 
     F = field(q, 1)
     rng = random.Random(seed)
     unclassifiable = 0
-    for _ in range(random_samples):
+    for i in range(random_samples):
         pts = sample_configuration(F, rng)
         try:
             case, count = classify_configuration(pts)
-        except UnclassifiableConfiguration:
+        except UnclassifiableConfiguration as exc:
             unclassifiable += 1
+            first = first or f"random configuration {i}: {exc}"
             continue
         if count != EXPECTED_LINE_COUNTS[case]:
             mismatches += 1
+            if not first:
+                sizes = sorted((len(m) for m in connecting_lines(pts)), reverse=True)
+                first = (
+                    f"random configuration {i}: case {case.case_id} with {count} "
+                    f"lines, expected {EXPECTED_LINE_COUNTS[case]} (line sizes {sizes})"
+                )
     return TableScanReport(
         q=q,
         witnesses=tuple(witnesses),
         random_checked=random_samples,
         unclassifiable=unclassifiable,
         count_mismatches=mismatches,
+        first_failure=first,
     )

@@ -234,7 +234,7 @@ def test_verify_table_mode(capsys):
     )
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert data["unclassifiable"] == 0
+    assert data["unclassifiable"] == 0 and data["first_failure"] == ""
     assert [w["lines"] for w in data["witnesses"]] == [1, 6, 10, 8, 11, 13, 11, 9, 7]
 
 

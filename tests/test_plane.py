@@ -240,6 +240,7 @@ def _collinear_triples_by_brute_force(points):
 
 
 def test_rotation_report_equals_the_twenty_triple_scan():
+    # and the descent conic verdict equals the 6x6 determinant over F_{p^6}
     from test_acceptance import _family_controls
 
     orbits = []
@@ -247,17 +248,40 @@ def test_rotation_report_equals_the_twenty_triple_scan():
         orbits += [sample_closed_point(p, 6, seed=500 + i) for i in range(100)]
         orbits += _family_controls(p).values()
     with_hits = 0
+    conic_hits = {}
     for cp in orbits:
+        rep = general_position_report(cp)
         expected = _collinear_triples_by_brute_force(cp.points)
-        assert general_position_report(cp).no_three_collinear == (not expected)
+        assert rep.no_three_collinear == (not expected)
         with_hits += bool(expected)
+        on_conic = on_common_conic(cp.points)
+        assert rep.off_conic == (not on_conic)
+        p = cp.point.field.p
+        conic_hits[p] = conic_hits.get(p, 0) + on_conic
     # the line controls hit all 20 triples, the line-pair controls 2
     assert with_hits > 8
+    # the line and line-pair controls lie on degenerate conics
+    assert sorted(conic_hits) == [5, 7, 11, 13] and all(conic_hits.values())
 
 
 def test_general_position_report_needs_degree_6():
     with pytest.raises(ValueError, match="degree-6"):
         general_position_report(sample_closed_point(5, 3, seed=1))
+
+
+def test_general_position_report_needs_coordinates_in_f_p6():
+    # (1 : a^(1 + p^6) : 0) over F_{p^12} has degree 6, but the descent
+    # argument needs the orbit degree to equal the field degree
+    p = 5
+    F = field(p, 12)
+    a = F.element((0, 1))
+    conj = a
+    for _ in range(6):
+        conj = F.frobenius(conj)
+    cp = ClosedPoint(ProjPoint.make(F, (F.one, F.mul(a, conj), F.zero)))
+    assert cp.degree == 6
+    with pytest.raises(ValueError, match=r"F_\{p\^6\}"):
+        general_position_report(cp)
 
 
 def test_degree6_violations_are_only_the_brauer_excluded_cases():

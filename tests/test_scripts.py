@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run from any working directory."""
 
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,20 @@ def test_run_verification_runs_outside_the_repository(tmp_path):
     proc = run_script(tmp_path, "--samples", "1", "--dmax", "1")
     assert proc.returncode == 0, proc.stderr
     assert "all checks hold" in proc.stdout
+
+
+def test_run_verification_json_summary_matches_the_exit_code(tmp_path):
+    proc = run_script(tmp_path, "--samples", "1", "--dmax", "1", "--json")
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["ok"] == (proc.returncode == 0), proc.stderr
+    scans = summary["scans"]
+    assert [(s["mode"], s.get("prime")) for s in scans] == [
+        ("oracle-phi3", None), ("oracle-phi6", None), ("table", 7), ("table", 11),
+        ("lemma3", 5), ("lemma3", 7), ("lemma3", 11), ("lemma3", 13),
+    ]
+    for scan in scans:
+        assert scan["checked"] >= 1 and scan["elapsed_s"] >= 0
+        assert isinstance(scan["violations"], int) and isinstance(scan["failures"], list)
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--dmax"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -113,9 +114,11 @@ def test_table_scan_fails_when_the_classifier_swaps_two_cases(monkeypatch):
     assert not report.ok
     assert [w.case_id for w in report.witnesses if not w.ok] == [5, 7]
     assert all(w.line_count == w.expected_count for w in report.witnesses)
+    assert re.search(r"\bcase [57]\b", report.first_failure), report.first_failure
+    assert report.first_failure.startswith("case 5 witness read as case 7")
 
 
-def test_a_witness_that_fails_to_classify_is_unrealized(monkeypatch):
+def test_a_witness_that_fails_to_classify_is_unrealized(monkeypatch, capsys):
     # an UnclassifiableConfiguration on a witness is a reported miss, not
     # a traceback
     quadrilateral = case_witness(9, 7)
@@ -129,7 +132,25 @@ def test_a_witness_that_fails_to_classify_is_unrealized(monkeypatch):
     report = scan_table(7, random_samples=10, seed=1)
     assert [w.case_id for w in report.witnesses if not w.realized] == [9]
     assert report.count_mismatches == 1 and not report.ok
+    assert report.first_failure == "case 9 witness read as unclassifiable with 0 lines, expected 7"
     assert main(["verify", "--mode", "table", "--prime", "7", "--samples", "10", "--seed", "1"]) == 1
+    assert "first_failure: case 9 witness read as unclassifiable" in capsys.readouterr().out
+
+
+def test_table_scan_names_the_first_failing_random_configuration(monkeypatch):
+    witnesses = {case_witness(case_id, 7) for case_id in range(1, 10)}
+
+    def miscounting(pts):
+        case, count = classify_configuration(pts)
+        return case, count + (tuple(pts) not in witnesses)
+
+    monkeypatch.setattr(verify, "classify_configuration", miscounting)
+    report = scan_table(7, random_samples=5, seed=1)
+    assert report.count_mismatches == 5 and not report.ok
+    assert re.fullmatch(
+        r"random configuration 0: case \d with \d+ lines, expected \d+ \(line sizes \[.*\]\)",
+        report.first_failure,
+    ), report.first_failure
 
 
 def test_closed_point_scan_reports_structure():
