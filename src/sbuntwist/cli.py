@@ -256,7 +256,12 @@ def _factorization_doc(fact: Factorization) -> dict:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     mode = args.mode
-    if mode in ("lemma3", "table"):
+    sampling = mode in ("lemma3", "table")
+    # a flag the mode does not read is refused rather than silently ignored
+    for flag in ("dmax",) if sampling else ("prime", "seed", "samples"):
+        if getattr(args, flag) is not None:
+            return _usage_error(f"--{flag} does not apply to --mode {mode}")
+    if sampling:
         if args.prime is None:
             return _usage_error("--prime is required for this mode")
         if args.seed is None:
@@ -269,10 +274,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error(
                 f"--prime must be a prime other than 2 and 3, got {args.prime}"
             )
+        if args.samples is None:
+            args.samples = 100
         if args.samples < 1:
             return _usage_error(f"--samples must be >= 1, got {args.samples}")
-    elif args.dmax < 1:
-        return _usage_error(f"--dmax must be >= 1, got {args.dmax}")
+    else:
+        if args.dmax is None:
+            args.dmax = 50
+        if args.dmax < 1:
+            return _usage_error(f"--dmax must be >= 1, got {args.dmax}")
 
     if mode in ("oracle-phi3", "oracle-phi6"):
         report = (scan_phi3 if mode == "oracle-phi3" else scan_phi6)(args.dmax)
@@ -378,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--prime", type=int, help="field characteristic")
     p_verify.add_argument(
-        "--samples", type=int, default=100, help="sample count for randomized modes"
+        "--samples", type=int, help="sample count for randomized modes (default 100)"
     )
     p_verify.add_argument("--seed", type=int, help="RNG seed (required when sampling)")
     p_verify.add_argument(
-        "--dmax", type=int, default=50, help="grid bound for the oracle-phi* modes"
+        "--dmax", type=int, help="grid bound for the oracle-phi* modes (default 50)"
     )
     add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)

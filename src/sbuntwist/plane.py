@@ -19,6 +19,20 @@ Sec. 3.4).  So the six points lie on a conic iff det C = 0.  The argument
 needs the orbit degree to equal the field degree, so the coordinates must
 lie in F_{p^6} itself.
 
+Whether a degree-6 closed point has a collinear triple is decided by the
+one triple (0, 2, 4).  Frobenius sigma sends orbit point i to point
+i + 1 mod 6, and two distinct lines share at most one point.  The 20
+triples fall into four rotation classes, with representatives (0, 1, 2),
+(0, 1, 3), (0, 1, 4) and (0, 2, 4); let L be the line through a
+collinear representative.  For (0, 1, 2), sigma L contains 1 and 2, so
+sigma L = L: L is rational and holds all six points.  For (0, 1, 3) and
+(0, 1, 4), sigma^3 L shares two points with L (0 and 3, or 1 and 4), so
+sigma^3 L = L contains 0, 1, 3 and 4; then sigma L shares 1 and 4 with
+L, so again sigma L = L holds all six points.  Hence some triple is
+collinear iff (0, 2, 4) is: either all six points lie on a rational
+line, or the orbit is two triples on a conjugate pair of lines over
+F_{p^2}.
+
 This layer supplies the geometric side of the oracle: the symbolic
 link formulas never see coordinates, so every geometric claim is checked
 here explicitly.
@@ -188,7 +202,7 @@ class ClosedPoint:
 
     point: ProjPoint
     # orbit order (points[i + 1] is the Frobenius image of points[i]) is
-    # what lets general_position_report test one triple per rotation
+    # what lets general_position_report test the one triple (0, 2, 4)
     points: tuple[ProjPoint, ...] = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
@@ -235,20 +249,22 @@ class PositionReport:
     off_conic: bool
 
 
-#: One index triple from each class of the 20 triples of a degree-6 orbit
-#: under the rotation i -> i + 1 mod 6 (class sizes 6, 6, 6 and 2).
-_ROTATION_REPRESENTATIVES = ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 4))
-
-
 def general_position_report(cp: ClosedPoint) -> PositionReport:
     """Check the six points of a degree-6 closed point for a collinear
     triple and for a common conic.  A valid degree-6 link center must pass
     both.
 
-    Frobenius sends point i to point i + 1 mod 6 and preserves
-    collinearity, so triple (i, j, k) is collinear iff its rotation
-    (i + 1, j + 1, k + 1) mod 6 is: testing one triple per rotation class
-    decides whether any of the 20 triples is collinear.
+    Some triple of the six points is collinear iff (0, 2, 4) is (see the
+    module docstring).  Frobenius sigma sends point i to point i + 1
+    mod 6, and two distinct lines share at most one point.  A line L
+    through (0, 1, 2) has sigma L through 1 and 2, so sigma L = L.  A
+    line L through (0, 1, 3) or (0, 1, 4) has sigma^3 L through 0 and 3
+    or through 1 and 4, so sigma^3 L = L; then sigma L shares 1 and 4
+    with L, so sigma L = L.  Either way L is rational and holds all six
+    points, (0, 2, 4) among them, and every triple is a rotation of one
+    of these four.  Both verdicts are computed on every orbit: a
+    collinear orbit always lies on a conic, but deciding one from the
+    other would hide a fault in either test.
 
     The six points lie on a common conic iff the 6x6 matrix over F_p of
     the coordinates of ``cp.point``'s Veronese image in the basis 1, x,
@@ -270,9 +286,7 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
     x, y, z = cp.point.coords
     veronese = (F.mul(x, x), F.mul(x, y), F.mul(x, z), F.mul(y, y), F.mul(y, z), F.mul(z, z))
     return PositionReport(
-        no_three_collinear=not any(
-            collinear(*(points[i] for i in rep)) for rep in _ROTATION_REPRESENTATIVES
-        ),
+        no_three_collinear=not collinear(points[0], points[2], points[4]),
         # row j of C is the coordinate tuple of Veronese entry j over F_p
         off_conic=not _singular(field(F.p, 1), [[(c,) for c in v] for v in veronese]),
     )

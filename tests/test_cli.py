@@ -337,6 +337,12 @@ def test_verify_lemma3_lists_census_failures(capsys, monkeypatch):
         (["--mode", "oracle-phi3", "--dmax", "-3"], "--dmax"),
         (["--mode", "oracle-phi6", "--dmax", "0"], "--dmax"),
         (["--mode", "table", "--prime", "91", "--seed", "1"], "--prime"),
+        # a flag the mode does not read is refused, never ignored
+        (["--mode", "oracle-phi3", "--dmax", "3", "--prime", "4"], "--prime"),
+        (["--mode", "oracle-phi6", "--dmax", "3", "--seed", "1"], "--seed"),
+        (["--mode", "oracle-phi3", "--samples", "10"], "--samples"),
+        (["--mode", "lemma3", "--prime", "7", "--seed", "1", "--dmax", "-3"], "--dmax"),
+        (["--mode", "table", "--prime", "7", "--seed", "1", "--dmax", "5"], "--dmax"),
     ],
 )
 def test_verify_rejects_vacuous_or_bad_input(capsys, argv, flag):

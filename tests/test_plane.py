@@ -239,17 +239,23 @@ def _collinear_triples_by_brute_force(points):
     )
 
 
-def test_rotation_report_equals_the_twenty_triple_scan():
-    # and the descent conic verdict equals the 6x6 determinant over F_{p^6}
+def _sampled_orbits_and_controls():
     from test_acceptance import _family_controls
 
     orbits = []
-    for p in (5, 7, 11, 13):
-        orbits += [sample_closed_point(p, 6, seed=500 + i) for i in range(100)]
+    for p, count in ((5, 100), (7, 100), (11, 100), (13, 100), (17, 50), (19, 50)):
+        orbits += [sample_closed_point(p, 6, seed=500 + i) for i in range(count)]
         orbits += _family_controls(p).values()
+    return orbits
+
+
+def test_one_triple_report_equals_the_twenty_triple_scan():
+    # and the descent conic verdict equals the 6x6 determinant over F_{p^6}
+    from test_acceptance import _family_controls
+
     with_hits = 0
     conic_hits = {}
-    for cp in orbits:
+    for cp in _sampled_orbits_and_controls():
         rep = general_position_report(cp)
         expected = _collinear_triples_by_brute_force(cp.points)
         assert rep.no_three_collinear == (not expected)
@@ -261,7 +267,41 @@ def test_rotation_report_equals_the_twenty_triple_scan():
     # the line controls hit all 20 triples, the line-pair controls 2
     assert with_hits > 8
     # the line and line-pair controls lie on degenerate conics
-    assert sorted(conic_hits) == [5, 7, 11, 13] and all(conic_hits.values())
+    assert sorted(conic_hits) == [5, 7, 11, 13, 17, 19] and all(conic_hits.values())
+    for p in (5, 7, 11, 13, 17, 19):
+        controls = _family_controls(p)
+        line = controls[(False, False, 1)].points
+        assert len(_collinear_triples_by_brute_force(line)) == 20
+        # a conjugate pair of lines over F_{p^2} carries the even and the
+        # odd orbit points, and no other triple is collinear
+        pair = controls[(False, False, 7)].points
+        assert _collinear_triples_by_brute_force(pair) == ((0, 2, 4), (1, 3, 5))
+
+
+def test_general_position_report_runs_one_triple_and_one_conic_test(monkeypatch):
+    # both verdicts are computed on every orbit: one collinear call (its
+    # 3x3 determinant) and one 6x6 determinant over F_p, collinear or not
+    calls = []
+    real_collinear, real_singular = plane.collinear, plane._singular
+
+    def counted_collinear(*points):
+        calls.append("collinear")
+        return real_collinear(*points)
+
+    def counted_singular(F, rows):
+        calls.append(len(rows))
+        return real_singular(F, rows)
+
+    monkeypatch.setattr(plane, "collinear", counted_collinear)
+    monkeypatch.setattr(plane, "_singular", counted_singular)
+    verdicts = set()
+    for cp in _sampled_orbits_and_controls():
+        calls.clear()
+        rep = general_position_report(cp)
+        verdicts.add((rep.no_three_collinear, rep.off_conic))
+        assert sorted(calls, key=str) == [3, 6, "collinear"]
+    # collinear, on-conic-only and general orbits all went through
+    assert {(False, False), (True, False), (True, True)} <= verdicts
 
 
 def test_general_position_report_needs_degree_6():

@@ -54,3 +54,73 @@ def test_run_verification_rejects_an_empty_scan(tmp_path, flag, value):
     assert proc.returncode == 2
     assert f"{flag} must be >= 1" in proc.stderr
     assert "all checks hold" not in proc.stdout
+
+
+def _load_bench():
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(SCRIPT), "bench.py")
+    spec = importlib.util.spec_from_file_location("bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_perfbench(workload, items_per_s):
+    result = {"correct": True, "attempted": 10, "failed": 0,
+              "metrics": {"items_per_s": {"value": items_per_s, "unit": "1/s"}}}
+    return "\n".join([
+        "meta " + json.dumps({"workload": workload, "seed": 1, "src_lines": 2300}),
+        f"items_per_s {items_per_s} 1/s n=10",
+        "notes " + json.dumps({"digest": "sha256:abc", "passes": 2}),
+        json.dumps(result),
+    ]) + "\n"
+
+
+CANNED_PYTEST = """\
+........................................................................ [100%]
+============================= slowest durations ==============================
+4.21s call     tests/test_acceptance.py::test_criterion_6_line_count_table_and_classifier_totality
+0.30s call     tests/test_acceptance.py::test_criterion_5_degree6_general_position_scan
+0.01s setup    tests/test_acceptance.py::test_criterion_5_degree6_general_position_scan
+475 passed in 14.02s
+"""
+
+
+def test_bench_record_assembles_perfbench_lines_and_criterion_times():
+    bench = _load_bench()
+    outputs = {w: _canned_perfbench(w, 100.0 + i) for i, w in enumerate(bench.WORKLOADS)}
+    record = bench.bench_record(10, outputs, CANNED_PYTEST, 15.5, 2300)
+    assert record["pr"] == 10 and record["src_lines"] == 2300
+    assert sorted(record["perfbench"]) == ["census", "classify", "words"]
+    census = record["perfbench"]["census"]
+    assert census["meta"]["workload"] == "census"
+    assert census["notes"]["digest"] == "sha256:abc"
+    assert census["result"]["metrics"]["items_per_s"]["value"] == 100.0
+    # the call time, not the setup time, of each criterion
+    assert record["tier1"] == {
+        "summary": "475 passed in 14.02s", "wall_s": 15.5,
+        "criterion_5_s": 0.30, "criterion_6_s": 4.21,
+    }
+    json.dumps(record)  # the record is what BENCH_<N>.json holds
+
+
+def test_bench_record_refuses_incomplete_output():
+    bench = _load_bench()
+    with pytest.raises(ValueError, match="criterion_5_s"):
+        bench.criterion_times(CANNED_PYTEST.replace("criterion_5", "criterion_x"))
+    no_notes = "\n".join(
+        line for line in _canned_perfbench("words", 1.0).splitlines()
+        if not line.startswith("notes ")
+    )
+    with pytest.raises(ValueError, match="notes"):
+        bench.perfbench_record(no_notes)
+
+
+def test_bench_counts_python_lines_under_src(tmp_path):
+    bench = _load_bench()
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "notes.txt").write_text("not code\n")
+    assert bench.src_lines(tmp_path) == 3
