@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run from any working directory."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -57,8 +58,6 @@ def test_run_verification_rejects_an_empty_scan(tmp_path, flag, value):
 
 
 def _load_bench():
-    import importlib.util
-
     path = os.path.join(os.path.dirname(SCRIPT), "bench.py")
     spec = importlib.util.spec_from_file_location("bench", path)
     module = importlib.util.module_from_spec(spec)
