@@ -58,7 +58,7 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
         raise DocumentError(f"field {key!r}: unknown field")
 
     label_raw = data.get("label")
-    if label_raw not in LABELS:
+    if not isinstance(label_raw, str) or label_raw not in LABELS:
         raise DocumentError(
             f"field 'label': expected one of {sorted(LABELS)}, got {label_raw!r}"
         )
@@ -90,7 +90,7 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
     declared = None
     if "declared_target" in data:
         target_raw = data["declared_target"]
-        if target_raw not in LABELS:
+        if not isinstance(target_raw, str) or target_raw not in LABELS:
             raise DocumentError(
                 f"field 'declared_target': expected one of {sorted(LABELS)}, "
                 f"got {target_raw!r}"
@@ -124,7 +124,8 @@ def _load(path: str) -> tuple[CycleClass, Optional[BrauerLabel]]:
             data = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: the decoder recurses once per level of nesting
         raise DocumentError(f"invalid JSON in {path!r}: {exc}") from exc
     return parse_cycle_document(data)
 

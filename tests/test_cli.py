@@ -50,6 +50,8 @@ def test_parse_reads_declared_target():
         ({"label": "gamma", "d": 1, "orbits": [{"degree": 3}]}, "orbits[0]"),
         ({"label": "gamma", "d": 1, "bogus": 2}, "bogus"),
         ({"label": "gamma", "d": 1, "declared_target": "x"}, "declared_target"),
+        ({"label": ["gamma"], "d": 1}, "label"),
+        ({"label": "gamma", "d": 1, "declared_target": {}}, "declared_target"),
     ],
 )
 def test_parse_errors_name_the_offending_field(doc, needle):
@@ -107,6 +109,18 @@ def test_check_parse_error_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "'d'" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"label": "gamma", "d": 1}', b"[" * 200000 + b"]" * 200000],
+    ids=["not-utf-8", "deeply-nested"],
+)
+def test_unreadable_document_exits_2_naming_the_file(tmp_path, capsys, content):
+    path = tmp_path / "cycle.json"
+    path.write_bytes(content)
+    assert main(["check", str(path)]) == 2
+    assert repr(str(path)) in capsys.readouterr().err
 
 
 def test_push_fresh_phi6_reproduces_anticanonical_image(tmp_path, capsys):

@@ -110,6 +110,54 @@ def test_collinear_agrees_with_the_cofactor_determinant(p, m):
     assert 0 < hits < 300
 
 
+def _laplace_det(rows, p):
+    """Cofactor expansion along the first row, on ints mod p."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]], p)
+        for j in range(len(rows))
+    ) % p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 1000037])
+def test_prime_field_singular_agrees_with_cofactor_expansion(p):
+    F = field(p, 1)
+    rng = random.Random(p)
+
+    def entry():
+        # zeros a third of the time, so pivots must be searched for
+        return 0 if rng.randrange(3) == 0 else rng.randrange(1, p)
+
+    for n in range(1, 7):
+        cases = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(25)]
+        for _ in range(4):
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+            i, j = rng.randrange(n), rng.randrange(n)
+            others = a[:i] + a[i + 1 :]
+            # row i a random combination of the others (the zero row if n = 1)
+            combo = [0] * n
+            for r in others:
+                s = rng.randrange(p)
+                combo = [(x + s * y) % p for x, y in zip(combo, r)]
+            deficient = [a[:i] + [combo] + a[i + 1 :], [r[:j] + [0] + r[j + 1 :] for r in a]]
+            if others:
+                deficient.append(a[:i] + [rng.choice(others)] + a[i + 1 :])
+            for rows in deficient:
+                assert _laplace_det(rows, p) == 0
+            cases += deficient
+        for rows in cases:
+            assert plane._singular(F, rows) == (_laplace_det(rows, p) == 0), rows
+
+    # a zero pivot must be swapped for a lower row: at every column of the
+    # anti-diagonal identity, and mid-elimination below (row 1 becomes
+    # (0, 0, 1) after column 0)
+    for n in range(2, 7):
+        assert not plane._singular(F, [[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+    assert not plane._singular(F, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    assert plane._singular(F, [[0, 1, 0], [0, 1, 1], [0, 2, 3]])
+
+
 def test_conic_detects_points_on_x0x1_equals_x2sq():
     # points (1 : t^2 : t) satisfy x*y = z^2
     pts = [pt(1, t * t % 7, t) for t in range(6)]
@@ -301,6 +349,49 @@ def test_general_position_report_runs_one_triple_and_one_conic_test(monkeypatch)
         verdicts.add((rep.no_three_collinear, rep.off_conic))
         assert sorted(calls, key=str) == [3, 6, "collinear"]
     # collinear, on-conic-only and general orbits all went through
+    assert {(False, False), (True, False), (True, True)} <= verdicts
+
+
+def test_general_position_report_field_call_budget(monkeypatch):
+    # the 6x6 descent determinant runs on ints mod p: outside collinear,
+    # the six Veronese products are the report's only FiniteField calls
+    from collections import Counter
+
+    from sbuntwist.gf import FiniteField
+
+    orbits = _sampled_orbits_and_controls()
+    scope = ["report"]
+    calls = Counter()
+
+    def counted(name, real):
+        def method(self, *args):
+            calls["collinear" if "collinear" in scope else scope[-1], name] += 1
+            return real(self, *args)
+
+        return method
+
+    def scoped(label, real):
+        def wrapper(*args):
+            scope.append(label(*args))
+            try:
+                return real(*args)
+            finally:
+                scope.pop()
+
+        return wrapper
+
+    for name, attr in vars(FiniteField).items():
+        if callable(attr) and not name.startswith("__"):
+            monkeypatch.setattr(FiniteField, name, counted(name, attr))
+    monkeypatch.setattr(plane, "collinear", scoped(lambda *pts: "collinear", plane.collinear))
+    monkeypatch.setattr(plane, "_singular", scoped(lambda F, rows: f"det{len(rows)}", plane._singular))
+    verdicts = set()
+    for cp in orbits:
+        calls.clear()
+        rep = general_position_report(cp)
+        verdicts.add((rep.no_three_collinear, rep.off_conic))
+        assert {key: n for key, n in calls.items() if key[0] != "collinear"} == {("report", "mul"): 6}
+        assert calls["collinear", "mul"] > 0
     assert {(False, False), (True, False), (True, True)} <= verdicts
 
 
