@@ -6,68 +6,7 @@ factorization (`untwist`).  Geometric oracle: finite-field plane geometry
 (`gf`, `plane`), quadratic-transform curve bookkeeping (`curves`), and the
 cross-checking scans (`verify`).  `cli` exposes everything as the
 ``sbuntwist`` command.
+
+Each name is imported from the module that defines it, for example
+``from sbuntwist.untwist import untwist``.
 """
-
-from .cycles import (
-    BrauerLabel,
-    CycleClass,
-    NoetherReport,
-    Orbit,
-    anticanonical_degree,
-    arithmetic_genus,
-    max_multiplicity_orbit,
-    noether_check,
-    self_intersection,
-)
-from .links import (
-    DegenerateImage,
-    IdSource,
-    Link,
-    LinkKind,
-    UnknownCenter,
-    UnsupportedDegree,
-    WrongDegree,
-    phi3_push,
-    phi6_push,
-    push,
-)
-from .untwist import (
-    Factorization,
-    InconsistentCycle,
-    NonTermination,
-    Parity,
-    ParityContradiction,
-    random_chain,
-    replay,
-    untwist,
-)
-
-__all__ = [
-    "BrauerLabel",
-    "CycleClass",
-    "DegenerateImage",
-    "Factorization",
-    "IdSource",
-    "InconsistentCycle",
-    "Link",
-    "LinkKind",
-    "NoetherReport",
-    "NonTermination",
-    "Orbit",
-    "Parity",
-    "ParityContradiction",
-    "UnknownCenter",
-    "UnsupportedDegree",
-    "WrongDegree",
-    "anticanonical_degree",
-    "arithmetic_genus",
-    "max_multiplicity_orbit",
-    "noether_check",
-    "phi3_push",
-    "phi6_push",
-    "push",
-    "random_chain",
-    "replay",
-    "self_intersection",
-    "untwist",
-]

@@ -24,7 +24,7 @@ from .cycles import (
     noether_check,
     self_intersection,
 )
-from .gf import _is_prime
+from .gf import field
 from .links import (
     DegenerateImage,
     Link,
@@ -42,12 +42,25 @@ from .untwist import (
 )
 from .verify import census_failures, scan_closed_points, scan_phi3, scan_phi6, scan_table
 
-LABELS = {"gamma": BrauerLabel.GAMMA, "gamma_inv": BrauerLabel.GAMMA_INVERSE}
-LABEL_NAMES = {v: k for k, v in LABELS.items()}
+LABELS = {label.value: label for label in BrauerLabel}
 
 
 class DocumentError(Exception):
     """Parse failure; the message names the offending field."""
+
+
+def _max_int_bits() -> int:
+    """Bits allowed in d, a degree or a mult: ``check`` prints sums of
+    degree * mult^2, so a third of the bits that ``str`` converts under
+    ``sys.get_int_max_str_digits()`` (log2 10 = 3.3219...), less 64 for the sum."""
+    digits = sys.get_int_max_str_digits()  # 0 turns the limit off
+    return (digits * 3321928 // 10**6 - 64) // 3 if digits else sys.maxsize
+
+
+def _label(name: str, raw: object) -> BrauerLabel:
+    if not isinstance(raw, str) or raw not in LABELS:
+        raise DocumentError(f"field {name!r}: expected one of {sorted(LABELS)}, got {raw!r}")
+    return LABELS[raw]
 
 
 def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel]]:
@@ -57,12 +70,12 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
     for key in sorted(set(data) - known):
         raise DocumentError(f"field {key!r}: unknown field")
 
-    label_raw = data.get("label")
-    if not isinstance(label_raw, str) or label_raw not in LABELS:
-        raise DocumentError(
-            f"field 'label': expected one of {sorted(LABELS)}, got {label_raw!r}"
-        )
+    label = _label("label", data.get("label"))
     d = data.get("d")
+    # sizes by bit_length(); d's before the range check, whose message formats d
+    bits = _max_int_bits()
+    if isinstance(d, int) and d.bit_length() > bits:
+        raise DocumentError(f"field 'd': {d.bit_length()}-bit integer, at most {bits} bits")
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise DocumentError(f"field 'd': expected an integer >= 1, got {d!r}")
 
@@ -85,18 +98,17 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
             raise DocumentError(
                 f"field 'orbits[{i}].mult': expected a non-negative integer, got {mult!r}"
             )
+        if degree.bit_length() > bits or mult.bit_length() > bits:
+            key, value = ("degree", degree) if degree.bit_length() > bits else ("mult", mult)
+            raise DocumentError(
+                f"field 'orbits[{i}].{key}': {value.bit_length()}-bit integer, at most {bits} bits"
+            )
         orbits.append(Orbit(f"x{i + 1}", degree, mult))
 
     declared = None
     if "declared_target" in data:
-        target_raw = data["declared_target"]
-        if not isinstance(target_raw, str) or target_raw not in LABELS:
-            raise DocumentError(
-                f"field 'declared_target': expected one of {sorted(LABELS)}, "
-                f"got {target_raw!r}"
-            )
-        declared = LABELS[target_raw]
-    return CycleClass(LABELS[label_raw], d, tuple(orbits)), declared
+        declared = _label("declared_target", data["declared_target"])
+    return CycleClass(label, d, tuple(orbits)), declared
 
 
 def render_cycle_document(
@@ -109,12 +121,12 @@ def render_cycle_document(
         key=lambda o: (-o.multiplicity, o.degree),
     )
     doc = {
-        "label": LABEL_NAMES[cycle.label],
+        "label": cycle.label.value,
         "d": cycle.d,
         "orbits": [{"degree": o.degree, "mult": o.multiplicity} for o in orbits],
     }
     if declared_target is not None:
-        doc["declared_target"] = LABEL_NAMES[declared_target]
+        doc["declared_target"] = declared_target.value
     return doc
 
 
@@ -124,7 +136,8 @@ def _load(path: str) -> tuple[CycleClass, Optional[BrauerLabel]]:
             data = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path!r}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad bytes, bad JSON or an int over the int-string limit;
         # RecursionError: the decoder recurses once per level of nesting
         raise DocumentError(f"invalid JSON in {path!r}: {exc}") from exc
     return parse_cycle_document(data)
@@ -159,7 +172,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
     else:
         verdict = lambda ok: "pass" if ok else "FAIL"  # noqa: E731
-        print(f"label: {LABEL_NAMES[cycle.label]}   d: {cycle.d}")
+        print(f"label: {cycle.label.value}   d: {cycle.d}")
         shown = [f"{o.id} (degree {o.degree}, mult {o.multiplicity})" for o in cycle.orbits]
         print(f"orbits: {'; '.join(shown) if shown else '(none)'}")
         print(f"E2 self-intersection equals 9:          {verdict(report.e2)} "
@@ -217,19 +230,19 @@ def _cmd_untwist(args: argparse.Namespace) -> int:
     if args.format == "machine":
         _emit(_factorization_doc(fact))
     else:
-        print(f"initial: {LABEL_NAMES[fact.initial.label]}, d = {fact.initial.d}")
+        print(f"initial: {fact.initial.label.value}, d = {fact.initial.d}")
         if fact.steps:
             for i, (link, d) in enumerate(zip(fact.steps, fact.d_trace[1:]), 1):
                 print(
                     f"  step {i}: {link.kind.value} at {link.center_id}"
-                    f"  ->  d = {d}, label {LABEL_NAMES[link.target_label]}"
+                    f"  ->  d = {d}, label {link.target_label.value}"
                 )
         else:
             print("  (empty word)")
         print(f"d-trace: {' -> '.join(str(d) for d in fact.d_trace)}")
         print(f"parity: {fact.parity.value}")
         print(
-            f"terminal: -omega on {LABEL_NAMES[fact.terminal.label]} "
+            f"terminal: -omega on {fact.terminal.label.value} "
             f"(biregular automorphism)"
         )
     return 0
@@ -240,8 +253,8 @@ def _link_doc(link: Link) -> dict:
         "kind": link.kind.value,
         "center_id": link.center_id,
         "image_orbit_id": link.image_orbit_id,
-        "source_label": LABEL_NAMES[link.source_label],
-        "target_label": LABEL_NAMES[link.target_label],
+        "source_label": link.source_label.value,
+        "target_label": link.target_label.value,
     }
 
 
@@ -251,7 +264,7 @@ def _factorization_doc(fact: Factorization) -> dict:
         "steps": [_link_doc(link) for link in fact.steps],
         "d_trace": list(fact.d_trace),
         "parity": fact.parity.value,
-        "terminal_label": LABEL_NAMES[fact.terminal.label],
+        "terminal_label": fact.terminal.label.value,
     }
 
 
@@ -271,10 +284,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # for minutes on a prime near 2**61
         if args.prime >= 2**31:
             return _usage_error(f"--prime must be below 2**31, got {args.prime}")
-        if args.prime in (2, 3) or not _is_prime(args.prime):
-            return _usage_error(
-                f"--prime must be a prime other than 2 and 3, got {args.prime}"
-            )
+        try:
+            field(args.prime, 1)
+        except ValueError as exc:
+            return _usage_error(f"--prime: {exc}")
         if args.samples is None:
             args.samples = 100
         if args.samples < 1:

@@ -190,26 +190,19 @@ def incident(line: Sequence[Element], pt: ProjPoint) -> bool:
     return acc == F.zero
 
 
+def _veronese(F: FiniteField, coords: Sequence[Element]) -> tuple[Element, ...]:
+    """The Veronese image (x^2, xy, xz, y^2, yz, z^2) of a point."""
+    x, y, z = coords
+    return (F.mul(x, x), F.mul(x, y), F.mul(x, z), F.mul(y, y), F.mul(y, z), F.mul(z, z))
+
+
 def on_common_conic(points: Sequence[ProjPoint]) -> bool:
     """True iff six points lie on a common conic, degenerate ones included:
     the 6x6 determinant of Veronese images (x^2, xy, xz, y^2, yz, z^2)."""
     if len(points) != 6:
         raise ValueError(f"need exactly 6 points, got {len(points)}")
     F = _check_same_field(points)
-    rows = []
-    for pt in points:
-        x, y, z = pt.coords
-        rows.append(
-            [
-                F.mul(x, x),
-                F.mul(x, y),
-                F.mul(x, z),
-                F.mul(y, y),
-                F.mul(y, z),
-                F.mul(z, z),
-            ]
-        )
-    return _singular(F, _entries(F, rows))
+    return _singular(F, _entries(F, [_veronese(F, pt.coords) for pt in points]))
 
 
 @dataclass(frozen=True)
@@ -300,12 +293,10 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
             f"the conic test needs coordinates in F_{{p^6}}, got F_{{{F.p}^{F.m}}}"
         )
     points = cp.points
-    x, y, z = cp.point.coords
-    veronese = (F.mul(x, x), F.mul(x, y), F.mul(x, z), F.mul(y, y), F.mul(y, z), F.mul(z, z))
     return PositionReport(
         no_three_collinear=not collinear(points[0], points[2], points[4]),
         # row j of C is the coordinate tuple of Veronese entry j over F_p
-        off_conic=not _singular(field(F.p, 1), veronese),
+        off_conic=not _singular(field(F.p, 1), _veronese(F, cp.point.coords)),
     )
 
 

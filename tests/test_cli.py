@@ -7,8 +7,9 @@ import pytest
 
 from sbuntwist import cli
 from sbuntwist.cli import main, parse_cycle_document, render_cycle_document
-from sbuntwist.cycles import BrauerLabel
-from sbuntwist.verify import PositionScanReport, census_failures
+from sbuntwist.cycles import BrauerLabel, CycleClass
+from sbuntwist.links import LinkKind, _Walk
+from sbuntwist.verify import EquivalenceReport, PositionScanReport, census_failures
 
 
 def write_doc(tmp_path, doc, name="cycle.json"):
@@ -16,6 +17,8 @@ def write_doc(tmp_path, doc, name="cycle.json"):
     path.write_text(json.dumps(doc))
     return str(path)
 
+
+MAX_BITS = cli._max_int_bits()
 
 CHAIN_DOC = {
     "label": "gamma",
@@ -52,6 +55,20 @@ def test_parse_reads_declared_target():
         ({"label": "gamma", "d": 1, "declared_target": "x"}, "declared_target"),
         ({"label": ["gamma"], "d": 1}, "label"),
         ({"label": "gamma", "d": 1, "declared_target": {}}, "declared_target"),
+        # 4,300 digits: within the int-string limit, but check would print 9d^2
+        ({"label": "gamma", "d": 10**4299}, "'d'"),
+        # one bit over the size bound
+        ({"label": "gamma", "d": 2**MAX_BITS}, "'d'"),
+        (
+            {"label": "gamma", "d": 1, "orbits": [{"degree": 3 * 2 ** (MAX_BITS - 1), "mult": 1}]},
+            "orbits[0].degree",
+        ),
+        (
+            {"label": "gamma", "d": 1, "orbits": [{"degree": 3, "mult": 2**MAX_BITS}]},
+            "orbits[0].mult",
+        ),
+        # past the int-string limit, so the message must not format it
+        ({"label": "gamma", "d": -(2 ** (4 * MAX_BITS))}, "'d'"),
     ],
 )
 def test_parse_errors_name_the_offending_field(doc, needle):
@@ -113,14 +130,49 @@ def test_check_parse_error_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [b'\xff\xfe{"label": "gamma", "d": 1}', b"[" * 200000 + b"]" * 200000],
-    ids=["not-utf-8", "deeply-nested"],
+    [
+        b'\xff\xfe{"label": "gamma", "d": 1}',
+        b"[" * 200000 + b"]" * 200000,
+        # past the int-string limit, so json.load itself refuses it
+        b'{"label": "gamma", "d": 1' + b"0" * 5000 + b"}",
+    ],
+    ids=["not-utf-8", "deeply-nested", "5000-digit-d"],
 )
 def test_unreadable_document_exits_2_naming_the_file(tmp_path, capsys, content):
     path = tmp_path / "cycle.json"
     path.write_bytes(content)
     assert main(["check", str(path)]) == 2
     assert repr(str(path)) in capsys.readouterr().err
+
+
+def test_integers_at_the_size_bound_are_printed(tmp_path, capsys):
+    # the largest d, degree and mult the parser takes: check and untwist
+    # print sums of degree * mult^2, and push writes 5d and 6d
+    top = 2**MAX_BITS - 1
+    orbit = {"degree": top - top % 3, "mult": top}
+    path = write_doc(tmp_path, {"label": "gamma", "d": top, "orbits": [orbit] * 3})
+    for fmt in ("text", "machine"):
+        assert main(["check", path, "--format", fmt]) == 1
+        assert main(["untwist", path, "--format", fmt]) == 1
+    capsys.readouterr()
+    fresh = write_doc(tmp_path, {"label": "gamma", "d": top}, "fresh.json")
+    assert main(["push", fresh, "--kind", "phi6"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 5 * top
+
+
+def test_a_2000_link_chain_passes_check_and_untwist(tmp_path, capsys):
+    # all phi6, the largest d a random_chain(2000) can reach: 5^2000 has
+    # 1,398 digits
+    walk = _Walk(CycleClass(BrauerLabel.GAMMA, 1))
+    for _ in range(2000):
+        walk.step(LinkKind.PHI6)
+    path = write_doc(tmp_path, render_cycle_document(walk.freeze()))
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    assert main(["untwist", path, "--format", "machine"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(str(data["d_trace"][0])) == 1398
+    assert len(data["steps"]) == 2000 and data["d_trace"][-1] == 1
 
 
 def test_push_fresh_phi6_reproduces_anticanonical_image(tmp_path, capsys):
@@ -138,6 +190,30 @@ def test_push_output_round_trips_through_check(tmp_path, capsys):
     path = tmp_path / "pushed.json"
     path.write_text(pushed)
     assert main(["check", str(path)]) == 0
+
+
+def test_push_machine_format_carries_the_declared_target(tmp_path, capsys):
+    doc = dict(CHAIN_DOC, declared_target="gamma_inv")
+    argv = ["push", write_doc(tmp_path, doc), "--kind", "phi6", "--center", "x1"]
+    assert main([*argv, "--format", "machine"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {
+        "cycle": {
+            "label": "gamma_inv",
+            "d": 2,
+            "orbits": [{"degree": 3, "mult": 3}],
+            "declared_target": "gamma_inv",
+        },
+        "link": {
+            "kind": "phi6",
+            "center_id": "x1",
+            "image_orbit_id": "x3",
+            "source_label": "gamma",
+            "target_label": "gamma_inv",
+        },
+    }
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == data["cycle"]
 
 
 def test_push_missing_center_exits_2_and_names_it(tmp_path, capsys):
@@ -211,6 +287,15 @@ def test_untwist_empty_word(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert data["steps"] == [] and data["parity"] == "even"
+
+
+def test_untwist_text_mode_prints_the_empty_word_and_errors(tmp_path, capsys):
+    empty = write_doc(tmp_path, {"label": "gamma_inv", "d": 1, "orbits": []}, "empty.json")
+    assert main(["untwist", empty]) == 0
+    assert "\n  (empty word)\n" in capsys.readouterr().out
+    assert main(["untwist", write_doc(tmp_path, CHAIN_DOC), "--target", "gamma_inv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error (parity_contradiction): ")
 
 
 def test_untwist_parity_contradiction(tmp_path, capsys):
@@ -289,6 +374,24 @@ def test_verify_requires_seed_for_sampling(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_verify_defaults_when_flags_are_absent(capsys, monkeypatch):
+    seen = {}
+
+    def scan_phi3(dmax):
+        seen["dmax"] = dmax
+        return EquivalenceReport("oracle-phi3", 0, 0)
+
+    def scan_closed_points(p, samples, seed):
+        seen["samples"] = samples
+        return PositionScanReport(p, samples, 0, 0, 0, ())
+
+    monkeypatch.setattr(cli, "scan_phi3", scan_phi3)
+    monkeypatch.setattr(cli, "scan_closed_points", scan_closed_points)
+    main(["verify", "--mode", "oracle-phi3"])
+    main(["verify", "--mode", "lemma3", "--prime", "7", "--seed", "1"])
+    assert seen == {"dmax": 50, "samples": 100}
+
+
 def test_verify_rejects_bad_prime(capsys):
     rc = main(["verify", "--mode", "lemma3", "--prime", "9", "--seed", "1"])
     assert rc == 2
@@ -357,6 +460,7 @@ def test_verify_lemma3_lists_census_failures(capsys, monkeypatch):
         (["--mode", "oracle-phi3", "--samples", "10"], "--samples"),
         (["--mode", "lemma3", "--prime", "7", "--seed", "1", "--dmax", "-3"], "--dmax"),
         (["--mode", "table", "--prime", "7", "--seed", "1", "--dmax", "5"], "--dmax"),
+        (["--mode", "lemma3", "--seed", "1"], "--prime"),
     ],
 )
 def test_verify_rejects_vacuous_or_bad_input(capsys, argv, flag):

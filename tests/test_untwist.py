@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,18 @@ GAMMA_INV = BrauerLabel.GAMMA_INVERSE
 
 def cyc(d, orbits=(), label=GAMMA):
     return CycleClass.make(label, d, [(f"x{i+1}", n, b) for i, (n, b) in enumerate(orbits)])
+
+
+@pytest.mark.parametrize(
+    "name, attr", [("untwist", "random_chain"), ("links", "push"), ("cycles", "noether_check")]
+)
+def test_submodule_attribute_is_the_module(name, attr):
+    # the package root re-exports nothing, so no function shadows its module
+    import sbuntwist
+
+    module = importlib.import_module(f"sbuntwist.{name}")
+    assert getattr(sbuntwist, name) is module
+    assert callable(getattr(getattr(sbuntwist, name), attr))
 
 
 def test_identity_automorphism():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sbuntwist import verify
+from sbuntwist.curves import quad_transform_push
 from sbuntwist.gf import _is_prime
 from sbuntwist.cli import main
 from sbuntwist.plane import (
@@ -42,6 +44,18 @@ def test_phi6_scan_is_clean():
     assert report.checked == sum(
         min(6 * d // 5, (5 * d - 1) // 4) + 1 for d in range(1, 26)
     )
+
+
+def test_link_scan_reports_oracle_mismatches(monkeypatch):
+    def off_by_one(curve, labels):
+        image = quad_transform_push(curve, labels)
+        return dataclasses.replace(image, line_degree=image.line_degree + 1)
+
+    monkeypatch.setattr(verify, "quad_transform_push", off_by_one)
+    report = scan_phi3(dmax=3)
+    assert not report.ok
+    assert report.mismatches == report.checked > 0
+    assert report.first_mismatch.startswith("(d=1, b=0): link "), report.first_mismatch
 
 
 @pytest.mark.parametrize("q", [q for q in range(5, 100) if _is_prime(q)])
@@ -153,6 +167,21 @@ def test_table_scan_names_the_first_failing_random_configuration(monkeypatch):
     ), report.first_failure
 
 
+def test_table_scan_counts_unclassifiable_random_configurations(monkeypatch):
+    witnesses = {case_witness(case_id, 7) for case_id in range(1, 10)}
+
+    def raising(pts):
+        if tuple(pts) not in witnesses:
+            raise UnclassifiableConfiguration("forced")
+        return classify_configuration(pts)
+
+    monkeypatch.setattr(verify, "classify_configuration", raising)
+    report = scan_table(7, random_samples=4, seed=1)
+    assert all(w.ok for w in report.witnesses)
+    assert report.unclassifiable == 4 and report.count_mismatches == 0 and not report.ok
+    assert report.first_failure == "random configuration 0: forced"
+
+
 def test_closed_point_scan_reports_structure():
     # violations over a finite field are confined to the two line families
     # a nontrivial Brauer class would forbid, plus rational conics; a line
@@ -202,6 +231,11 @@ def test_binomial_tail():
     assert binomial_tail(3, 3, Fraction(1, 2)) == pytest.approx(2 / 8)
     assert binomial_tail(-1, 10, Fraction(1, 2)) == 0.0
     assert binomial_tail(11, 10, Fraction(1, 2)) == 0.0
+    # a family of rate 0 or 1 has only one possible count
+    assert binomial_tail(0, 10, Fraction(0)) == 1.0
+    assert binomial_tail(1, 10, Fraction(0)) == 0.0
+    assert binomial_tail(10, 10, Fraction(1)) == 1.0
+    assert binomial_tail(9, 10, Fraction(1)) == 0.0
     # the old criterion 5 demanded 0 conic hits in 100 samples at p = 5
     conic = 1 - degree6_family_rates(5)["general"]
     assert binomial_tail(0, 100, conic) < TAIL_BOUND
