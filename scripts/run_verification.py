@@ -32,6 +32,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sbuntwist.verify import (  # noqa: E402
+    DEFAULT_DMAX,
     TAIL_BOUND,
     census_failures,
     family_census,
@@ -46,7 +47,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--dmax", type=int, default=50)
+    parser.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
     parser.add_argument("--json", action="store_true", help="end with a JSON summary line")
     args = parser.parse_args()
     for flag in ("samples", "dmax"):

@@ -40,7 +40,9 @@ from .untwist import (
     ParityContradiction,
     untwist,
 )
-from .verify import census_failures, scan_closed_points, scan_phi3, scan_phi6, scan_table
+from .verify import (
+    DEFAULT_DMAX, census_failures, scan_closed_points, scan_phi3, scan_phi6, scan_table
+)
 
 LABELS = {label.value: label for label in BrauerLabel}
 
@@ -57,9 +59,17 @@ def _max_int_bits() -> int:
     return (digits * 3321928 // 10**6 - 64) // 3 if digits else sys.maxsize
 
 
+def _shown(value: object) -> str:
+    """``repr`` for a parse message, but an int past the size bound shows
+    its bit count: ``repr`` raises on ints past the int-string limit."""
+    if isinstance(value, int) and value.bit_length() > _max_int_bits():
+        return f"{value.bit_length()}-bit integer"
+    return repr(value)
+
+
 def _label(name: str, raw: object) -> BrauerLabel:
     if not isinstance(raw, str) or raw not in LABELS:
-        raise DocumentError(f"field {name!r}: expected one of {sorted(LABELS)}, got {raw!r}")
+        raise DocumentError(f"field {name!r}: expected one of {sorted(LABELS)}, got {_shown(raw)}")
     return LABELS[raw]
 
 
@@ -72,17 +82,16 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
 
     label = _label("label", data.get("label"))
     d = data.get("d")
-    # sizes by bit_length(); d's before the range check, whose message formats d
-    bits = _max_int_bits()
-    if isinstance(d, int) and d.bit_length() > bits:
-        raise DocumentError(f"field 'd': {d.bit_length()}-bit integer, at most {bits} bits")
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise DocumentError(f"field 'd': expected an integer >= 1, got {d!r}")
+        raise DocumentError(f"field 'd': expected an integer >= 1, got {_shown(d)}")
+    bits = _max_int_bits()  # sizes by bit_length(), after the range checks
+    if d.bit_length() > bits:
+        raise DocumentError(f"field 'd': {d.bit_length()}-bit integer, at most {bits} bits")
 
     orbits = []
     raw_orbits = data.get("orbits", [])
     if not isinstance(raw_orbits, list):
-        raise DocumentError(f"field 'orbits': expected a list, got {raw_orbits!r}")
+        raise DocumentError(f"field 'orbits': expected a list, got {_shown(raw_orbits)}")
     for i, rec in enumerate(raw_orbits):
         if not isinstance(rec, dict) or set(rec) != {"degree", "mult"}:
             raise DocumentError(
@@ -92,11 +101,11 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 3 or degree % 3:
             raise DocumentError(
                 f"field 'orbits[{i}].degree': expected a positive multiple of 3, "
-                f"got {degree!r}"
+                f"got {_shown(degree)}"
             )
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise DocumentError(
-                f"field 'orbits[{i}].mult': expected a non-negative integer, got {mult!r}"
+                f"field 'orbits[{i}].mult': expected a non-negative integer, got {_shown(mult)}"
             )
         if degree.bit_length() > bits or mult.bit_length() > bits:
             key, value = ("degree", degree) if degree.bit_length() > bits else ("mult", mult)
@@ -294,7 +303,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error(f"--samples must be >= 1, got {args.samples}")
     else:
         if args.dmax is None:
-            args.dmax = 50
+            args.dmax = DEFAULT_DMAX
         if args.dmax < 1:
             return _usage_error(f"--dmax must be >= 1, got {args.dmax}")
 
@@ -406,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--seed", type=int, help="RNG seed (required when sampling)")
     p_verify.add_argument(
-        "--dmax", type=int, help="grid bound for the oracle-phi* modes (default 50)"
+        "--dmax", type=int, help=f"grid bound for the oracle-phi* modes (default {DEFAULT_DMAX})"
     )
     add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)

@@ -15,7 +15,7 @@ the right order reproduces the degree-6 link formula exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,8 @@ class CurveClass:
         object.__setattr__(self, "mults", tuple(sorted(self.mults)))
 
     @classmethod
-    def make(
-        cls,
-        line_degree: int,
-        mults: Union[Mapping[str, int], Sequence[tuple[str, int]]] = (),
-    ) -> "CurveClass":
-        items = mults.items() if isinstance(mults, Mapping) else mults
-        return cls(line_degree, tuple(items))
+    def make(cls, line_degree: int, mults: Mapping[str, int] = {}) -> "CurveClass":
+        return cls(line_degree, tuple(mults.items()))
 
     def multiplicity(self, label: str) -> int:
         for lbl, m in self.mults:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Container, Optional
+from typing import Optional
 
 from .cycles import BrauerLabel, CycleClass, Orbit
 
@@ -52,7 +52,7 @@ class LinkKind(Enum):
         return 3 if self is LinkKind.PHI3 else 6
 
 
-KIND_BY_DEGREE = {3: LinkKind.PHI3, 6: LinkKind.PHI6}
+KIND_BY_DEGREE = {kind.center_degree: kind for kind in LinkKind}
 
 
 @dataclass(frozen=True)
@@ -74,50 +74,33 @@ class Link:
 _ID_PATTERN = re.compile(r"^x(\d+)$")
 
 
-@dataclass
-class IdSource:
-    """Deterministic fresh-orbit-id counter handing out x1, x2, ...
-
-    The only stateful piece of the link machinery; confine one instance to
-    each chain or factorization session so runs reproduce byte-for-byte.
-    """
-
-    counter: int = 1
-
-    @classmethod
-    def past(cls, cycle: CycleClass) -> "IdSource":
-        """A source whose ids avoid every x<k> id already in the cycle."""
-        taken = [
-            int(m.group(1))
-            for o in cycle.orbits
-            if (m := _ID_PATTERN.match(o.id)) is not None
-        ]
-        return cls(counter=max(taken, default=0) + 1)
-
-    def take(self, used: Container[str] = frozenset()) -> str:
-        while True:
-            name = f"x{self.counter}"
-            self.counter += 1
-            if name not in used:
-                return name
-
-
 class _Walk:
     """A cycle being pushed through links in place: the label, ``d``, an
-    insertion-ordered ``id -> Orbit`` map and the id source.  One link
+    insertion-ordered ``id -> Orbit`` map and a fresh-id counter.  One link
     costs O(1) dict work; :meth:`freeze` builds the :class:`CycleClass`.
+
+    Fresh ids run x1, x2, ... from past every x<k> id of the starting
+    cycle and skip ids in use, so one walk never hands out an id twice.
 
     Multiplicity-0 orbits of the starting cycle stay visible to the first
     link (as centers and as taken ids) and are dropped by it, so every
     frozen cycle after a link is normalized.
     """
 
-    def __init__(self, cycle: CycleClass, ids: Optional[IdSource] = None) -> None:
+    def __init__(self, cycle: CycleClass) -> None:
         self.label = cycle.label
         self.d = cycle.d
         self.orbits = {o.id: o for o in cycle.orbits}
-        self.ids = ids if ids is not None else IdSource.past(cycle)
+        taken = [int(m.group(1)) for o in cycle.orbits if (m := _ID_PATTERN.match(o.id))]
+        self._counter = max(taken, default=0) + 1
         self._zeros = any(o.multiplicity == 0 for o in cycle.orbits)
+
+    def _fresh(self) -> str:
+        while True:
+            name = f"x{self._counter}"
+            self._counter += 1
+            if name not in self.orbits:
+                return name
 
     def step(
         self,
@@ -125,7 +108,8 @@ class _Walk:
         center_id: Optional[str] = None,
         image_id: Optional[str] = None,
     ) -> Link:
-        """Apply the link of this kind; see :func:`phi3_push`."""
+        """Apply the link of this kind; see :func:`phi3_push`.  ``image_id``
+        pins the image orbit's id, as :func:`~sbuntwist.untwist.replay` does."""
         n = kind.center_degree
         orbits = self.orbits
         center = orbits.get(center_id) if center_id is not None else None
@@ -140,7 +124,7 @@ class _Walk:
             # A center absent from the orbit list is a valid choice with b = 0.
             b = 0
             if center_id is None:
-                center_id = self.ids.take(orbits)
+                center_id = self._fresh()
 
         d2 = (n - 1) * self.d - (n - 2) * b
         m2 = n * self.d - (n - 1) * b
@@ -151,10 +135,10 @@ class _Walk:
             )
 
         if image_id is None:
-            image_id = self.ids.take(orbits)
+            image_id = self._fresh()
             # a pinned absent center may be the id the counter gives next
             if image_id == center_id:
-                image_id = self.ids.take(orbits)
+                image_id = self._fresh()
         orbits.pop(center_id, None)
         if self._zeros:
             self.orbits = orbits = {
@@ -187,51 +171,32 @@ class _Walk:
         return CycleClass(self.label, self.d, tuple(self.orbits.values()))
 
 
-def _apply(
-    cycle: CycleClass,
-    center_id: Optional[str],
-    kind: LinkKind,
-    ids: Optional[IdSource],
-    image_id: Optional[str] = None,
+def _push(
+    cycle: CycleClass, center_id: Optional[str], kind: Optional[LinkKind]
 ) -> tuple[CycleClass, Link]:
-    walk = _Walk(cycle, ids)
-    link = walk.step(kind, center_id, image_id)
+    walk = _Walk(cycle)
+    link = walk.step(kind, center_id) if kind is not None else walk.push(center_id)
     return walk.freeze(), link
 
 
-def phi3_push(
-    cycle: CycleClass,
-    center_id: Optional[str] = None,
-    ids: Optional[IdSource] = None,
-    image_id: Optional[str] = None,
-) -> tuple[CycleClass, Link]:
+def phi3_push(cycle: CycleClass, center_id: Optional[str] = None) -> tuple[CycleClass, Link]:
     """Push the cycle through the link at a degree-3 center.
 
     ``center_id=None`` requests a fresh center that is not a base point
     (multiplicity 0); an id absent from the cycle is likewise treated as a
-    multiplicity-0 center.  The image orbit gets a fresh id from ``ids``
-    unless ``image_id`` pins it (used when replaying recorded links).
-    Output is normalized.
+    multiplicity-0 center.  Fresh ids avoid the input cycle's ids; separate
+    calls may hand out the same one, while one walk (:func:`untwist`,
+    :func:`random_chain`, :func:`replay` in :mod:`sbuntwist.untwist`) never
+    does.  Output is normalized.
     """
-    return _apply(cycle, center_id, LinkKind.PHI3, ids, image_id)
+    return _push(cycle, center_id, LinkKind.PHI3)
 
 
-def phi6_push(
-    cycle: CycleClass,
-    center_id: Optional[str] = None,
-    ids: Optional[IdSource] = None,
-    image_id: Optional[str] = None,
-) -> tuple[CycleClass, Link]:
+def phi6_push(cycle: CycleClass, center_id: Optional[str] = None) -> tuple[CycleClass, Link]:
     """Push the cycle through the link at a degree-6 center."""
-    return _apply(cycle, center_id, LinkKind.PHI6, ids, image_id)
+    return _push(cycle, center_id, LinkKind.PHI6)
 
 
-def push(
-    cycle: CycleClass,
-    center_id: str,
-    ids: Optional[IdSource] = None,
-) -> tuple[CycleClass, Link]:
+def push(cycle: CycleClass, center_id: str) -> tuple[CycleClass, Link]:
     """Dispatch on the degree of an existing center orbit."""
-    walk = _Walk(cycle, ids)
-    link = walk.push(center_id)
-    return walk.freeze(), link
+    return _push(cycle, center_id, None)

@@ -264,17 +264,10 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
     triple and for a common conic.  A valid degree-6 link center must pass
     both.
 
-    Some triple of the six points is collinear iff (0, 2, 4) is (see the
-    module docstring).  Frobenius sigma sends point i to point i + 1
-    mod 6, and two distinct lines share at most one point.  A line L
-    through (0, 1, 2) has sigma L through 1 and 2, so sigma L = L.  A
-    line L through (0, 1, 3) or (0, 1, 4) has sigma^3 L through 0 and 3
-    or through 1 and 4, so sigma^3 L = L; then sigma L shares 1 and 4
-    with L, so sigma L = L.  Either way L is rational and holds all six
-    points, (0, 2, 4) among them, and every triple is a rotation of one
-    of these four.  Both verdicts are computed on every orbit: a
-    collinear orbit always lies on a conic, but deciding one from the
-    other would hide a fault in either test.
+    Some triple of the six points is collinear iff (0, 2, 4) is; the
+    module docstring proves it.  Both verdicts are computed on every
+    orbit: a collinear orbit always lies on a conic, but deciding one
+    from the other would hide a fault in either test.
 
     The six points lie on a common conic iff the 6x6 matrix over F_p of
     the coordinates of ``cp.point``'s Veronese image in the basis 1, x,

@@ -56,6 +56,9 @@ class EquivalenceReport:
         return self.mismatches == 0
 
 
+DEFAULT_DMAX = 50  # grid bound on d of the link scans when none is given
+
+
 def _scan_link(kind: LinkKind, dmax: int) -> EquivalenceReport:
     """Compare the link formula at a degree-n center of multiplicity b with
     its realization on the plane (one quadratic transform for n = 3, three
@@ -90,12 +93,12 @@ def _scan_link(kind: LinkKind, dmax: int) -> EquivalenceReport:
     return EquivalenceReport(f"oracle-{kind.value}", checked, mismatches, first)
 
 
-def scan_phi3(dmax: int = 50) -> EquivalenceReport:
+def scan_phi3(dmax: int = DEFAULT_DMAX) -> EquivalenceReport:
     """The degree-3 link against one quadratic transform, b <= min(3d/2, 2d-1)."""
     return _scan_link(LinkKind.PHI3, dmax)
 
 
-def scan_phi6(dmax: int = 50) -> EquivalenceReport:
+def scan_phi6(dmax: int = DEFAULT_DMAX) -> EquivalenceReport:
     """The degree-6 link against three quadratic transforms, b <= min(6d/5, (5d-1)/4)."""
     return _scan_link(LinkKind.PHI6, dmax)
 

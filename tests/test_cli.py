@@ -69,6 +69,20 @@ def test_parse_reads_declared_target():
         ),
         # past the int-string limit, so the message must not format it
         ({"label": "gamma", "d": -(2 ** (4 * MAX_BITS))}, "'d'"),
+        (
+            {"label": "gamma", "d": 1, "orbits": [{"degree": 3, "mult": -(2**20000)}]},
+            "orbits[0].mult",
+        ),
+        (
+            {"label": "gamma", "d": 1, "orbits": [{"degree": 2**20000 + 1, "mult": 1}]},
+            "orbits[0].degree",
+        ),
+        (
+            {"label": "gamma", "d": 1, "orbits": [{"degree": -(2**20000), "mult": 1}]},
+            "orbits[0].degree",
+        ),
+        ([], "document"),
+        ({"label": "gamma", "d": 1, "orbits": {"degree": 3, "mult": 1}}, "'orbits'"),
     ],
 )
 def test_parse_errors_name_the_offending_field(doc, needle):
@@ -135,14 +149,18 @@ def test_check_parse_error_exits_2(tmp_path, capsys):
         b"[" * 200000 + b"]" * 200000,
         # past the int-string limit, so json.load itself refuses it
         b'{"label": "gamma", "d": 1' + b"0" * 5000 + b"}",
+        None,
     ],
-    ids=["not-utf-8", "deeply-nested", "5000-digit-d"],
+    ids=["not-utf-8", "deeply-nested", "5000-digit-d", "missing"],
 )
 def test_unreadable_document_exits_2_naming_the_file(tmp_path, capsys, content):
     path = tmp_path / "cycle.json"
-    path.write_bytes(content)
+    if content is not None:
+        path.write_bytes(content)
     assert main(["check", str(path)]) == 2
-    assert repr(str(path)) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(str(path)) in err
+    assert ("cannot read" in err) is (content is None)
 
 
 def test_integers_at_the_size_bound_are_printed(tmp_path, capsys):

@@ -11,7 +11,7 @@ from sbuntwist.curves import (
 
 def test_curve_class_is_canonical():
     a = CurveClass.make(3, {"b": 1, "a": 2})
-    b = CurveClass.make(3, [("a", 2), ("b", 1)])
+    b = CurveClass(3, (("b", 1), ("a", 2)))
     assert a == b
     assert a.multiplicity("a") == 2
     assert a.multiplicity("missing") == 0
@@ -21,7 +21,7 @@ def test_curve_class_validation():
     with pytest.raises(ValueError):
         CurveClass.make(0, {})
     with pytest.raises(ValueError):
-        CurveClass.make(3, [("a", -1)])
+        CurveClass.make(3, {"a": -1})
     with pytest.raises(ValueError):
         CurveClass(3, (("a", 1), ("a", 2)))
 

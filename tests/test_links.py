@@ -10,7 +10,8 @@ from sbuntwist.cycles import (
 )
 from sbuntwist.links import (
     DegenerateImage,
-    IdSource,
+    Link,
+    LinkKind,
     UnknownCenter,
     UnsupportedDegree,
     WrongDegree,
@@ -18,6 +19,7 @@ from sbuntwist.links import (
     phi6_push,
     push,
 )
+from sbuntwist.untwist import replay
 
 GAMMA = BrauerLabel.GAMMA
 GAMMA_INV = BrauerLabel.GAMMA_INVERSE
@@ -114,9 +116,8 @@ def test_push_dispatch_and_guards():
 # --- id management ---
 
 def test_fresh_ids_are_deterministic():
-    ids = IdSource()
-    c1, l1 = phi3_push(cyc(1), None, ids)
-    c2, l2 = phi6_push(c1, None, ids)
+    c1, l1 = phi3_push(cyc(1))
+    c2, l2 = phi6_push(c1)
     assert (l1.center_id, l1.image_orbit_id) == ("x1", "x2")
     assert (l2.center_id, l2.image_orbit_id) == ("x3", "x4")
 
@@ -129,7 +130,7 @@ def test_default_id_source_avoids_existing_ids():
 
 def test_pinned_absent_center_is_never_the_image_id():
     # the pinned center is the counter's next id; the image skips it
-    out, link = phi3_push(cyc(1), "x1", IdSource())
+    out, link = phi3_push(cyc(1), "x1")
     assert (link.center_id, link.image_orbit_id) == ("x1", "x2")
     assert [o.id for o in out.orbits] == ["x2"]
     c = CycleClass.make(GAMMA, 2, [("x1", 3, 3)])
@@ -139,28 +140,28 @@ def test_pinned_absent_center_is_never_the_image_id():
 
 
 def test_pinned_image_id_of_a_carried_orbit_is_rejected():
+    def pinned(cycle, image_id):
+        return replay(cycle, [Link(LinkKind.PHI3, "c1", GAMMA, image_id)])[-1]
+
     with pytest.raises(ValueError):
-        phi3_push(cyc(10, [(3, 3), (6, 2)]), "c1", image_id="c2")
+        pinned(cyc(10, [(3, 3), (6, 2)]), "c2")
     # the center's own id and a dropped multiplicity-0 id are free again
-    out, _ = phi3_push(cyc(10, [(3, 3), (6, 0)]), "c1", image_id="c2")
+    out = pinned(cyc(10, [(3, 3), (6, 0)]), "c2")
     assert [(o.id, o.multiplicity) for o in out.orbits] == [("c2", 24)]
-    out, _ = phi3_push(cyc(10, [(3, 3)]), "c1", image_id="c1")
+    out = pinned(cyc(10, [(3, 3)]), "c1")
     assert [(o.id, o.multiplicity) for o in out.orbits] == [("c1", 24)]
 
 
 def test_replay_from_a_non_normalized_cycle():
-    from sbuntwist.untwist import replay
-
     # c2 and x3 are listed with multiplicity 0; x4 is the first link's image
     start = CycleClass.make(GAMMA, 2, [("c1", 3, 3), ("c2", 6, 0), ("x3", 3, 0)])
-    ids = IdSource.past(start)
     trajectory = [start]
     links = []
     for pushed, center in [
         (phi6_push, "c2"), (phi3_push, "x3"), (phi6_push, "x4"), (phi3_push, "c1"),
         (phi3_push, None),
     ]:
-        out, link = pushed(trajectory[-1], center, ids)
+        out, link = pushed(trajectory[-1], center)
         trajectory.append(out)
         links.append(link)
     assert links[0].image_orbit_id == "x4"

@@ -13,11 +13,12 @@ from sbuntwist.cycles import (
 )
 from sbuntwist.links import (
     DegenerateImage,
-    IdSource,
+    Link,
+    LinkKind,
     UnsupportedDegree,
+    _Walk,
     phi3_push,
     phi6_push,
-    push,
 )
 from sbuntwist.untwist import (
     InconsistentCycle,
@@ -131,12 +132,9 @@ def test_replay_reproduces_chain_exactly():
 def test_replay_words_that_push_at_their_own_images():
     # second link's center is the first link's image orbit; the replay
     # must resolve it to the created orbit, not to a fresh b=0 center
-    from sbuntwist.links import IdSource, phi3_push
-
-    ids = IdSource()
     start = CycleClass(GAMMA, 1)
-    mid, l1 = phi3_push(start, None, ids)
-    end, l2 = phi3_push(mid, l1.image_orbit_id, ids)
+    mid, l1 = phi3_push(start)
+    end, l2 = phi3_push(mid, l1.image_orbit_id)
     assert end.is_anticanonical()
     trajectory = replay(start, [l1, l2])
     assert trajectory[-1] == end
@@ -188,13 +186,13 @@ UNTWIST_ERRORS = (InconsistentCycle, NonTermination, ParityContradiction, Unsupp
 
 
 def reference_untwist(cycle, declared_target=None):
-    """The stepwise loop: max_multiplicity_orbit, then push on frozen
-    cycles, collecting every cycle of the trajectory."""
+    """The stepwise loop: max_multiplicity_orbit on the frozen cycle, then
+    one push of a single walk, collecting every cycle of the trajectory."""
     if not noether_check(cycle).consistent:
         raise InconsistentCycle("fails the Noether relations")
     declared = declared_target if declared_target is not None else cycle.label
     current = cycle.normalized()
-    ids = IdSource.past(current)
+    walk = _Walk(current)
     steps, trace = [], [current]
     while not current.is_anticanonical():
         if len(steps) >= trace[0].d:
@@ -203,9 +201,10 @@ def reference_untwist(cycle, declared_target=None):
         if center is None:
             raise InconsistentCycle("no center")
         try:
-            current, link = push(current, center.id, ids)
+            link = walk.push(center.id)
         except DegenerateImage as exc:
             raise InconsistentCycle("degenerate step") from exc
+        current = walk.freeze()
         steps.append(link)
         trace.append(current)
     if current.label is not declared:
@@ -235,6 +234,12 @@ def assert_engine_matches_reference(cycle):
             assert [s.center_id for s in steps] == [
                 max_multiplicity_orbit(c).id for c in trace[:-1]
             ]
+            # one walk, one counter: image ids run on from past the input's
+            # x<k> ids, never restarting from the orbits left at a step
+            past = max((int(o.id[1:]) for o in trace[0].orbits), default=0)
+            assert [s.image_orbit_id for s in steps] == [
+                f"x{past + k}" for k in range(1, len(steps) + 1)
+            ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,7 +253,6 @@ def test_engine_matches_reference_on_chains(length, seed):
 def pushed_words(draw):
     """-omega pushed through phi3/phi6 links, each at a fresh center or
     again at an existing orbit (every orbit is some link's image)."""
-    ids = IdSource()
     cycle = CycleClass(GAMMA, 1)
     for _ in range(draw(st.integers(min_value=0, max_value=10))):
         at = draw(st.none() | st.integers(min_value=0, max_value=9))
@@ -260,7 +264,7 @@ def pushed_words(draw):
             center = orbit.id
             pushed = phi3_push if orbit.degree == 3 else phi6_push
         try:
-            cycle, _ = pushed(cycle, center, ids)
+            cycle, _ = pushed(cycle, center)
         except DegenerateImage:
             pass
     return cycle
@@ -275,10 +279,14 @@ def test_engine_matches_reference_on_words_pushing_at_existing_orbits(cycle):
 def test_engine_matches_reference_on_a_tie_between_x9_and_x10():
     # two degree-3 orbits of multiplicity 6: the tie breaks to x9, which
     # sorts after x10 as a plain string
-    ids = IdSource()
-    c, _ = phi3_push(CycleClass(GAMMA, 1), None, ids)
-    c, _ = phi3_push(c, None, ids, image_id="x9")
-    c, _ = phi3_push(c, "x2", ids, image_id="x10")
+    c = replay(
+        CycleClass(GAMMA, 1),
+        [
+            Link(LinkKind.PHI3, "x1", GAMMA, "x2"),
+            Link(LinkKind.PHI3, "x3", GAMMA_INV, "x9"),
+            Link(LinkKind.PHI3, "x2", GAMMA, "x10"),
+        ],
+    )[-1]
     assert sorted((o.id, o.degree, o.multiplicity) for o in c.orbits) == [
         ("x10", 3, 6), ("x9", 3, 6)
     ]
