@@ -28,10 +28,10 @@ from .gf import field
 from .links import (
     DegenerateImage,
     Link,
+    LinkKind,
     UnsupportedDegree,
     WrongDegree,
-    phi3_push,
-    phi6_push,
+    push,
 )
 from .untwist import (
     Factorization,
@@ -61,10 +61,14 @@ def _max_int_bits() -> int:
 
 def _shown(value: object) -> str:
     """``repr`` for a parse message, but an int past the size bound shows
-    its bit count: ``repr`` raises on ints past the int-string limit."""
+    its bit count, and a value whose ``repr`` raises (as it does on ints
+    past the int-string limit, also inside a container) shows its type."""
     if isinstance(value, int) and value.bit_length() > _max_int_bits():
         return f"{value.bit_length()}-bit integer"
-    return repr(value)
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"a {type(value).__name__} too large to print"
 
 
 def _label(name: str, raw: object) -> BrauerLabel:
@@ -77,8 +81,10 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
     if not isinstance(data, dict):
         raise DocumentError("document: expected a JSON object")
     known = {"label", "d", "orbits", "declared_target"}
-    for key in sorted(set(data) - known):
-        raise DocumentError(f"field {key!r}: unknown field")
+    # str keys, all that JSON gives, in their own order; then any other by its shown form
+    order = lambda k: (not isinstance(k, str), k if isinstance(k, str) else _shown(k))  # noqa: E731
+    for key in sorted(set(data) - known, key=order):
+        raise DocumentError(f"field {_shown(key)}: unknown field")
 
     label = _label("label", data.get("label"))
     d = data.get("d")
@@ -201,9 +207,8 @@ def _cmd_push(args: argparse.Namespace) -> int:
             f"no orbit with id {args.center!r} in the input cycle "
             f"(ids: {[o.id for o in cycle.orbits] or 'none'})"
         )
-    pushed_fn = phi3_push if args.kind == "phi3" else phi6_push
     try:
-        out, link = pushed_fn(cycle, args.center)
+        out, link = push(cycle, args.center, LinkKind(args.kind))
     except (WrongDegree, DegenerateImage) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_push = sub.add_parser("push", help="apply one elementary link")
     p_push.add_argument("file", help="cycle document (JSON)")
-    p_push.add_argument("--kind", choices=("phi3", "phi6"), required=True)
+    p_push.add_argument("--kind", choices=[kind.value for kind in LinkKind], required=True)
     p_push.add_argument(
         "--center",
         help="orbit id to push at (assigned x1, x2, ... in document order); "

@@ -72,18 +72,15 @@ def _quad_push(
         raise ValueError(f"need three distinct centers, got {centers!r}")
     n = curve.line_degree
     m = [curve.multiplicity(c) for c in centers]
-    out: dict[str, int] = {
-        lbl: mult for lbl, mult in curve.mults if lbl not in centers
-    }
-    taken = set(curve.labels()) | set(out) | set(centers)
+    out = {lbl: mult for lbl, mult in curve.mults if lbl not in centers}
+    taken = set(curve.labels()) | set(centers)
     images = []
-    for i in range(3):
-        j, k = {0: (1, 2), 1: (0, 2), 2: (0, 1)}[i]
-        image = fresh_label(centers[i], taken)
+    for center, m_i in zip(centers, m):
+        image = fresh_label(center, taken)
         taken.add(image)
-        out[image] = n - m[j] - m[k]
+        out[image] = n - sum(m) + m_i  # n - m_j - m_k
         images.append(image)
-    pushed = CurveClass.make(2 * n - m[0] - m[1] - m[2], out)
+    pushed = CurveClass.make(2 * n - sum(m), out)
     return pushed, tuple(images)
 
 

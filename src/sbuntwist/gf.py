@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 Element = tuple[int, ...]
 
@@ -189,13 +189,8 @@ class FiniteField:
     def __repr__(self) -> str:
         return f"FiniteField({self.p}, {self.m})"
 
-    def element(self, value: Union[int, Sequence[int]]) -> Element:
-        if isinstance(value, int):
-            return (value % self.p,) + (0,) * (self.m - 1)
-        coeffs = [c % self.p for c in value]
-        if len(coeffs) > self.m:
-            raise ValueError(f"too many coefficients for degree {self.m}")
-        return _pad(coeffs, self.m)
+    def element(self, value: int) -> Element:
+        return (value % self.p,) + (0,) * (self.m - 1)
 
     def add(self, a: Element, b: Element) -> Element:
         p = self.p

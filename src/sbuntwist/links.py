@@ -108,7 +108,7 @@ class _Walk:
         center_id: Optional[str] = None,
         image_id: Optional[str] = None,
     ) -> Link:
-        """Apply the link of this kind; see :func:`phi3_push`.  ``image_id``
+        """Apply the link of this kind; see :func:`push`.  ``image_id``
         pins the image orbit's id, as :func:`~sbuntwist.untwist.replay` does."""
         n = kind.center_degree
         orbits = self.orbits
@@ -171,32 +171,26 @@ class _Walk:
         return CycleClass(self.label, self.d, tuple(self.orbits.values()))
 
 
-def _push(
-    cycle: CycleClass, center_id: Optional[str], kind: Optional[LinkKind]
+def push(
+    cycle: CycleClass, center_id: Optional[str] = None, kind: Optional[LinkKind] = None
 ) -> tuple[CycleClass, Link]:
+    """Push the cycle through one link: of this kind, or else of the kind
+    the existing center's degree selects (an absent center then raises
+    :class:`UnknownCenter`).  With a kind, ``center_id=None`` asks for a
+    fresh center, and an id absent from the cycle names one: a center of
+    multiplicity 0.  Fresh ids avoid the input cycle's ids, and one walk
+    (see :mod:`sbuntwist.untwist`) never hands one out twice.  Output is
+    normalized."""
     walk = _Walk(cycle)
     link = walk.step(kind, center_id) if kind is not None else walk.push(center_id)
     return walk.freeze(), link
 
 
 def phi3_push(cycle: CycleClass, center_id: Optional[str] = None) -> tuple[CycleClass, Link]:
-    """Push the cycle through the link at a degree-3 center.
-
-    ``center_id=None`` requests a fresh center that is not a base point
-    (multiplicity 0); an id absent from the cycle is likewise treated as a
-    multiplicity-0 center.  Fresh ids avoid the input cycle's ids; separate
-    calls may hand out the same one, while one walk (:func:`untwist`,
-    :func:`random_chain`, :func:`replay` in :mod:`sbuntwist.untwist`) never
-    does.  Output is normalized.
-    """
-    return _push(cycle, center_id, LinkKind.PHI3)
+    """``push`` at a degree-3 center; kept because ``perfbench`` traces it by name."""
+    return push(cycle, center_id, LinkKind.PHI3)
 
 
 def phi6_push(cycle: CycleClass, center_id: Optional[str] = None) -> tuple[CycleClass, Link]:
-    """Push the cycle through the link at a degree-6 center."""
-    return _push(cycle, center_id, LinkKind.PHI6)
-
-
-def push(cycle: CycleClass, center_id: str) -> tuple[CycleClass, Link]:
-    """Dispatch on the degree of an existing center orbit."""
-    return _push(cycle, center_id, None)
+    """``push`` at a degree-6 center; kept because ``perfbench`` traces it by name."""
+    return push(cycle, center_id, LinkKind.PHI6)

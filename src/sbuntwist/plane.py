@@ -5,8 +5,8 @@ and lines share one normalization (first nonzero coordinate 1).  Incidence
 tests (collinearity, common conics) are exact singularity tests by
 inversion-free elimination, and six-point configurations are classified by
 their line profile, read off by grouping the 15 point pairs by the line
-they span and looked up in one table of the ten profiles six points can
-have.
+they span and looked up in ``ConfigCase``, the one table of the ten
+profiles six points can have.
 
 Whether a degree-6 closed point lies on a conic is decided by Galois
 descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
@@ -297,38 +297,44 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
 
 
 class ConfigCase(Enum):
-    """Line profiles of six distinct points carrying at least one 3-point
-    line, plus the generic case.  Values are stable case ids."""
+    """The ten line profiles six distinct points of a plane can have.
 
-    GENERAL_POSITION = 0
-    ALL_SIX_ON_A_LINE = 1
-    FIVE_ON_A_LINE = 2
-    FOUR_ON_A_LINE = 3
-    FOUR_AND_A_TRIPLE = 4
-    TWO_TRIPLES_SHARING_A_POINT = 5
-    ONE_TRIPLE = 6
-    TWO_DISJOINT_TRIPLES = 7
-    TRIPLE_TRIANGLE = 8
-    QUADRILATERAL = 9
+    Each case carries its stable id (the value), its profile and its
+    forced line count.  The profile is the sizes of the lines through at
+    least three of the six points, largest first, and how many points
+    those lines cover; the line count is the number of lines through at
+    least two.  Two lines of a plane share at most one point, and that
+    leaves exactly these ten profiles: a line through 5 or 6 leaves too
+    few points for a second rich line, a 4-point line admits only the one
+    3-point line through the two points off it, and each point lies on at
+    most two 3-point lines, so there are at most four, and three or four
+    of them meet pairwise and cover all six points.
+    """
 
-    @property
-    def case_id(self) -> int:
-        return self.value
+    GENERAL_POSITION = 0, ((), 0), 15
+    ALL_SIX_ON_A_LINE = 1, ((6,), 6), 1
+    FIVE_ON_A_LINE = 2, ((5,), 5), 6
+    FOUR_ON_A_LINE = 3, ((4,), 4), 10
+    FOUR_AND_A_TRIPLE = 4, ((4, 3), 6), 8
+    TWO_TRIPLES_SHARING_A_POINT = 5, ((3, 3), 5), 11
+    ONE_TRIPLE = 6, ((3,), 3), 13
+    TWO_DISJOINT_TRIPLES = 7, ((3, 3), 6), 11
+    TRIPLE_TRIANGLE = 8, ((3, 3, 3), 6), 9
+    QUADRILATERAL = 9, ((3, 3, 3, 3), 6), 7
+
+    def __new__(cls, case_id: int, profile: tuple, line_count: int) -> "ConfigCase":
+        case = object.__new__(cls)
+        case._value_ = case.case_id = case_id
+        case.profile = profile
+        case.line_count = line_count
+        return case
 
 
-#: Number of connecting lines forced by each configuration case.
-EXPECTED_LINE_COUNTS = {
-    ConfigCase.ALL_SIX_ON_A_LINE: 1,
-    ConfigCase.FIVE_ON_A_LINE: 6,
-    ConfigCase.FOUR_ON_A_LINE: 10,
-    ConfigCase.FOUR_AND_A_TRIPLE: 8,
-    ConfigCase.TWO_TRIPLES_SHARING_A_POINT: 11,
-    ConfigCase.ONE_TRIPLE: 13,
-    ConfigCase.TWO_DISJOINT_TRIPLES: 11,
-    ConfigCase.TRIPLE_TRIANGLE: 9,
-    ConfigCase.QUADRILATERAL: 7,
-    ConfigCase.GENERAL_POSITION: 15,
-}
+#: ``line_count`` by case, as ``perfbench`` and the tests read it.
+EXPECTED_LINE_COUNTS = {case: case.line_count for case in ConfigCase}
+
+#: Case of each line profile, as ``classify_configuration`` reads it.
+_CASE_BY_PROFILE = {case.profile: case for case in ConfigCase}
 
 
 def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
@@ -340,28 +346,6 @@ def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
     for i, j in itertools.combinations(range(len(points)), 2):
         members.setdefault(line_through(points[i], points[j]), set()).update((i, j))
     return [frozenset(m) for m in members.values()]
-
-
-#: Case of each line profile: the sizes of the lines through at least three
-#: of the six points, largest first, and how many points those lines cover.
-#: Two lines of a plane share at most one point, and that leaves exactly
-#: these ten profiles for six points: a line through 5 or 6 leaves too few
-#: points for a second rich line, a 4-point line admits only the one
-#: 3-point line through the two points off it, and each point lies on at
-#: most two 3-point lines, so there are at most four, and three or four of
-#: them meet pairwise and cover all six points.
-_CASE_BY_PROFILE = {
-    ((), 0): ConfigCase.GENERAL_POSITION,
-    ((6,), 6): ConfigCase.ALL_SIX_ON_A_LINE,
-    ((5,), 5): ConfigCase.FIVE_ON_A_LINE,
-    ((4,), 4): ConfigCase.FOUR_ON_A_LINE,
-    ((4, 3), 6): ConfigCase.FOUR_AND_A_TRIPLE,
-    ((3, 3), 5): ConfigCase.TWO_TRIPLES_SHARING_A_POINT,
-    ((3,), 3): ConfigCase.ONE_TRIPLE,
-    ((3, 3), 6): ConfigCase.TWO_DISJOINT_TRIPLES,
-    ((3, 3, 3), 6): ConfigCase.TRIPLE_TRIANGLE,
-    ((3, 3, 3, 3), 6): ConfigCase.QUADRILATERAL,
-}
 
 
 def classify_configuration(

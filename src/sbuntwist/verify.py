@@ -24,7 +24,6 @@ from .gf import field
 from .links import DegenerateImage, LinkKind, push
 from .plane import (
     ConfigCase,
-    EXPECTED_LINE_COUNTS,
     ProjPoint,
     UnclassifiableConfiguration,
     classify_configuration,
@@ -152,17 +151,13 @@ def scan_closed_points(p: int, samples: int, seed: int) -> PositionScanReport:
     for i in range(samples):
         cp = sample_closed_point(p, 6, seed=seed * 1_000_000 + i)
         rep = general_position_report(cp)
-        bad = False
         if not rep.no_three_collinear:
             collinear_hits += 1
-            bad = True
             case, _ = classify_configuration(cp.points)
             breakdown[case.case_id] = breakdown.get(case.case_id, 0) + 1
         if not rep.off_conic:
             conic_hits += 1
-            bad = True
-        if bad:
-            violating += 1
+        violating += not (rep.no_three_collinear and rep.off_conic)
     return PositionScanReport(
         prime=p,
         samples=samples,
@@ -382,7 +377,7 @@ def scan_table(q: int, random_samples: int, seed: int) -> TableScanReport:
             got, count = classify_configuration(case_witness(case_id, q))
         except UnclassifiableConfiguration:
             got, count = None, 0
-        result = WitnessResult(case_id, got is case, count, EXPECTED_LINE_COUNTS[case])
+        result = WitnessResult(case_id, got is case, count, case.line_count)
         witnesses.append(result)
         if not result.ok and not first:
             read = "unclassifiable" if got is None else f"case {got.case_id}"
@@ -403,13 +398,13 @@ def scan_table(q: int, random_samples: int, seed: int) -> TableScanReport:
             unclassifiable += 1
             first = first or f"random configuration {i}: {exc}"
             continue
-        if count != EXPECTED_LINE_COUNTS[case]:
+        if count != case.line_count:
             mismatches += 1
             if not first:
                 sizes = sorted((len(m) for m in connecting_lines(pts)), reverse=True)
                 first = (
                     f"random configuration {i}: case {case.case_id} with {count} "
-                    f"lines, expected {EXPECTED_LINE_COUNTS[case]} (line sizes {sizes})"
+                    f"lines, expected {case.line_count} (line sizes {sizes})"
                 )
     return TableScanReport(
         q=q,

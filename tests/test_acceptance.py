@@ -159,7 +159,7 @@ def _family_controls(p: int) -> dict[tuple[bool, bool, int], ClosedPoint]:
     the conjugate pair z = c x, z = c^p x, and (1 : a : a^2) on the smooth
     conic y^2 = x z."""
     F = field(p, 6)
-    a = F.element((0, 1))  # a root of the degree-6 modulus
+    a = (0, 1, 0, 0, 0, 0)  # a root of the degree-6 modulus
 
     def norm(x):  # x^(1 + p^2 + p^4), the norm from F_{p^6} to F_{p^2}
         x2 = F.frobenius(F.frobenius(x))

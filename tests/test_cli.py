@@ -20,6 +20,14 @@ def write_doc(tmp_path, doc, name="cycle.json"):
 
 MAX_BITS = cli._max_int_bits()
 
+
+def nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 CHAIN_DOC = {
     "label": "gamma",
     "d": 10,
@@ -83,6 +91,15 @@ def test_parse_reads_declared_target():
         ),
         ([], "document"),
         ({"label": "gamma", "d": 1, "orbits": {"degree": 3, "mult": 1}}, "'orbits'"),
+        # a container whose repr passes the int-string limit, and keys that
+        # JSON cannot give: none may escape as ValueError or TypeError
+        ({"label": [2**20000], "d": 1}, "'label'"),
+        ({"label": "gamma", "d": 1, "orbits": {"a": 2**20000}}, "'orbits'"),
+        ({"label": "gamma", "d": 1, "declared_target": [2**20000]}, "'declared_target'"),
+        ({"label": "gamma", "d": 1, 1: 0, "x": 0}, "field 'x'"),
+        ({"label": "gamma", "d": 1, 2**20000: 0}, "20001-bit integer"),
+        # repr raises RecursionError past the recursion limit
+        ({"label": nested_list(10**4), "d": 1}, "'label'"),
     ],
 )
 def test_parse_errors_name_the_offending_field(doc, needle):

@@ -107,10 +107,21 @@ def test_push_dispatch_and_guards():
     assert out.d == 1
     out, _ = push(cyc(5, [(6, 6)]), "c1")
     assert out.d == 1
+    # with a kind, push is the named link at an existing, fresh or absent center
+    for kind, named, c in (
+        (LinkKind.PHI3, phi3_push, cyc(2, [(3, 3), (6, 1)])),
+        (LinkKind.PHI6, phi6_push, cyc(5, [(6, 6), (3, 1)])),
+    ):
+        assert push(c, "c1", kind) == named(c, "c1") == push(c, "c1")
+        assert push(c, None, kind) == named(c)
+        assert push(c, "y7", kind) == named(c, "y7")
     with pytest.raises(UnsupportedDegree):
         push(cyc(4, [(9, 1)]), "c1")
     with pytest.raises(UnknownCenter):
         push(cyc(1), "nope")
+    # neither a center nor a kind: nothing selects the link
+    with pytest.raises(UnknownCenter):
+        push(cyc(1))
 
 
 # --- id management ---

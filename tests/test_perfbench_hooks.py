@@ -1,6 +1,8 @@
 """The benchmark traces library functions by name (``perfbench/worker.py``
-``install``); renaming or deleting one of them breaks ``--trace`` runs.
-This installs the benchmark's tracer over the library and removes it again,
+``install``) and its workloads call library names, fields and report
+attributes (``perfbench/workloads.py``); renaming or deleting one of them
+breaks ``perfbench/run.py``.  These tests install the benchmark's tracer
+over the library and remove it again, and run each workload's first item,
 so such a change fails here first."""
 
 import os
@@ -28,3 +30,16 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     for mod, saved in zip(modules, before):
         assert all(vars(mod)[k] is v for k, v in saved.items()), mod.__name__
     assert all(FiniteField.__dict__[k] is v for k, v in methods.items())
+
+
+def test_every_workload_builds_and_checks_its_first_item(monkeypatch):
+    # names the tracer does not patch: plane.EXPECTED_LINE_COUNTS,
+    # ConfigCase.*.case_id, rep.samples, rep.mismatches, ...
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(1)
+        assert workload.once() is None, name
+        item = workload.items[0]
+        assert workload.check(item, workload.run(item)) is None, name

@@ -246,7 +246,7 @@ def test_sampling_exhausted_is_raised_for_zero_budget(monkeypatch):
 def test_degree3_collinear_orbits_lie_on_rational_lines():
     # a degree-3 point on the rational line z = 0: guaranteed collinear
     F = field(5, 3)
-    alpha = F.element((0, 1, 0))
+    alpha = (0, 1, 0)
     collinear_pt = ProjPoint.make(F, (F.one, alpha, F.zero))
     orbit = frobenius_orbit(collinear_pt)
     assert len(orbit) == 3
@@ -405,7 +405,7 @@ def test_general_position_report_needs_coordinates_in_f_p6():
     # argument needs the orbit degree to equal the field degree
     p = 5
     F = field(p, 12)
-    a = F.element((0, 1))
+    a = (0, 1) + (0,) * 10
     conj = a
     for _ in range(6):
         conj = F.frobenius(conj)
