@@ -9,7 +9,11 @@ classify and words workloads, then the tier-1 tests with
   result JSON lines, parsed;
 * ``tier1``: the pytest summary line, its wall time, and the call times
   of acceptance criteria 5 and 6;
-* ``src_lines``: the line count of the ``.py`` files under ``src/``.
+* ``src_lines``: the line count of the ``.py`` files under ``src/``;
+* ``tree``: the measured tree, ``head`` (``git rev-parse HEAD``) and
+  ``uncommitted`` (whether ``git status --porcelain -- src tests scripts``
+  printed anything).  perfbench's ``meta.git_commit`` names HEAD only, so
+  a run on uncommitted changes would otherwise read as the commit below them.
 
 perfbench is run as a command, unchanged.  Nothing is written if a run or
 the tests fail; the script then names what failed and exits 1.
@@ -33,6 +37,8 @@ CRITERIA = {
     "criterion_5_s": "test_criterion_5_",
     "criterion_6_s": "test_criterion_6_",
 }
+# the paths whose uncommitted changes make the tree differ from HEAD
+TREE_PATHS = ("src", "tests", "scripts")
 # a --durations line: "1.23s call     tests/test_x.py::test_name"
 DURATION = re.compile(r"^(\d+(?:\.\d+)?)s call\s+(\S+)$")
 
@@ -73,8 +79,19 @@ def src_lines(root: Path) -> int:
     )
 
 
+def tree_record(head_stdout: str, status_stdout: str) -> dict:
+    """The ``tree`` entry from the output of ``git rev-parse HEAD`` and of
+    ``git status --porcelain`` over the measured paths."""
+    return {"head": head_stdout.strip(), "uncommitted": bool(status_stdout.strip())}
+
+
 def bench_record(
-    pr: int, perfbench_stdout: dict, pytest_stdout: str, tier1_wall_s: float, lines: int
+    pr: int,
+    perfbench_stdout: dict,
+    pytest_stdout: str,
+    tier1_wall_s: float,
+    lines: int,
+    tree: dict,
 ) -> dict:
     summary = pytest_stdout.strip().splitlines()[-1].strip("= ")
     return {
@@ -82,6 +99,7 @@ def bench_record(
         "perfbench": {w: perfbench_record(out) for w, out in perfbench_stdout.items()},
         "tier1": {"summary": summary, "wall_s": tier1_wall_s, **criterion_times(pytest_stdout)},
         "src_lines": lines,
+        "tree": tree,
     }
 
 
@@ -95,6 +113,15 @@ def main() -> int:
     args = parser.parse_args()
     if args.pr < 1:
         parser.error(f"--pr must be >= 1, got {args.pr}")
+
+    git = [run(["git", "rev-parse", "HEAD"]),
+           run(["git", "status", "--porcelain", "--", *TREE_PATHS])]
+    for proc in git:
+        if proc.returncode != 0:
+            print(f"error: {' '.join(proc.args)} exited {proc.returncode}\n{proc.stderr}",
+                  file=sys.stderr)
+            return 1
+    tree = tree_record(git[0].stdout, git[1].stdout)
 
     perfbench_stdout = {}
     for workload in WORKLOADS:
@@ -116,7 +143,9 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    record = bench_record(args.pr, perfbench_stdout, proc.stdout, tier1_wall_s, src_lines(ROOT))
+    record = bench_record(
+        args.pr, perfbench_stdout, proc.stdout, tier1_wall_s, src_lines(ROOT), tree
+    )
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out.name}")

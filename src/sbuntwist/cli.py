@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 from typing import Optional
 
 from .cycles import (
@@ -45,6 +46,8 @@ from .verify import (
 )
 
 LABELS = {label.value: label for label in BrauerLabel}
+_DOCUMENT_KEYS = frozenset({"label", "d", "orbits", "declared_target"})
+_ORBIT_KEYS = frozenset({"degree", "mult"})
 
 
 class DocumentError(Exception):
@@ -80,10 +83,9 @@ def _label(name: str, raw: object) -> BrauerLabel:
 def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel]]:
     if not isinstance(data, dict):
         raise DocumentError("document: expected a JSON object")
-    known = {"label", "d", "orbits", "declared_target"}
     # str keys, all that JSON gives, in their own order; then any other by its shown form
     order = lambda k: (not isinstance(k, str), k if isinstance(k, str) else _shown(k))  # noqa: E731
-    for key in sorted(set(data) - known, key=order):
+    for key in sorted(data.keys() - _DOCUMENT_KEYS, key=order):
         raise DocumentError(f"field {_shown(key)}: unknown field")
 
     label = _label("label", data.get("label"))
@@ -99,7 +101,7 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
     if not isinstance(raw_orbits, list):
         raise DocumentError(f"field 'orbits': expected a list, got {_shown(raw_orbits)}")
     for i, rec in enumerate(raw_orbits):
-        if not isinstance(rec, dict) or set(rec) != {"degree", "mult"}:
+        if not isinstance(rec, dict) or rec.keys() != _ORBIT_KEYS:
             raise DocumentError(
                 f"field 'orbits[{i}]': expected an object with 'degree' and 'mult'"
             )
@@ -131,10 +133,9 @@ def render_cycle_document(
 ) -> dict:
     """Canonical document form: orbits sorted by descending multiplicity,
     then ascending degree; multiplicity-0 orbits dropped."""
-    orbits = sorted(
-        cycle.normalized().orbits,
-        key=lambda o: (-o.multiplicity, o.degree),
-    )
+    # two stable passes: the later, descending one keeps degree order on ties
+    orbits = sorted(cycle.normalized().orbits, key=attrgetter("degree"))
+    orbits.sort(key=attrgetter("multiplicity"), reverse=True)
     doc = {
         "label": cycle.label.value,
         "d": cycle.d,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class BrauerLabel(Enum):
@@ -27,9 +27,11 @@ class BrauerLabel(Enum):
     GAMMA_INVERSE = "gamma_inv"
 
     def inverse(self) -> "BrauerLabel":
-        if self is BrauerLabel.GAMMA:
-            return BrauerLabel.GAMMA_INVERSE
-        return BrauerLabel.GAMMA
+        # module-bound members: a class attribute read goes through EnumType
+        return GAMMA_INVERSE if self is GAMMA else GAMMA
+
+
+GAMMA, GAMMA_INVERSE = BrauerLabel.GAMMA, BrauerLabel.GAMMA_INVERSE
 
 
 def id_sort_key(orbit_id: str) -> tuple[int, str]:
@@ -37,25 +39,37 @@ def id_sort_key(orbit_id: str) -> tuple[int, str]:
     return (len(orbit_id), orbit_id)
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """A Galois orbit of base points: ``degree`` geometric points sharing
-    one multiplicity.  Degrees are positive multiples of 3; multiplicities
-    are non-negative."""
-
+class _OrbitFields(NamedTuple):
     id: str
     degree: int
     multiplicity: int
 
-    def __post_init__(self) -> None:
-        if self.degree < 3 or self.degree % 3 != 0:
+
+class Orbit(_OrbitFields):
+    """A Galois orbit of base points: ``degree`` geometric points sharing
+    one multiplicity.  Degrees are positive multiples of 3; multiplicities
+    are non-negative.
+
+    An immutable (id, degree, multiplicity) named tuple, which costs half
+    as much to build as a frozen dataclass; a link step builds one.  Every
+    construction is validated, :meth:`_make` and ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, degree: int, multiplicity: int) -> "Orbit":
+        if degree < 3 or degree % 3 != 0:
             raise ValueError(
-                f"orbit degree must be a positive multiple of 3, got {self.degree!r}"
+                f"orbit degree must be a positive multiple of 3, got {degree!r}"
             )
-        if self.multiplicity < 0:
+        if multiplicity < 0:
             raise ValueError(
-                f"orbit multiplicity must be non-negative, got {self.multiplicity!r}"
+                f"orbit multiplicity must be non-negative, got {multiplicity!r}"
             )
+        return tuple.__new__(cls, (id, degree, multiplicity))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Orbit":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -180,10 +194,10 @@ def noether_check(cycle: CycleClass) -> NoetherReport:
     """Evaluate the Noether-type relations; never raises."""
     sq = self_intersection(cycle)
     lin = anticanonical_degree(cycle)
-    positive = [o for o in cycle.orbits if o.multiplicity > 0]
-    bmax = max((o.multiplicity for o in positive), default=0)
+    bmax = max((o.multiplicity for o in cycle.orbits), default=0)
     e4 = bmax >= cycle.d + 1 if cycle.d >= 2 else True
-    e5 = all(o.degree in (3, 6) for o in positive if o.multiplicity == bmax)
+    # with bmax = 0 there is no orbit of positive multiplicity to check
+    e5 = bmax == 0 or all(o.degree in (3, 6) for o in cycle.orbits if o.multiplicity == bmax)
     return NoetherReport(
         self_intersection=sq,
         anticanonical_degree=lin,

@@ -15,9 +15,8 @@ or n = 6, which is why no further elementary links exist on these surfaces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cycles import BrauerLabel, CycleClass, Orbit
 
@@ -44,19 +43,20 @@ class UnknownCenter(LinkError):
 
 
 class LinkKind(Enum):
+    """The two links; ``center_degree`` (3 or 6) is a plain attribute,
+    read once per link step."""
+
     PHI3 = "phi3"
     PHI6 = "phi6"
 
-    @property
-    def center_degree(self) -> int:
-        return 3 if self is LinkKind.PHI3 else 6
+    def __init__(self, value: str) -> None:
+        self.center_degree = 3 if value == "phi3" else 6
 
 
 KIND_BY_DEGREE = {kind.center_degree: kind for kind in LinkKind}
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """One elementary transformation: kind, center orbit, source label, and
     the fresh id given to the image orbit it creates.  Every link flips the
     Brauer label."""
@@ -91,7 +91,7 @@ class _Walk:
         self.label = cycle.label
         self.d = cycle.d
         self.orbits = {o.id: o for o in cycle.orbits}
-        taken = [int(m.group(1)) for o in cycle.orbits if (m := _ID_PATTERN.match(o.id))]
+        taken = [int(m[1]) for m in map(_ID_PATTERN.match, self.orbits) if m]
         self._counter = max(taken, default=0) + 1
         self._zeros = any(o.multiplicity == 0 for o in cycle.orbits)
 
@@ -111,35 +111,38 @@ class _Walk:
         """Apply the link of this kind; see :func:`push`.  ``image_id``
         pins the image orbit's id, as :func:`~sbuntwist.untwist.replay` does."""
         n = kind.center_degree
+        d = self.d
         orbits = self.orbits
-        center = orbits.get(center_id) if center_id is not None else None
-        if center is not None:
+        center = None if center_id is None else orbits.get(center_id)
+        if center is None:
+            # A center absent from the orbit list is a valid choice with
+            # b = 0, and its image d' = (n-1) d, n d never degenerates.
+            if center_id is None:
+                center_id = self._fresh()
+            d2 = (n - 1) * d
+            m2 = n * d
+        else:
             if center.degree != n:
                 raise WrongDegree(
-                    f"{kind.value} needs a degree-{n} center, orbit {center.id!r} "
+                    f"{kind.value} needs a degree-{n} center, orbit {center_id!r} "
                     f"has degree {center.degree}"
                 )
             b = center.multiplicity
-        else:
-            # A center absent from the orbit list is a valid choice with b = 0.
-            b = 0
-            if center_id is None:
-                center_id = self._fresh()
-
-        d2 = (n - 1) * self.d - (n - 2) * b
-        m2 = n * self.d - (n - 1) * b
-        if d2 < 1 or m2 < 0:
-            raise DegenerateImage(
-                f"{kind.value} at (degree={n}, b={b}) on d={self.d} gives "
-                f"d'={d2}, image multiplicity {m2}"
-            )
+            d2 = (n - 1) * d - (n - 2) * b
+            m2 = n * d - (n - 1) * b
+            if d2 < 1 or m2 < 0:
+                raise DegenerateImage(
+                    f"{kind.value} at (degree={n}, b={b}) on d={d} gives "
+                    f"d'={d2}, image multiplicity {m2}"
+                )
+            del orbits[center_id]
 
         if image_id is None:
             image_id = self._fresh()
-            # a pinned absent center may be the id the counter gives next
+            # the center's id (absent, or deleted above) may be the one the
+            # counter gives next
             if image_id == center_id:
                 image_id = self._fresh()
-        orbits.pop(center_id, None)
         if self._zeros:
             self.orbits = orbits = {
                 k: o for k, o in orbits.items() if o.multiplicity > 0

@@ -17,6 +17,13 @@ exact arithmetic on d, which grows to O(L) bits): one mutable walk holds
 the running cycle, and a heap keyed on :func:`~sbuntwist.cycles.greedy_key`
 yields the centers.  The trajectory, O(L^2) orbits in all, is rebuilt only
 on request (:attr:`Factorization.trace`).
+
+A link costs a few microseconds of Python: the whole walk builds one
+validated :class:`~sbuntwist.cycles.Orbit` per surviving image (an image of
+positive multiplicity) and one :class:`~sbuntwist.links.Link` per step, both
+named tuples.  At L = 300 on a shared 2-vCPU machine (Python 3.11),
+:func:`random_chain` takes about 3-4 us per link and :func:`untwist` about
+5.5-7 us, its Noether check, id scan and heap build included.
 """
 
 from __future__ import annotations
@@ -152,10 +159,9 @@ def random_chain(length: int, seed: int) -> tuple[CycleClass, list[Link]]:
         raise ValueError(f"chain length must be >= 0, got {length}")
     rng = random.Random(seed)
     walk = _Walk(CycleClass(BrauerLabel.GAMMA, 1))
-    chain = [
-        walk.step(LinkKind.PHI3 if rng.randrange(2) == 0 else LinkKind.PHI6)
-        for _ in range(length)
-    ]
+    # one _randbelow(2) draw per link; the tests pin the stream
+    kinds = (LinkKind.PHI3, LinkKind.PHI6)
+    chain = [walk.step(rng.choice(kinds)) for _ in range(length)]
     return walk.freeze(), chain
 
 

@@ -49,6 +49,30 @@ def test_orbit_rejects_negative_multiplicity():
         Orbit("x1", 3, -1)
 
 
+def test_orbit_messages_and_every_construction_validate():
+    with pytest.raises(ValueError, match=r"^orbit degree must be a positive multiple of 3, got 4$"):
+        Orbit("x1", 4, 1)
+    with pytest.raises(ValueError, match=r"^orbit multiplicity must be non-negative, got -1$"):
+        Orbit("x1", 3, -1)
+    # the tuple constructors a NamedTuple inherits validate too
+    with pytest.raises(ValueError, match="degree"):
+        Orbit("x1", 3, 1)._replace(degree=5)
+    with pytest.raises(ValueError, match="multiplicity"):
+        Orbit._make(("x1", 3, -2))
+    assert Orbit._make(("x1", 6, 0)) == Orbit("x1", 6, 0)
+
+
+def test_orbit_is_an_immutable_value():
+    o = Orbit("x1", 3, 2)
+    assert repr(o) == "Orbit(id='x1', degree=3, multiplicity=2)"
+    assert o == Orbit("x1", 3, 2) and hash(o) == hash(Orbit("x1", 3, 2))
+    assert o != Orbit("x1", 3, 1) and o != Orbit("x2", 3, 2) and o != Orbit("x1", 6, 2)
+    for name in ("id", "degree", "multiplicity", "label"):
+        with pytest.raises(AttributeError):
+            setattr(o, name, 3)
+    assert (o.id, o.degree, o.multiplicity) == ("x1", 3, 2)
+
+
 def test_cycle_rejects_nonpositive_d():
     with pytest.raises(ValueError):
         cyc(0)

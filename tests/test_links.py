@@ -9,6 +9,7 @@ from sbuntwist.cycles import (
     self_intersection,
 )
 from sbuntwist.links import (
+    KIND_BY_DEGREE,
     DegenerateImage,
     Link,
     LinkKind,
@@ -27,6 +28,29 @@ GAMMA_INV = BrauerLabel.GAMMA_INVERSE
 
 def cyc(d, orbits=(), label=GAMMA):
     return CycleClass.make(label, d, [(f"c{i+1}", n, b) for i, (n, b) in enumerate(orbits)])
+
+
+# --- the link records ---
+
+@pytest.mark.parametrize("value, degree", [("phi3", 3), ("phi6", 6)])
+def test_link_kind_center_degree(value, degree):
+    kind = LinkKind(value)
+    assert kind.value == value and kind.center_degree == degree
+    assert KIND_BY_DEGREE[degree] is kind
+    assert set(KIND_BY_DEGREE) == {3, 6}
+
+
+def test_link_is_an_immutable_value():
+    link = Link(LinkKind.PHI3, "x1", GAMMA, "x2")
+    assert link == Link(LinkKind.PHI3, "x1", GAMMA, "x2")
+    assert hash(link) == hash(Link(LinkKind.PHI3, "x1", GAMMA, "x2"))
+    assert link != Link(LinkKind.PHI6, "x1", GAMMA, "x2")
+    assert link != Link(LinkKind.PHI3, "x1", GAMMA_INV, "x2")
+    assert link.target_label is GAMMA_INV
+    assert Link(LinkKind.PHI6, "x1", GAMMA_INV, "x2").target_label is GAMMA
+    for name in ("kind", "center_id", "source_label", "image_orbit_id", "target_label", "other"):
+        with pytest.raises(AttributeError):
+            setattr(link, name, "x3")
 
 
 # --- the two pushforward formulas on the anticanonical class ---

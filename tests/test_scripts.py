@@ -89,8 +89,10 @@ CANNED_PYTEST = """\
 def test_bench_record_assembles_perfbench_lines_and_criterion_times():
     bench = _load_bench()
     outputs = {w: _canned_perfbench(w, 100.0 + i) for i, w in enumerate(bench.WORKLOADS)}
-    record = bench.bench_record(10, outputs, CANNED_PYTEST, 15.5, 2300)
+    tree = {"head": "0701628", "uncommitted": True}
+    record = bench.bench_record(10, outputs, CANNED_PYTEST, 15.5, 2300, tree)
     assert record["pr"] == 10 and record["src_lines"] == 2300
+    assert record["tree"] == tree
     assert sorted(record["perfbench"]) == ["census", "classify", "words"]
     census = record["perfbench"]["census"]
     assert census["meta"]["workload"] == "census"
@@ -123,3 +125,11 @@ def test_bench_counts_python_lines_under_src(tmp_path):
     (tmp_path / "src" / "b.py").write_text("z = 3\n")
     (tmp_path / "src" / "notes.txt").write_text("not code\n")
     assert bench.src_lines(tmp_path) == 3
+
+
+def test_bench_tree_names_the_head_and_uncommitted_changes():
+    bench = _load_bench()
+    head = "031b4254c383e1efd198699b5ee336f8fe5607c7\n"
+    assert bench.tree_record(head, "") == {"head": head.strip(), "uncommitted": False}
+    status = " M src/sbuntwist/links.py\n?? tests/test_new.py\n"
+    assert bench.tree_record(head, status) == {"head": head.strip(), "uncommitted": True}

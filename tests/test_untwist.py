@@ -1,4 +1,7 @@
+import hashlib
 import importlib
+import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +124,43 @@ def test_random_chain_deterministic_per_seed():
     assert a == b
     c = random_chain(6, seed=124)
     assert c != a
+
+
+@pytest.mark.parametrize(
+    "length, seed, kinds, d",
+    [
+        (6, 0, "phi6 phi6 phi3 phi6 phi6 phi6", 6250),
+        (11, 1, "phi3 phi3 phi6 phi3 phi6 phi6 phi6 phi6 phi3 phi3 phi6", 500000),
+        (
+            20,
+            2026,
+            "phi3 phi6 phi3 phi3 phi6 phi6 phi6 phi3 phi3 phi3 "
+            "phi3 phi6 phi3 phi6 phi3 phi6 phi6 phi3 phi6 phi6",
+            10**10,
+        ),
+    ],
+    ids=["L6", "L11", "L20"],
+)
+def test_random_chain_draws_are_pinned(length, seed, kinds, d):
+    # a change to the draw changes every word built from a seed
+    cycle, chain = random_chain(length, seed)
+    assert " ".join(link.kind.value for link in chain) == kinds
+    assert cycle.d == d
+
+
+WORDS_DIGEST = "sha256:053bfe0f921481ff98b1a877611180ff3002208ba276059745ce6a9dee48e860"
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_the_words_benchmark_digest_is_pinned(monkeypatch):
+    # the words workload's output digest at seed 1: 400 words of length up
+    # to 300, built by random_chain, round-tripped as documents and untwisted
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    words = workloads.Words(1)
+    lines = [json.dumps(list(words.run(item).d_trace)) for item in words.items]
+    assert "sha256:" + hashlib.sha256("\n".join(lines).encode()).hexdigest() == WORDS_DIGEST
 
 
 def test_replay_reproduces_chain_exactly():
