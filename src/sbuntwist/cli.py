@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from operator import attrgetter
 from typing import Optional
 
@@ -176,12 +177,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         _emit(
             {
                 **render_cycle_document(cycle),
-                "e2": report.e2,
-                "e3": report.e3,
-                "e4": report.e4,
-                "e5": report.e5,
-                "self_intersection": report.self_intersection,
-                "anticanonical_degree": report.anticanonical_degree,
+                **asdict(report),
                 "genus": genus,
                 "consistent": report.consistent,
             }
@@ -201,6 +197,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.consistent else 1
 
 
+_PUSH_ERRORS = {WrongDegree: "wrong_degree", DegenerateImage: "degenerate_image"}
+
+
 def _cmd_push(args: argparse.Namespace) -> int:
     cycle, declared = _load(args.file)
     if args.center is not None and cycle.find(args.center) is None:
@@ -210,8 +209,11 @@ def _cmd_push(args: argparse.Namespace) -> int:
         )
     try:
         out, link = push(cycle, args.center, LinkKind(args.kind))
-    except (WrongDegree, DegenerateImage) as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+    except tuple(_PUSH_ERRORS) as exc:
+        if args.format == "machine":
+            _emit({"error": _PUSH_ERRORS[type(exc)], "message": str(exc)})
+        else:
+            print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
     doc = render_cycle_document(out, declared)
     if args.format == "machine":

@@ -57,14 +57,6 @@ class CurveClass:
         return tuple(sorted(m for _, m in self.mults if m > 0))
 
 
-def fresh_label(label: str, taken: set[str]) -> str:
-    """Deterministic image label: append primes until unused."""
-    candidate = label + "'"
-    while candidate in taken:
-        candidate += "'"
-    return candidate
-
-
 def _quad_push(
     curve: CurveClass, centers: Sequence[str]
 ) -> tuple[CurveClass, tuple[str, str, str]]:
@@ -76,7 +68,9 @@ def _quad_push(
     taken = set(curve.labels()) | set(centers)
     images = []
     for center, m_i in zip(centers, m):
-        image = fresh_label(center, taken)
+        image = center + "'"
+        while image in taken:
+            image += "'"
         taken.add(image)
         out[image] = n - sum(m) + m_i  # n - m_j - m_k
         images.append(image)

@@ -81,6 +81,9 @@ class _Walk:
 
     Fresh ids run x1, x2, ... from past every x<k> id of the starting
     cycle and skip ids in use, so one walk never hands out an id twice.
+    An id is x<k> when ``_ID_PATTERN`` matches it, with k the ``int`` of
+    its digits: x05 gives 5, x١٢ (Unicode digits) gives 12, and so does
+    x12 with a trailing newline, which ``$`` allows; x and y5 give none.
 
     Multiplicity-0 orbits of the starting cycle stay visible to the first
     link (as centers and as taken ids) and are dropped by it, so every
@@ -104,16 +107,26 @@ class _Walk:
 
     def step(
         self,
-        kind: LinkKind,
+        kind: Optional[LinkKind] = None,
         center_id: Optional[str] = None,
         image_id: Optional[str] = None,
     ) -> Link:
-        """Apply the link of this kind; see :func:`push`.  ``image_id``
-        pins the image orbit's id, as :func:`~sbuntwist.untwist.replay` does."""
-        n = kind.center_degree
+        """Apply one link; see :func:`push`.  With no kind, the existing
+        center's degree selects it.  ``image_id`` pins the image orbit's
+        id, as :func:`~sbuntwist.untwist.replay` does."""
         d = self.d
         orbits = self.orbits
         center = None if center_id is None else orbits.get(center_id)
+        if kind is None:
+            if center is None:
+                raise UnknownCenter(f"cycle has no orbit with id {center_id!r}")
+            kind = KIND_BY_DEGREE.get(center.degree)
+            if kind is None:
+                raise UnsupportedDegree(
+                    f"no elementary link at a degree-{center.degree} center (orbit "
+                    f"{center_id!r})"
+                )
+        n = kind.center_degree
         if center is None:
             # A center absent from the orbit list is a valid choice with
             # b = 0, and its image d' = (n-1) d, n d never degenerates.
@@ -157,19 +170,6 @@ class _Walk:
         self.d = d2
         return link
 
-    def push(self, center_id: str) -> Link:
-        """Apply the link whose kind the existing center's degree selects."""
-        orbit = self.orbits.get(center_id)
-        if orbit is None:
-            raise UnknownCenter(f"cycle has no orbit with id {center_id!r}")
-        kind = KIND_BY_DEGREE.get(orbit.degree)
-        if kind is None:
-            raise UnsupportedDegree(
-                f"no elementary link at a degree-{orbit.degree} center (orbit "
-                f"{center_id!r})"
-            )
-        return self.step(kind, center_id)
-
     def freeze(self) -> CycleClass:
         return CycleClass(self.label, self.d, tuple(self.orbits.values()))
 
@@ -185,7 +185,7 @@ def push(
     (see :mod:`sbuntwist.untwist`) never hands one out twice.  Output is
     normalized."""
     walk = _Walk(cycle)
-    link = walk.step(kind, center_id) if kind is not None else walk.push(center_id)
+    link = walk.step(kind, center_id)
     return walk.freeze(), link
 
 

@@ -18,8 +18,8 @@ the basis is F_p-independent (Lidl and Niederreiter, Finite Fields,
 Sec. 3.4).  So the six points lie on a conic iff det C = 0.  The argument
 needs the orbit degree to equal the field degree, so the coordinates must
 lie in F_{p^6} itself.  The rows of C are the Veronese entries' coordinate
-tuples, so the determinant runs on ints mod p: through ``FiniteField`` on
-1-tuples it took most of the census time.
+tuples, ints in range(p), so ``_singular`` takes p as its ring: through
+``FiniteField`` on 1-tuples the determinant took most of the census time.
 
 Whether a degree-6 closed point has a collinear triple is decided by the
 one triple (0, 2, 4).  Frobenius sigma sends orbit point i to point
@@ -108,7 +108,7 @@ def frobenius_orbit(pt: ProjPoint) -> list[ProjPoint]:
     return orbit
 
 
-def _singular(F: FiniteField, rows: Sequence[Sequence]) -> bool:
+def _singular(ring: FiniteField | int, rows: Sequence[Sequence]) -> bool:
     """True iff the square matrix has determinant 0.
 
     Fraction-free elimination (Bareiss' idea reduced to a zero test):
@@ -116,15 +116,15 @@ def _singular(F: FiniteField, rows: Sequence[Sequence]) -> bool:
     only by the nonzero pivot, so no inversion is needed.  A row whose entry
     in the pivot column is already 0 is left as it is.
 
-    Over the prime field (``F.m == 1``) the entries are ints in range(p),
-    and each update is one integer expression mod p: the descent conic
-    test's 6x6 determinant would otherwise cost about 90 ``FiniteField``
-    calls on 1-tuples per orbit.  Elsewhere the entries are elements of F.
+    ``ring`` is a ``FiniteField``, whose elements are the entries, or a
+    prime p, for entries that are ints in range(p).  With p each update is
+    one integer expression mod p: the descent conic test's 6x6 determinant
+    would otherwise cost about 90 ``FiniteField`` calls per orbit.
     """
     n = len(rows)
     a = [list(row) for row in rows]
-    p = F.p if F.m == 1 else 0
-    zero = 0 if p else F.zero
+    p = ring if isinstance(ring, int) else 0
+    zero = 0 if p else ring.zero
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != zero), None)
         if pivot is None:
@@ -139,14 +139,8 @@ def _singular(F: FiniteField, rows: Sequence[Sequence]) -> bool:
                     if p:
                         row[c] = (top[col] * row[c] - lead * top[c]) % p
                     else:
-                        row[c] = F.sub(F.mul(top[col], row[c]), F.mul(lead, top[c]))
+                        row[c] = ring.sub(ring.mul(top[col], row[c]), ring.mul(lead, top[c]))
     return False
-
-
-def _entries(F: FiniteField, rows: Sequence[Sequence[Element]]) -> Sequence[Sequence]:
-    """Rows of elements of F as ``_singular`` takes them: over the prime
-    field, the int inside each 1-tuple."""
-    return [[e for (e,) in row] for row in rows] if F.m == 1 else rows
 
 
 def _check_same_field(points: Sequence[ProjPoint]) -> FiniteField:
@@ -159,7 +153,7 @@ def _check_same_field(points: Sequence[ProjPoint]) -> FiniteField:
 def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
     """True iff the 3x3 coordinate determinant vanishes."""
     F = _check_same_field((a, b, c))
-    return _singular(F, _entries(F, (a.coords, b.coords, c.coords)))
+    return _singular(F, (a.coords, b.coords, c.coords))
 
 
 def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[Element, Element, Element]:
@@ -202,7 +196,7 @@ def on_common_conic(points: Sequence[ProjPoint]) -> bool:
     if len(points) != 6:
         raise ValueError(f"need exactly 6 points, got {len(points)}")
     F = _check_same_field(points)
-    return _singular(F, _entries(F, [_veronese(F, pt.coords) for pt in points]))
+    return _singular(F, [_veronese(F, pt.coords) for pt in points])
 
 
 @dataclass(frozen=True)
@@ -289,7 +283,7 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
     return PositionReport(
         no_three_collinear=not collinear(points[0], points[2], points[4]),
         # row j of C is the coordinate tuple of Veronese entry j over F_p
-        off_conic=not _singular(field(F.p, 1), _veronese(F, cp.point.coords)),
+        off_conic=not _singular(F.p, _veronese(F, cp.point.coords)),
     )
 
 

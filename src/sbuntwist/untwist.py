@@ -124,7 +124,7 @@ def untwist(
         _, center_id = heapq.heappop(heap)
         try:
             # raises UnsupportedDegree at a center of degree other than 3, 6
-            link = walk.push(center_id)
+            link = walk.step(None, center_id)
         except DegenerateImage as exc:
             # Satisfying the Noether relations is necessary but not
             # sufficient; data that cannot be pushed is not a pushforward

@@ -264,6 +264,27 @@ def test_push_wrong_degree_exits_1(tmp_path, capsys):
     assert "WrongDegree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, name, key",
+    [
+        (CHAIN_DOC, "WrongDegree", "wrong_degree"),
+        ({"label": "gamma", "d": 1, "orbits": [{"degree": 3, "mult": 2}]}, "DegenerateImage",
+         "degenerate_image"),
+    ],
+)
+def test_push_machine_format_prints_its_error_as_one_json_line(tmp_path, capsys, doc, name, key):
+    argv = ["push", write_doc(tmp_path, doc), "--kind", "phi3", "--center", "x1"]
+    assert main(argv) == 1
+    text_err = capsys.readouterr().err
+    assert main([*argv, "--format", "machine"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    data = json.loads(out)
+    assert data.keys() == {"error", "message"} and data["error"] == key
+    # the text format keeps its stderr line, with the same message
+    assert text_err == f"error ({name}): {data['message']}\n"
+
+
 def test_untwist_machine_reproduces_factorization(tmp_path, capsys):
     rc = main(["untwist", write_doc(tmp_path, CHAIN_DOC), "--format", "machine"])
     data = json.loads(capsys.readouterr().out)

@@ -163,6 +163,18 @@ def test_default_id_source_avoids_existing_ids():
     assert link.image_orbit_id == "x8"
 
 
+@pytest.mark.parametrize(
+    "taken, first",
+    [("x12\n", "x13"), ("x\u0661\u0662", "x13"), ("x05", "x6"), ("x", "x1"), ("y5", "x1")],
+)
+def test_fresh_ids_start_past_the_ids_the_pattern_reads(taken, first):
+    # the counter reads int() of any x<digits> id: a trailing newline,
+    # Unicode digits and leading zeros count, other ids do not
+    c = CycleClass.make(GAMMA, 1, [(taken, 3, 0)])
+    _, link = push(c, None, LinkKind.PHI3)
+    assert link.center_id == first
+
+
 def test_pinned_absent_center_is_never_the_image_id():
     # the pinned center is the counter's next id; the image skips it
     out, link = phi3_push(cyc(1), "x1")

@@ -43,3 +43,36 @@ def test_every_workload_builds_and_checks_its_first_item(monkeypatch):
         assert workload.once() is None, name
         item = workload.items[0]
         assert workload.check(item, workload.run(item)) is None, name
+
+
+# the span each workload's item must record under the tracer
+TRACED_SPANS = {
+    "census": "plane.general_position_report",
+    "classify": "plane.classify_configuration",
+    "words": "untwist.untwist",
+}
+
+
+def test_every_workload_runs_its_first_item_traced(monkeypatch):
+    # a traced item runs the wrappers' measure lambdas, which read library
+    # results (Factorization.trace for untwist.untwist); untraced runs do not
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+    import worker
+
+    assert set(TRACED_SPANS) == set(worker.workloads.WORKLOADS)
+    for name, cls in worker.workloads.WORKLOADS.items():
+        workload = cls(1)
+        item = workload.items[0]
+        modules = [mod for mod_name, mod in sys.modules.items() if mod_name.startswith("sbuntwist")]
+        tracer = tracing.Tracer(modules + [worker.workloads])
+        try:
+            worker.install(tracer)
+            tracer.begin_phase("items")
+            assert workload.check(item, workload.run(item)) is None, name
+            tracer.end_phase()
+        finally:
+            tracer.uninstall()
+        assert tracer.totals["items"][TRACED_SPANS[name]][0] > 0, name
+        if name == "words":
+            assert tracer.phase_counts["items"]["untwist.untwist#measure"] > 0

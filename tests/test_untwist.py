@@ -241,7 +241,7 @@ def reference_untwist(cycle, declared_target=None):
         if center is None:
             raise InconsistentCycle("no center")
         try:
-            link = walk.push(center.id)
+            link = walk.step(None, center.id)
         except DegenerateImage as exc:
             raise InconsistentCycle("degenerate step") from exc
         current = walk.freeze()
