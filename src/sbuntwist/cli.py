@@ -197,9 +197,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.consistent else 1
 
 
-_PUSH_ERRORS = {WrongDegree: "wrong_degree", DegenerateImage: "degenerate_image"}
-
-
 def _cmd_push(args: argparse.Namespace) -> int:
     cycle, declared = _load(args.file)
     if args.center is not None and cycle.find(args.center) is None:
@@ -207,14 +204,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
             f"no orbit with id {args.center!r} in the input cycle "
             f"(ids: {[o.id for o in cycle.orbits] or 'none'})"
         )
-    try:
-        out, link = push(cycle, args.center, LinkKind(args.kind))
-    except tuple(_PUSH_ERRORS) as exc:
-        if args.format == "machine":
-            _emit({"error": _PUSH_ERRORS[type(exc)], "message": str(exc)})
-        else:
-            print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 1
+    out, link = push(cycle, args.center, LinkKind(args.kind))
     doc = render_cycle_document(out, declared)
     if args.format == "machine":
         _emit({"cycle": doc, "link": _link_doc(link)})
@@ -223,27 +213,11 @@ def _cmd_push(args: argparse.Namespace) -> int:
     return 0
 
 
-_UNTWIST_ERRORS = {
-    InconsistentCycle: "inconsistent_cycle",
-    ParityContradiction: "parity_contradiction",
-    UnsupportedDegree: "unsupported_degree",
-    NonTermination: "non_termination",
-}
-
-
 def _cmd_untwist(args: argparse.Namespace) -> int:
     cycle, declared = _load(args.file)
     if args.target is not None:
         declared = LABELS[args.target]
-    try:
-        fact = untwist(cycle, declared)
-    except tuple(_UNTWIST_ERRORS) as exc:
-        kind = _UNTWIST_ERRORS[type(exc)]
-        if args.format == "machine":
-            _emit({"error": kind, "message": str(exc)})
-        else:
-            print(f"error ({kind}): {exc}", file=sys.stderr)
-        return 1
+    fact = untwist(cycle, declared)
     if args.format == "machine":
         _emit(_factorization_doc(fact))
     else:
@@ -317,15 +291,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if mode in ("oracle-phi3", "oracle-phi6"):
         report = (scan_phi3 if mode == "oracle-phi3" else scan_phi6)(args.dmax)
-        detail = {"mode": mode, "checked": report.checked, "violations": report.violations,
-                  "first_mismatch": report.first_mismatch}
+        locator, entries = {}, {"first_mismatch": report.first_mismatch}
     elif mode == "lemma3":
         report = scan_closed_points(args.prime, args.samples, args.seed)
-        detail = {
-            "mode": mode,
-            "prime": report.prime,
-            "checked": report.checked,
-            "violations": report.violations,
+        locator = {"prime": report.prime}
+        entries = {
             "collinear_hits": report.collinear_hits,
             "conic_hits": report.conic_hits,
             "collinear_case_breakdown": dict(report.case_breakdown),
@@ -333,11 +303,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
     else:  # table
         report = scan_table(args.prime, args.samples, args.seed)
-        detail = {
-            "mode": mode,
-            "q": report.q,
-            "checked": report.checked,
-            "violations": report.violations,
+        locator = {"q": report.q}
+        entries = {
             "unclassifiable": report.unclassifiable,
             "first_failure": report.first_failure,
             "witnesses": [
@@ -350,6 +317,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 for w in report.witnesses
             ],
         }
+    # one header for every mode, in the order the text lines print
+    detail = {"mode": mode, **locator, "checked": report.checked,
+              "violations": report.violations, **entries}
 
     if args.format == "machine":
         _emit(detail)
@@ -376,17 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("text", "machine"),
-            default="text",
-            help="human-readable table or one-line machine JSON",
-        )
-
     p_check = sub.add_parser("check", help="evaluate the Noether relations")
     p_check.add_argument("file", help="cycle document (JSON)")
-    add_format(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_push = sub.add_parser("push", help="apply one elementary link")
@@ -397,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="orbit id to push at (assigned x1, x2, ... in document order); "
         "omit for a fresh multiplicity-0 center",
     )
-    add_format(p_push)
     p_push.set_defaults(func=_cmd_push)
 
     p_untwist = sub.add_parser("untwist", help="factor into elementary links")
@@ -408,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="declared landing family (defaults to the document's "
         "declared_target, then to the source label)",
     )
-    add_format(p_untwist)
     p_untwist.set_defaults(func=_cmd_untwist)
 
     p_verify = sub.add_parser("verify", help="run a plane-oracle scan")
@@ -425,9 +384,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--dmax", type=int, help=f"grid bound for the oracle-phi* modes (default {DEFAULT_DMAX})"
     )
-    add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
+
+    # last, so it ends every command's option list
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format",
+            choices=("text", "machine"),
+            default="text",
+            help="human-readable table or one-line machine JSON",
+        )
     return parser
+
+
+# push's and untwist's mathematical failures and their error keys; main exits 1
+_FAILURES = {
+    WrongDegree: "wrong_degree",
+    DegenerateImage: "degenerate_image",
+    InconsistentCycle: "inconsistent_cycle",
+    ParityContradiction: "parity_contradiction",
+    UnsupportedDegree: "unsupported_degree",
+    NonTermination: "non_termination",
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -437,6 +415,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except DocumentError as exc:
         return _usage_error(str(exc))
+    except tuple(_FAILURES) as exc:
+        kind = _FAILURES[type(exc)]
+        if args.format == "machine":
+            _emit({"error": kind, "message": str(exc)})
+        else:
+            print(f"error ({kind}): {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -8,7 +8,8 @@ import pytest
 from sbuntwist import cli
 from sbuntwist.cli import main, parse_cycle_document, render_cycle_document
 from sbuntwist.cycles import BrauerLabel, CycleClass
-from sbuntwist.links import LinkKind, _Walk
+from sbuntwist.links import DegenerateImage, LinkKind, WrongDegree, _Walk
+from sbuntwist.untwist import InconsistentCycle, ParityContradiction
 from sbuntwist.verify import EquivalenceReport, PositionScanReport, census_failures
 
 
@@ -258,33 +259,6 @@ def test_push_missing_center_exits_2_and_names_it(tmp_path, capsys):
     assert "x9" in err
 
 
-def test_push_wrong_degree_exits_1(tmp_path, capsys):
-    rc = main(["push", write_doc(tmp_path, CHAIN_DOC), "--kind", "phi3", "--center", "x1"])
-    assert rc == 1
-    assert "WrongDegree" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "doc, name, key",
-    [
-        (CHAIN_DOC, "WrongDegree", "wrong_degree"),
-        ({"label": "gamma", "d": 1, "orbits": [{"degree": 3, "mult": 2}]}, "DegenerateImage",
-         "degenerate_image"),
-    ],
-)
-def test_push_machine_format_prints_its_error_as_one_json_line(tmp_path, capsys, doc, name, key):
-    argv = ["push", write_doc(tmp_path, doc), "--kind", "phi3", "--center", "x1"]
-    assert main(argv) == 1
-    text_err = capsys.readouterr().err
-    assert main([*argv, "--format", "machine"]) == 1
-    out, err = capsys.readouterr()
-    assert err == "" and out.count("\n") == 1
-    data = json.loads(out)
-    assert data.keys() == {"error", "message"} and data["error"] == key
-    # the text format keeps its stderr line, with the same message
-    assert text_err == f"error ({name}): {data['message']}\n"
-
-
 def test_untwist_machine_reproduces_factorization(tmp_path, capsys):
     rc = main(["untwist", write_doc(tmp_path, CHAIN_DOC), "--format", "machine"])
     data = json.loads(capsys.readouterr().out)
@@ -345,13 +319,58 @@ def test_untwist_empty_word(tmp_path, capsys):
     assert data["steps"] == [] and data["parity"] == "even"
 
 
-def test_untwist_text_mode_prints_the_empty_word_and_errors(tmp_path, capsys):
+def test_untwist_text_mode_prints_the_empty_word(tmp_path, capsys):
     empty = write_doc(tmp_path, {"label": "gamma_inv", "d": 1, "orbits": []}, "empty.json")
     assert main(["untwist", empty]) == 0
     assert "\n  (empty word)\n" in capsys.readouterr().out
-    assert main(["untwist", write_doc(tmp_path, CHAIN_DOC), "--target", "gamma_inv"]) == 1
+
+
+# each failure a document reaches: the command, the document, its flags and
+# the message
+DOCUMENT_FAILURES = {
+    WrongDegree: (
+        "push", CHAIN_DOC, ["--kind", "phi3", "--center", "x1"],
+        "phi3 needs a degree-3 center, orbit 'x1' has degree 6",
+    ),
+    DegenerateImage: (
+        "push", {"label": "gamma", "d": 1, "orbits": [{"degree": 3, "mult": 2}]},
+        ["--kind", "phi3", "--center", "x1"],
+        "phi3 at (degree=3, b=2) on d=1 gives d'=0, image multiplicity -1",
+    ),
+    InconsistentCycle: (
+        "untwist", {"label": "gamma", "d": 2, "orbits": [{"degree": 3, "mult": 2}]}, [],
+        "cycle fails the Noether relations: self-intersection 24 (want 9), "
+        "anticanonical degree 12 (want 9)",
+    ),
+    ParityContradiction: (
+        "untwist", CHAIN_DOC, ["--target", "gamma_inv"],
+        "word of length 2 ends on 'gamma', but the map was declared to land on 'gamma_inv'",
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", list(cli._FAILURES), ids=lambda failure: failure.__name__)
+def test_every_failure_exits_1_with_its_key_in_either_format(
+    tmp_path, capsys, monkeypatch, failure
+):
+    key = cli._FAILURES[failure]
+    if failure in DOCUMENT_FAILURES:
+        command, doc, flags, message = DOCUMENT_FAILURES[failure]
+    else:
+        # no document reaches UnsupportedDegree or NonTermination
+        command, doc, flags, message = "untwist", CHAIN_DOC, [], f"a {key} failure"
+
+        def fail(cycle, declared):
+            raise failure(message)
+
+        monkeypatch.setattr(cli, "untwist", fail)
+    argv = [command, write_doc(tmp_path, doc), *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error ({key}): {message}\n")
+    assert main([*argv, "--format", "machine"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error (parity_contradiction): ")
+    assert err == "" and out.count("\n") == 1
+    assert json.loads(out) == {"error": key, "message": message}
 
 
 def test_untwist_parity_contradiction(tmp_path, capsys):
@@ -488,6 +507,10 @@ def test_verify_lemma3_passes_at_the_family_rates(capsys):
     assert "conic_hits: 3" in out and "failure" not in out and "result: ok" in out
 
 
+def printed_keys(out):
+    return [line.split(":")[0].strip() for line in out.splitlines()]
+
+
 def test_verify_lemma3_lists_census_failures(capsys, monkeypatch):
     # a collinear hit in case 2 cannot come from a transitive orbit
     fake = PositionScanReport(
@@ -500,6 +523,36 @@ def test_verify_lemma3_lists_census_failures(capsys, monkeypatch):
     assert rc == 1
     assert "failure: p=7: 1 collinear hits in case 2" in out
     assert "VIOLATIONS FOUND" in out
+    assert printed_keys(out) == [
+        "mode", "prime", "checked", "violations", "collinear_hits", "conic_hits",
+        "collinear_case_breakdown", "failure", "result",
+    ]
+
+
+ORACLE_KEYS = ["mode", "checked", "violations", "first_mismatch", "result"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["--mode", "oracle-phi3", "--dmax", "4"], ORACLE_KEYS),
+        (["--mode", "oracle-phi6", "--dmax", "4"], ORACLE_KEYS),
+        (
+            ["--mode", "lemma3", "--prime", "7", "--samples", "20", "--seed", "1"],
+            ["mode", "prime", "checked", "violations", "collinear_hits", "conic_hits",
+             "collinear_case_breakdown", "result"],
+        ),
+        (
+            ["--mode", "table", "--prime", "7", "--samples", "20", "--seed", "1"],
+            ["mode", "q", "checked", "violations", "unclassifiable", "first_failure",
+             "witnesses", "result"],
+        ),
+    ],
+    ids=["oracle-phi3", "oracle-phi6", "lemma3", "table"],
+)
+def test_verify_text_prints_its_keys_in_order(capsys, argv, keys):
+    assert main(["verify", *argv]) == 0
+    assert printed_keys(capsys.readouterr().out) == keys
 
 
 @pytest.mark.parametrize(
@@ -536,6 +589,22 @@ def test_untwist_rejects_trivial_target(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["untwist", write_doc(tmp_path, CHAIN_DOC), "--target", "trivial"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "f.json"],
+        ["push", "f.json", "--kind", "phi3"],
+        ["untwist", "f.json"],
+        ["verify", "--mode", "table"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_takes_format_with_text_by_default(argv):
+    parser = cli.build_parser()
+    assert parser.parse_args(argv).format == "text"
+    assert parser.parse_args([*argv, "--format", "machine"]).format == "machine"
 
 
 def test_usage_error_exits_2():
