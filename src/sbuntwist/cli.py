@@ -49,6 +49,7 @@ from .verify import (
 LABELS = {label.value: label for label in BrauerLabel}
 _DOCUMENT_KEYS = frozenset({"label", "d", "orbits", "declared_target"})
 _ORBIT_KEYS = frozenset({"degree", "mult"})
+DEFAULT_SAMPLES = 100  # the --samples default of verify's randomized modes
 
 
 class DocumentError(Exception):
@@ -280,7 +281,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _usage_error(f"--prime: {exc}")
         if args.samples is None:
-            args.samples = 100
+            args.samples = DEFAULT_SAMPLES
         if args.samples < 1:
             return _usage_error(f"--samples must be >= 1, got {args.samples}")
     else:
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--prime", type=int, help="field characteristic")
     p_verify.add_argument(
-        "--samples", type=int, help="sample count for randomized modes (default 100)"
+        "--samples", type=int, help=f"sample count for randomized modes (default {DEFAULT_SAMPLES})"
     )
     p_verify.add_argument("--seed", type=int, help="RNG seed (required when sampling)")
     p_verify.add_argument(

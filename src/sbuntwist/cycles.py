@@ -34,11 +34,6 @@ class BrauerLabel(Enum):
 GAMMA, GAMMA_INVERSE = BrauerLabel.GAMMA, BrauerLabel.GAMMA_INVERSE
 
 
-def id_sort_key(orbit_id: str) -> tuple[int, str]:
-    """Total order on orbit ids with "x2" before "x10"."""
-    return (len(orbit_id), orbit_id)
-
-
 class _OrbitFields(NamedTuple):
     id: str
     degree: int
@@ -99,7 +94,7 @@ class CycleClass:
         cls,
         label: BrauerLabel,
         d: int,
-        orbits: Iterable[tuple[str, int, int]] = (),
+        orbits: Iterable[tuple[str, int, int]],
     ) -> "CycleClass":
         """Build a cycle from (id, degree, multiplicity) triples."""
         return cls(label, d, tuple(Orbit(i, n, b) for i, n, b in orbits))
@@ -148,9 +143,10 @@ def arithmetic_genus(cycle: CycleClass) -> int:
 def greedy_key(orbit: Orbit) -> tuple[int, int, tuple[int, str]]:
     """The greedy order on orbits, smallest first: maximal multiplicity,
     then the smallest degree (degree-3 links shorten words), then the
-    smallest id, so factorizations are deterministic.  Keys of distinct
-    ids differ, so the order is total."""
-    return (-orbit.multiplicity, orbit.degree, id_sort_key(orbit.id))
+    smallest id, so factorizations are deterministic.  Ids compare by
+    length first, so "x2" comes before "x10".  Keys of distinct ids
+    differ, so the order is total."""
+    return (-orbit.multiplicity, orbit.degree, (len(orbit.id), orbit.id))
 
 
 def max_multiplicity_orbit(cycle: CycleClass) -> Optional[Orbit]:

@@ -21,24 +21,20 @@ from typing import NamedTuple, Optional
 from .cycles import BrauerLabel, CycleClass, Orbit
 
 
-class LinkError(Exception):
-    """Base class for link pushforward failures."""
-
-
-class WrongDegree(LinkError):
+class WrongDegree(Exception):
     """The chosen center's degree does not match the link kind."""
 
 
-class DegenerateImage(LinkError):
+class DegenerateImage(Exception):
     """The pushforward would leave the cone of valid cycles (d < 1 or a
     negative multiplicity); the input was not a pushforward of -omega."""
 
 
-class UnsupportedDegree(LinkError):
+class UnsupportedDegree(Exception):
     """No elementary link exists at a center of this degree."""
 
 
-class UnknownCenter(LinkError):
+class UnknownCenter(Exception):
     """The requested center id is not an orbit of the cycle."""
 
 
@@ -107,7 +103,7 @@ class _Walk:
 
     def step(
         self,
-        kind: Optional[LinkKind] = None,
+        kind: Optional[LinkKind],
         center_id: Optional[str] = None,
         image_id: Optional[str] = None,
     ) -> Link:

@@ -55,7 +55,7 @@ class EquivalenceReport:
         return self.mismatches == 0
 
 
-DEFAULT_DMAX = 50  # grid bound on d of the link scans when none is given
+DEFAULT_DMAX = 50  # the --dmax default of the CLI and of scripts/run_verification.py
 
 
 def _scan_link(kind: LinkKind, dmax: int) -> EquivalenceReport:
@@ -92,12 +92,12 @@ def _scan_link(kind: LinkKind, dmax: int) -> EquivalenceReport:
     return EquivalenceReport(f"oracle-{kind.value}", checked, mismatches, first)
 
 
-def scan_phi3(dmax: int = DEFAULT_DMAX) -> EquivalenceReport:
+def scan_phi3(dmax: int) -> EquivalenceReport:
     """The degree-3 link against one quadratic transform, b <= min(3d/2, 2d-1)."""
     return _scan_link(LinkKind.PHI3, dmax)
 
 
-def scan_phi6(dmax: int = DEFAULT_DMAX) -> EquivalenceReport:
+def scan_phi6(dmax: int) -> EquivalenceReport:
     """The degree-6 link against three quadratic transforms, b <= min(6d/5, (5d-1)/4)."""
     return _scan_link(LinkKind.PHI6, dmax)
 
@@ -350,7 +350,7 @@ class TableScanReport:
     random_checked: int
     unclassifiable: int
     count_mismatches: int
-    first_failure: str = ""
+    first_failure: str
 
     @property
     def checked(self) -> int:

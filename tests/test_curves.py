@@ -52,6 +52,18 @@ def test_quad_transform_keeps_zero_entries():
     assert set(first.labels()) == {"q1'", "q2'", "q3'"}
 
 
+def test_quad_transform_image_labels_skip_taken_labels():
+    # the image of center "a" would be "a'", which the class already uses
+    out = quad_transform_push(CurveClass.make(5, {"a'": 1, "a": 1}), ("a", "b", "c"))
+    assert out.line_degree == 9
+    assert out.mults == (("a'", 1), ("a''", 5), ("b'", 4), ("c'", 4))
+
+
+def test_quad_transform_needs_three_distinct_centers():
+    with pytest.raises(ValueError, match=r"^need three distinct centers, got \('a', 'a', 'b'\)$"):
+        quad_transform_push(CurveClass.make(3), ("a", "a", "b"))
+
+
 def test_quad_transform_involution():
     curve = CurveClass.make(9, {"a": 2, "b": 1, "c": 0, "z": 4})
     once = quad_transform_push(curve, ("a", "b", "c"))

@@ -31,9 +31,18 @@ def test_rejects_bad_characteristic():
             FiniteField(p, 2)
 
 
+def test_rejects_extension_degree_zero():
+    with pytest.raises(ValueError, match=r"^extension degree must be >= 1, got 0$"):
+        FiniteField(7, 0)
+
+
 def test_field_interning():
     assert field(7, 3) is field(7, 3)
     assert field(7, 3) == FiniteField(7, 3)
+
+
+def test_field_repr():
+    assert repr(field(7, 2)) == "FiniteField(7, 2)"
 
 
 def test_canonical_modulus_is_stable():

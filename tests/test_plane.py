@@ -49,6 +49,20 @@ def test_three_points_on_a_coordinate_line():
     assert collinear(pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0))
 
 
+def test_points_need_three_coordinates():
+    one = F7.element(1)
+    for coords in ((one, one), (one, one, one, one)):
+        with pytest.raises(ValueError, match=r"^projective points need 3 homogeneous coordinates$"):
+            ProjPoint.make(F7, coords)
+
+
+def test_coincident_points_span_no_line():
+    a = pt(1, 2, 3)
+    for b in (a, pt(2, 4, 6)):
+        with pytest.raises(ValueError, match=r"^two coincident points do not span a line$"):
+            line_through(a, b)
+
+
 def test_sampled_line_points_are_collinear():
     # parametrize the line through (1:0:1) and (0:1:3) over F_7
     a, b = pt(1, 0, 1), pt(0, 1, 3)
@@ -185,6 +199,13 @@ def test_conic_with_a_collinear_triple_is_determinant_only():
     on_line = [pt(1, 0, 1), pt(2, 0, 1), pt(3, 0, 1)]
     assert on_common_conic(on_line + [pt(1, 1, 1), pt(2, 1, 1), pt(3, 1, 1)])
     assert not on_common_conic(on_line + [pt(1, 1, 1), pt(2, 3, 1), pt(0, 1, 0)])
+
+
+def test_conic_test_needs_six_points():
+    pts = [pt(1, t * t % 7, t) for t in range(7)]
+    for n in (5, 7):
+        with pytest.raises(ValueError, match=rf"^need exactly 6 points, got {n}$"):
+            on_common_conic(pts[:n])
 
 
 def test_incidence_tests_require_one_coordinate_field():
