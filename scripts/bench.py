@@ -23,7 +23,6 @@ Usage: python scripts/bench.py --pr N
 
 import argparse
 import json
-import os
 import re
 import subprocess
 import sys
@@ -103,8 +102,8 @@ def bench_record(
     }
 
 
-def run(argv: list, env=None) -> subprocess.CompletedProcess:
-    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+def run(argv: list) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
 
 
 def main() -> int:
@@ -132,11 +131,9 @@ def main() -> int:
             return 1
         perfbench_stdout[workload] = proc.stdout
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", env.get("PYTHONPATH"))))
     t0 = time.perf_counter()
     proc = run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                "--durations=0"], env=env)
+                "--durations=0"])
     tier1_wall_s = time.perf_counter() - t0
     if proc.returncode != 0:
         print(f"error: tier-1 tests exited {proc.returncode}\n{proc.stdout[-2000:]}",

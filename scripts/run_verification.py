@@ -34,8 +34,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sbuntwist.verify import (  # noqa: E402
     DEFAULT_DMAX,
     TAIL_BOUND,
-    census_failures,
-    family_census,
     scan_closed_points,
     scan_phi3,
     scan_phi6,
@@ -105,12 +103,12 @@ def main() -> int:
             f"violating {rep.violating_samples}, collinear cases "
             f"{dict(rep.case_breakdown)} ({elapsed:.2f}s)"
         )
-        for c in family_census(rep):
+        for c in rep.families:
             print(
                 f"    {c.family:<13}{c.observed:>5} / {float(c.expected):8.2f}"
                 f"   tail {c.tail:.3g}"
             )
-        record("lemma3", rep, elapsed, census_failures(rep), prime=p)
+        record("lemma3", rep, elapsed, list(rep.failures), prime=p)
 
     print()
     if failures:

@@ -357,7 +357,6 @@ def classify_configuration(
     """
     if len(points) != 6:
         raise ValueError(f"need exactly 6 points, got {len(points)}")
-    _check_same_field(points)
     if len(set(points)) != 6:
         raise ValueError("configuration points must be distinct")
     lines = connecting_lines(points)

@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .curves import CurveClass, cycle_point_multiset, phi6_decomposition_push, quad_transform_push
@@ -111,11 +111,12 @@ class PositionScanReport:
     on them: all six points on a rational line (case 1), two disjoint
     collinear triples on a conjugate line pair (case 7), and all six on a
     smooth rational conic.  ``degree6_family_rates`` gives their exact
-    shares and ``census_failures`` checks a report against them.  Anything
-    outside cases 1 and 7 among the collinear hits would contradict Galois
-    transitivity itself and therefore signal a real bug.  ``ok`` means
-    ``census_failures`` finds nothing; ``violations`` still counts every
-    sample off general position, which a scan over F_p is expected to meet.
+    shares, ``families`` the report's count of each and ``failures`` the
+    checks the report fails; both are computed once, on first read.
+    Anything outside cases 1 and 7 among the collinear hits would contradict
+    Galois transitivity itself and therefore signal a real bug.  ``ok``
+    means ``failures`` is empty; ``violations`` still counts every sample
+    off general position, which a scan over F_p is expected to meet.
     """
 
     prime: int
@@ -135,7 +136,54 @@ class PositionScanReport:
 
     @property
     def ok(self) -> bool:
-        return not census_failures(self)
+        return not self.failures
+
+    @cached_property
+    def families(self) -> tuple[FamilyCount, ...]:
+        """The samples split into the families of ``degree6_family_rates``,
+        each count scored by its binomial tail probability."""
+        cases = dict(self.case_breakdown)
+        observed = {
+            name: cases.get(case_id, 0) for case_id, name in _COLLINEAR_FAMILIES.items()
+        }
+        observed["smooth_conic"] = self.conic_hits - self.collinear_hits
+        observed["general"] = self.samples - self.violating_samples
+        return tuple(
+            FamilyCount(
+                name,
+                observed[name],
+                self.samples * rate,
+                binomial_tail(observed[name], self.samples, rate),
+            )
+            for name, rate in degree6_family_rates(self.prime).items()
+        )
+
+    @cached_property
+    def failures(self) -> tuple[str, ...]:
+        """What a degree-6 scan over F_p must satisfy when the Brauer class
+        is trivial: collinear hits only in cases 1 and 7 (Galois
+        transitivity), every collinear hit also a conic hit (a line or a
+        line pair is a degenerate conic), and each family count with a
+        binomial tail probability of at least ``TAIL_BOUND`` at its exact
+        rate.  One message per failed check."""
+        p = self.prime
+        failures = [
+            f"p={p}: {hits} collinear hits in case {case_id}, which a transitive orbit cannot form"
+            for case_id, hits in self.case_breakdown
+            if case_id not in _COLLINEAR_FAMILIES
+        ]
+        if self.violating_samples != self.conic_hits:
+            failures.append(
+                f"p={p}: {self.violating_samples} violating samples but "
+                f"{self.conic_hits} conic hits"
+            )
+        failures.extend(
+            f"p={p}: {c.family} observed {c.observed}, expected {float(c.expected):.2f}, "
+            f"tail probability {c.tail:.2g} < {TAIL_BOUND:g}"
+            for c in self.families
+            if c.tail < TAIL_BOUND
+        )
+        return tuple(failures)
 
 
 def scan_closed_points(p: int, samples: int, seed: int) -> PositionScanReport:
@@ -143,8 +191,8 @@ def scan_closed_points(p: int, samples: int, seed: int) -> PositionScanReport:
 
     Counts the samples with a collinear triple, those on a common conic
     (degenerate conics included, so every collinear hit is also a conic
-    hit) and the case of every collinear hit.  The hits are expected over
-    F_p at the rates of ``degree6_family_rates``; see ``census_failures``.
+    hit) and the case of every collinear hit.  The report's ``failures``
+    checks these hits against the rates of ``degree6_family_rates``.
     """
     collinear_hits = conic_hits = violating = 0
     breakdown: dict[int, int] = {}
@@ -241,53 +289,6 @@ class FamilyCount:
     tail: float
 
 
-def family_census(report: PositionScanReport) -> tuple[FamilyCount, ...]:
-    """Split a scan's samples into the families of ``degree6_family_rates``
-    and score each count by its binomial tail probability."""
-    cases = dict(report.case_breakdown)
-    observed = {
-        name: cases.get(case_id, 0) for case_id, name in _COLLINEAR_FAMILIES.items()
-    }
-    observed["smooth_conic"] = report.conic_hits - report.collinear_hits
-    observed["general"] = report.samples - report.violating_samples
-    return tuple(
-        FamilyCount(
-            name,
-            observed[name],
-            report.samples * rate,
-            binomial_tail(observed[name], report.samples, rate),
-        )
-        for name, rate in degree6_family_rates(report.prime).items()
-    )
-
-
-def census_failures(report: PositionScanReport) -> list[str]:
-    """What a degree-6 scan over F_p must satisfy when the Brauer class is
-    trivial: collinear hits only in cases 1 and 7 (Galois transitivity),
-    every collinear hit also a conic hit (a line or a line pair is a
-    degenerate conic), and each family count with a binomial tail
-    probability of at least ``TAIL_BOUND`` at its exact rate.  Returns one
-    message per failed check."""
-    p = report.prime
-    failures = [
-        f"p={p}: {hits} collinear hits in case {case_id}, which a transitive orbit cannot form"
-        for case_id, hits in report.case_breakdown
-        if case_id not in _COLLINEAR_FAMILIES
-    ]
-    if report.violating_samples != report.conic_hits:
-        failures.append(
-            f"p={p}: {report.violating_samples} violating samples but "
-            f"{report.conic_hits} conic hits"
-        )
-    failures.extend(
-        f"p={p}: {c.family} observed {c.observed}, expected {float(c.expected):.2f}, "
-        f"tail probability {c.tail:.2g} < {TAIL_BOUND:g}"
-        for c in family_census(report)
-        if c.tail < TAIL_BOUND
-    )
-    return failures
-
-
 # --- configuration-case witnesses and the line-count table ---
 
 # One six-point set over the integers per line-profile case 1..9.  Every
@@ -309,7 +310,6 @@ _WITNESSES = {
 }
 
 
-@lru_cache(maxsize=None)
 def case_witness(case_id: int, q: int) -> tuple[ProjPoint, ...]:
     """The fixed six-point witness of configuration case ``case_id`` (1..9),
     reduced mod q; it realizes its case over every F_q with q >= 5."""

@@ -40,8 +40,6 @@ from sbuntwist.plane import (
 )
 from sbuntwist.untwist import Parity, ParityContradiction, random_chain, replay, untwist
 from sbuntwist.verify import (
-    census_failures,
-    family_census,
     scan_closed_points,
     scan_phi3,
     scan_phi6,
@@ -184,7 +182,7 @@ def test_criterion_5_degree6_general_position_scan():
     problems = []
     for p in (5, 7, 11, 13):
         rep = scan_closed_points(p, samples=100, seed=1)
-        problems.extend(census_failures(rep))
+        problems.extend(rep.failures)
         for expected, cp in _family_controls(p).items():
             pos = general_position_report(cp)
             case = 0 if pos.no_three_collinear else classify_configuration(cp.points)[0].case_id
@@ -195,7 +193,7 @@ def test_criterion_5_degree6_general_position_scan():
             f"p={p}: "
             + ", ".join(
                 f"{c.family} {c.observed}/{float(c.expected):.2f}"
-                for c in family_census(rep)
+                for c in rep.families
             )
         )
     elapsed = time.perf_counter() - t0

@@ -5,12 +5,12 @@ import sys
 
 import pytest
 
-from sbuntwist import cli
+from sbuntwist import cli, verify
 from sbuntwist.cli import main, parse_cycle_document, render_cycle_document
 from sbuntwist.cycles import BrauerLabel, CycleClass
 from sbuntwist.links import DegenerateImage, LinkKind, WrongDegree, _Walk
 from sbuntwist.untwist import InconsistentCycle, ParityContradiction
-from sbuntwist.verify import EquivalenceReport, PositionScanReport, census_failures
+from sbuntwist.verify import EquivalenceReport, PositionScanReport
 
 
 def write_doc(tmp_path, doc, name="cycle.json"):
@@ -523,8 +523,8 @@ def test_verify_lemma3_reports_finite_field_violations(capsys):
             sorted((int(k), v) for k, v in data["collinear_case_breakdown"].items())
         ),
     )
-    assert data["failures"] == census_failures(report)
-    assert rc == (1 if census_failures(report) else 0)
+    assert data["failures"] == list(report.failures)
+    assert rc == (1 if report.failures else 0)
 
 
 def test_verify_lemma3_passes_at_the_family_rates(capsys):
@@ -533,6 +533,25 @@ def test_verify_lemma3_passes_at_the_family_rates(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "conic_hits: 3" in out and "failure" not in out and "result: ok" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_verify_lemma3_runs_the_census_once(capsys, monkeypatch, fmt):
+    # one tail probability per family; printing the failures and the exit
+    # code read the report's census, they do not recompute it
+    calls = []
+    real_tail = verify.binomial_tail
+
+    def counting_tail(*args):
+        calls.append(args)
+        return real_tail(*args)
+
+    monkeypatch.setattr(verify, "binomial_tail", counting_tail)
+    rc = main(["verify", "--mode", "lemma3", "--prime", "7", "--samples", "30", "--seed", "1",
+               "--format", fmt])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(calls) == len(verify.degree6_family_rates(7)) == 4
 
 
 def printed_keys(out):

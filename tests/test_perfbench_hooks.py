@@ -3,10 +3,15 @@
 attributes (``perfbench/workloads.py``); renaming or deleting one of them
 breaks ``perfbench/run.py``.  These tests install the benchmark's tracer
 over the library and remove it again, and run each workload's first item,
-so such a change fails here first."""
+so such a change fails here first.  The census and classify output digests
+are pinned here, as the words digest is in ``test_untwist.py``."""
 
+import hashlib
+import json
 import os
 import sys
+
+import pytest
 
 from sbuntwist.gf import FiniteField
 
@@ -76,3 +81,23 @@ def test_every_workload_runs_its_first_item_traced(monkeypatch):
         assert tracer.totals["items"][TRACED_SPANS[name]][0] > 0, name
         if name == "words":
             assert tracer.phase_counts["items"]["untwist.untwist#measure"] > 0
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("census", "sha256:10338e083c3726c3eb9123e5fe4fde475588c97004cd645aaaef43654a5eaa9b"),
+        ("classify", "sha256:801e9b582cc4716c0af2f38e3a4291705a85f80cfb100ba520a6b68caf28527b"),
+    ],
+    ids=["census", "classify"],
+)
+def test_the_census_and_classify_benchmark_digests_are_pinned(monkeypatch, name, digest):
+    # each workload's output digest at seed 1, as perfbench/run.py reports
+    # it: the census pins every sample's hits and collinear cases, and the
+    # classify pin tells apart cases 5 and 7, which both force 11 lines
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    workload = workloads.WORKLOADS[name](1)
+    lines = [json.dumps(workload.summary(item, workload.run(item))) for item in workload.items]
+    assert "sha256:" + hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

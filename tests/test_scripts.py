@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run from any working directory."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+
+from sbuntwist.verify import EquivalenceReport, PositionScanReport
 
 SCRIPT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -57,12 +60,62 @@ def test_run_verification_rejects_an_empty_scan(tmp_path, flag, value):
     assert "all checks hold" not in proc.stdout
 
 
-def _load_bench():
-    path = os.path.join(os.path.dirname(SCRIPT), "bench.py")
-    spec = importlib.util.spec_from_file_location("bench", path)
+def _load_script(name):
+    path = os.path.join(os.path.dirname(SCRIPT), f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_bench():
+    return _load_script("bench")
+
+
+def test_run_verification_lists_each_failed_check(monkeypatch, capsys):
+    # one failing report of each scan shape: a formula mismatch, a table
+    # failure and a census failure; the other scans run for real
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    script = _load_script("run_verification")
+    scan_table, scan_closed_points = script.scan_table, script.scan_closed_points
+
+    def fake_table(q, random_samples, seed):
+        rep = scan_table(q, random_samples=random_samples, seed=seed)
+        if q != 7:
+            return rep
+        return dataclasses.replace(
+            rep, count_mismatches=1, first_failure="case 5 witness read as case 7"
+        )
+
+    def fake_closed_points(p, samples, seed):
+        if p != 5:
+            return scan_closed_points(p, samples=samples, seed=seed)
+        return PositionScanReport(p, samples, 1, 1, 1, ((2, 1),))
+
+    monkeypatch.setattr(
+        script, "scan_phi3", lambda dmax: EquivalenceReport("oracle-phi3", 2, 1, "(d=1, b=0)")
+    )
+    monkeypatch.setattr(script, "scan_table", fake_table)
+    monkeypatch.setattr(script, "scan_closed_points", fake_closed_points)
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--samples", "1", "--dmax", "1",
+                                      "--json"])
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    block = lines.index("STRUCTURAL FAILURES:")
+    expected = [
+        "oracle-phi3: (d=1, b=0)",
+        "table over F_7: case 5 witness read as case 7",
+        "p=5: 1 collinear hits in case 2, which a transitive orbit cannot form",
+    ]
+    assert lines[block + 1:-1] == [f"  - {f}" for f in expected]
+    summary = json.loads(lines[-1])
+    assert summary["ok"] is False
+    assert [((s["mode"], s.get("prime")), s["failures"]) for s in summary["scans"]
+            if s["failures"]] == [
+        (("oracle-phi3", None), expected[:1]),
+        (("table", 7), expected[1:2]),
+        (("lemma3", 5), expected[2:]),
+    ]
 
 
 def _canned_perfbench(workload, items_per_s):

@@ -21,7 +21,6 @@ from sbuntwist.verify import (
     PositionScanReport,
     binomial_tail,
     case_witness,
-    census_failures,
     degree6_family_rates,
     scan_closed_points,
     scan_phi3,
@@ -248,12 +247,12 @@ def _p5_report(collinear, conic, violating, cases):
 
 def test_census_failures():
     # criterion 5's census at p = 5, seed 1
-    assert census_failures(_p5_report(5, 25, 25, ((7, 5),))) == []
+    assert _p5_report(5, 25, 25, ((7, 5),)).failures == ()
     # the old demand of criterion 5 fails on the smooth-conic and the
     # general-position counts
-    clean = census_failures(_p5_report(0, 0, 0, ()))
+    clean = _p5_report(0, 0, 0, ()).failures
     assert [f.split()[1] for f in clean] == ["smooth_conic", "general"]
-    (stray,) = census_failures(_p5_report(5, 25, 25, ((5, 1), (7, 4))))
+    (stray,) = _p5_report(5, 25, 25, ((5, 1), (7, 4))).failures
     assert "case 5" in stray
-    (uncovered,) = census_failures(_p5_report(4, 24, 25, ((7, 4),)))
+    (uncovered,) = _p5_report(4, 24, 25, ((7, 4),)).failures
     assert "25 violating samples but 24 conic hits" in uncovered
