@@ -24,7 +24,6 @@ from .cycles import (
     Orbit,
     arithmetic_genus,
     noether_check,
-    self_intersection,
 )
 from .gf import field
 from .links import (
@@ -198,10 +197,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_push(args: argparse.Namespace) -> int:
     cycle, declared = _load(args.file)
-    if args.center is not None and cycle.find(args.center) is None:
+    ids = [o.id for o in cycle.orbits]
+    if args.center is not None and args.center not in ids:
         return _usage_error(
-            f"no orbit with id {args.center!r} in the input cycle "
-            f"(ids: {[o.id for o in cycle.orbits] or 'none'})"
+            f"no orbit with id {args.center!r} in the input cycle (ids: {ids or 'none'})"
         )
     out, link = push(cycle, args.center, LinkKind(args.kind))
     doc = render_cycle_document(out, declared)

@@ -99,9 +99,6 @@ class CycleClass:
         """Build a cycle from (id, degree, multiplicity) triples."""
         return cls(label, d, tuple(Orbit(i, n, b) for i, n, b in orbits))
 
-    def find(self, orbit_id: str) -> Optional[Orbit]:
-        return next((o for o in self.orbits if o.id == orbit_id), None)
-
     def normalized(self) -> "CycleClass":
         """Drop multiplicity-0 orbits."""
         kept = tuple(o for o in self.orbits if o.multiplicity > 0)

@@ -81,6 +81,9 @@ class ProjPoint:
     def make(cls, F: FiniteField, coords: Sequence[Element]) -> "ProjPoint":
         if len(coords) != 3:
             raise ValueError("projective points need 3 homogeneous coordinates")
+        shaped = all(type(c) is tuple and len(c) == F.m for c in coords)
+        if not shaped or not all(type(x) is int and 0 <= x < F.p for c in coords for x in c):
+            raise ValueError(f"coordinates must be elements of F_{{{F.p}^{F.m}}}")
         return cls(F, _normalized(F, coords))
 
     @classmethod
@@ -222,7 +225,7 @@ def _random_point(F: FiniteField, rng: random.Random) -> ProjPoint:
     while True:
         coords = tuple(F.random_element(rng) for _ in range(3))
         if any(c != F.zero for c in coords):
-            return ProjPoint.make(F, coords)
+            return ProjPoint(F, _normalized(F, coords))
 
 
 #: Points drawn by ``sample_closed_point`` before it gives up.
@@ -350,15 +353,13 @@ def classify_configuration(
 
     The profile is the sizes of the lines through at least three points,
     largest first, and the number of points those lines cover; it is
-    looked up in ``_CASE_BY_PROFILE``.  Raises
-    :class:`UnclassifiableConfiguration` if the profile is not there; a
-    correct line grouping makes that unreachable, so any raise would expose
-    a gap in the case analysis.
+    looked up in ``_CASE_BY_PROFILE``.  Two coincident points raise from
+    ``line_through``.  Raises :class:`UnclassifiableConfiguration` if the
+    profile is not there; a correct line grouping makes that unreachable,
+    so any raise would expose a gap in the case analysis.
     """
     if len(points) != 6:
         raise ValueError(f"need exactly 6 points, got {len(points)}")
-    if len(set(points)) != 6:
-        raise ValueError("configuration points must be distinct")
     lines = connecting_lines(points)
     rich = [m for m in lines if len(m) >= 3]
     profile = (

@@ -257,6 +257,10 @@ def test_push_missing_center_exits_2_and_names_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "x9" in err
+    assert err == "error: no orbit with id 'x9' in the input cycle (ids: ['x1', 'x2'])\n"
+    empty = {"label": "gamma", "d": 1, "orbits": []}
+    assert main(["push", write_doc(tmp_path, empty), "--kind", "phi3", "--center", "x1"]) == 2
+    assert capsys.readouterr().err == "error: no orbit with id 'x1' in the input cycle (ids: none)\n"
 
 
 def test_push_wrong_degree_exits_1(tmp_path, capsys):

@@ -56,6 +56,18 @@ def test_points_need_three_coordinates():
             ProjPoint.make(F7, coords)
 
 
+def test_points_need_coordinates_in_the_field():
+    F49 = field(7, 2)
+    one = F49.one
+    for coords in (
+        ((1, 0, 5), (2, 0, 0), (3, 0, 0)),  # 3-tuples are not elements of F_49
+        ((1,), one, one),
+        ((7, 0), one, one),  # != F.zero, so it would be inverted as nonzero
+    ):
+        with pytest.raises(ValueError, match=r"^coordinates must be elements of F_\{7\^2\}$"):
+            ProjPoint.make(F49, coords)
+
+
 def test_coincident_points_span_no_line():
     a = pt(1, 2, 3)
     for b in (a, pt(2, 4, 6)):
@@ -493,7 +505,7 @@ def test_classify_quadrilateral_by_hand():
 
 
 def test_classifier_requires_six_distinct_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^two coincident points do not span a line$"):
         classify_configuration([pt(0, 0, 1)] * 6)
     with pytest.raises(ValueError):
         classify_configuration([pt(t, 0, 1) for t in range(5)])
