@@ -9,13 +9,17 @@ runs and machines.
 One extended Euclidean loop over F_p[x] serves field inversion against the
 modulus and the coprimality condition of Rabin's irreducibility test
 (gcd(h, f) is constant iff h is invertible modulo f); scalar inverses are
-pow(c, p - 2, p).  Frobenius x -> x^p is F_p-linear, so it is applied as
-a multiplication by the m x m matrix over F_p whose row i is x^(i p) mod
-the modulus, built once per field.
+pow(c, p - 2, p).  Each power sigma^k: x -> x^(p^k) of Frobenius is
+F_p-linear, so one table per field serves ``conjugates`` and ``frobenius``:
+the int in row i packs the coefficients of sigma^k(x^i) for k = 1 .. m-1
+in slots of w = (m (p-1)^2).bit_length() bits.  Then sum_i a_i row_i
+holds every conjugate of a in its slots, each a sum of at most m
+products of residues, so no carry crosses a slot (Kronecker substitution).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 from typing import Sequence
@@ -155,7 +159,7 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FiniteField:
     """F_{p^m} with elements as coefficient tuples of length m."""
 
-    __slots__ = ("p", "m", "modulus", "zero", "one", "_xpow", "_frob")
+    __slots__ = ("p", "m", "modulus", "zero", "one", "_xpow", "_conj", "_shifts", "_mask")
 
     def __init__(self, p: int, m: int):
         if not _is_prime(p) or p in (2, 3):
@@ -171,10 +175,21 @@ class FiniteField:
         self._xpow = tuple(
             _pad(_ppowmod([0, 1], k, self.modulus, p), m) for k in range(m, 2 * m - 1)
         )
-        # row i is x^(i p) mod the modulus: the matrix of x -> x^p
-        self._frob = tuple(
-            _pad(_ppowmod([0, 1], i * p, self.modulus, p), m) for i in range(m)
-        )
+        # row i of the one-step matrix is sigma(x^i) = x^(i p); iterating
+        # the matrix on it gives sigma^k(x^i) for k = 2 .. m-1
+        frob = [_pad(_ppowmod([0, 1], i * p, self.modulus, p), m) for i in range(m)]
+        cols = list(zip(*frob))
+        w = (m * (p - 1) ** 2).bit_length()
+        self._shifts = range(0, w * m * (m - 1), w)
+        self._mask = (1 << w) - 1
+        conj = []
+        for v in frob:
+            digits = list(v)
+            for _ in range(m - 2):
+                v = [sum(map(operator.mul, v, col)) % p for col in cols]
+                digits += v
+            conj.append(sum(d << s for d, s in zip(digits, self._shifts)))
+        self._conj = tuple(conj)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -223,15 +238,19 @@ class FiniteField:
         # the modulus is irreducible, so every nonzero a is invertible
         return _pad(_pinv(a, self.modulus, self.p), self.m)
 
+    def conjugates(self, a: Element) -> tuple[Element, ...]:
+        """(a, a^p, ..., a^(p^(m-1))), every Galois conjugate of a, read
+        from the slots of one packed product."""
+        packed = 0
+        for ai, row in zip(a, self._conj):
+            packed += ai * row
+        p, mask = self.p, self._mask
+        digits = iter([(packed >> s & mask) % p for s in self._shifts])
+        return (a,) + tuple(zip(*[digits] * self.m))
+
     def frobenius(self, a: Element) -> Element:
         """x -> x^p, the canonical generator of the Galois group."""
-        out = [0] * self.m
-        for ai, row in zip(a, self._frob):
-            if ai:
-                for j, rj in enumerate(row):
-                    out[j] += ai * rj
-        p = self.p
-        return tuple(c % p for c in out)
+        return self.conjugates(a)[1 % self.m]
 
     def random_element(self, rng: random.Random) -> Element:
         p = self.p

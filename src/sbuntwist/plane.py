@@ -92,22 +92,18 @@ class ProjPoint:
         return cls.make(F, tuple(F.element(t) for t in triple))
 
 
-def frobenius_point(pt: ProjPoint) -> ProjPoint:
-    # Frobenius fixes 0 and 1, so the image is already normalized
-    F = pt.field
-    return ProjPoint(F, tuple(F.frobenius(c) for c in pt.coords))
-
-
 def frobenius_orbit(pt: ProjPoint) -> list[ProjPoint]:
-    """The orbit of pt under coordinate-wise x -> x^p; its size divides the
-    extension degree of the coordinate field."""
+    """The orbit of pt under coordinate-wise x -> x^p, in orbit order:
+    entry i + 1 is the image of entry i.  Entry k takes the k-th conjugates
+    of pt's coordinates from ``FiniteField.conjugates``; Frobenius fixes 0
+    and 1, so they stay normalized.  The orbit stops before pt recurs, so
+    its size divides the extension degree."""
+    F = pt.field
     orbit = [pt]
-    cur = frobenius_point(pt)
-    while cur != pt:
-        orbit.append(cur)
-        if len(orbit) > pt.field.m:
-            raise AssertionError("Frobenius orbit exceeded the field degree")
-        cur = frobenius_point(cur)
+    for coords in itertools.islice(zip(*map(F.conjugates, pt.coords)), 1, None):
+        if coords == pt.coords:
+            break
+        orbit.append(ProjPoint(F, coords))
     return orbit
 
 

@@ -162,6 +162,41 @@ def test_inverse_and_frobenius_agree_with_the_pow_route(p, m):
         assert F.frobenius(a) == power(F, a, p)
 
 
+def one_step_frobenius(F):
+    """The one-step matrix reference: row i is x^(i p), so x -> x^p sends a
+    to sum_i a_i row_i."""
+    x = tuple(int(j == 1) for j in range(F.m))  # for m = 1, x = 0 mod x
+    xp = power(F, x, F.p)
+    rows = [power(F, xp, i) for i in range(F.m)]
+
+    def step(a):
+        return tuple(
+            sum(ai * row[j] for ai, row in zip(a, rows)) % F.p for j in range(F.m)
+        )
+
+    return step
+
+
+# m (p - 1)^2 reaches 2^64 for the last two: a slot of a fixed 64 bits
+# would carry into its neighbour there
+@pytest.mark.parametrize(
+    "p,m", PARAMS + [(1_000_037, 6), (4_294_967_311, 2), (4_294_967_311, 3)]
+)
+def test_conjugates_are_the_iterated_frobenius(p, m):
+    F = field(p, m)
+    step = one_step_frobenius(F)
+    top = (p - 1,) * m
+    for a in [F.zero, F.one, top] + elements_of(F, 20, seed=p + m):
+        conj = F.conjugates(a)
+        assert len(conj) == m
+        cur = a
+        for k in range(m):
+            assert conj[k] == cur
+            cur = step(cur)
+        assert cur == a
+        assert F.frobenius(a) == conj[1 % m]
+
+
 def test_frobenius_fixes_exactly_the_prime_field():
     F = field(5, 3)
     fixed = []

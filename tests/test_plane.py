@@ -16,7 +16,6 @@ from sbuntwist.plane import (
     collinear,
     connecting_lines,
     frobenius_orbit,
-    frobenius_point,
     general_position_report,
     incident,
     line_through,
@@ -30,6 +29,13 @@ F7 = field(7, 1)
 
 def pt(x, y, z, F=F7):
     return ProjPoint.of_ints(F, (x, y, z))
+
+
+def frobenius_point(q):
+    """The one-step reference: Frobenius on each coordinate.  It fixes 0 and
+    1, so the image is already normalized."""
+    F = q.field
+    return ProjPoint(F, tuple(F.frobenius(c) for c in q.coords))
 
 
 # --- points, lines, incidence ---
@@ -252,6 +258,54 @@ def test_sample_closed_point_orbit_size(p, degree):
     assert len(set(cp.points)) == degree
     imgs = {frobenius_point(q) for q in cp.points}
     assert imgs == set(cp.points)
+
+
+def subfield_element(F, d, rng):
+    """An element of F_{p^d} inside F_{p^m} of degree exactly d: the sum of
+    the sigma^d-conjugates of a random element, redrawn until a smaller
+    subfield does not hold it."""
+    while True:
+        a = F.random_element(rng)
+        conj = [a]
+        while len(conj) < F.m // d:
+            b = conj[-1]
+            for _ in range(d):
+                b = F.frobenius(b)
+            conj.append(b)
+        s = F.zero
+        for b in conj:
+            s = F.add(s, b)
+        images = [s]
+        for _ in range(d):
+            images.append(F.frobenius(images[-1]))
+        if images[d] == s and s not in images[1:d]:
+            return s
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_frobenius_orbit_matches_the_one_step_reference(p):
+    # points of P^2(F_{p^6}) with coordinates in F_p, F_{p^2}, F_{p^3} (the
+    # fields fixed by sigma, sigma^2, sigma^3) and F_{p^6} have orbits of
+    # size 1, 2, 3 and 6; mixing F_{p^2} and F_{p^3} also gives size 6
+    F = field(p, 6)
+    rng = random.Random(p)
+    for _ in range(4):
+        b = {d: subfield_element(F, d, rng) for d in (1, 2, 3, 6)}
+        cases = [
+            ((F.one, b[1], F.element(2)), 1),
+            ((F.one, b[2], F.zero), 2),
+            ((F.zero, F.one, b[2]), 2),
+            ((F.one, b[3], b[1]), 3),
+            ((F.one, b[6], F.zero), 6),
+            ((F.one, b[2], b[3]), 6),
+        ]
+        for coords, size in cases:
+            start = ProjPoint.make(F, coords)
+            orbit = frobenius_orbit(start)
+            assert len(orbit) == size
+            assert orbit[0] == start
+            for i, q in enumerate(orbit):
+                assert frobenius_point(q) == orbit[(i + 1) % size]
 
 
 def test_sampling_is_deterministic():
