@@ -9,7 +9,8 @@ classify and words workloads, then the tier-1 tests with
   result JSON lines, parsed;
 * ``tier1``: the pytest summary line, its wall time, and the call times
   of acceptance criteria 5 and 6;
-* ``src_lines``: the line count of the ``.py`` files under ``src/``;
+* ``src_lines``: the line count of the ``.py`` files under ``src/``, as
+  the first workload's ``meta`` line reports it;
 * ``tree``: the measured tree, ``head`` (``git rev-parse HEAD``) and
   ``uncommitted`` (whether ``git status --porcelain -- src tests scripts``
   printed anything).  perfbench's ``meta.git_commit`` names HEAD only, so
@@ -71,13 +72,6 @@ def criterion_times(pytest_stdout: str) -> dict:
     return times
 
 
-def src_lines(root: Path) -> int:
-    return sum(
-        len(path.read_text(encoding="utf-8").splitlines())
-        for path in sorted((root / "src").rglob("*.py"))
-    )
-
-
 def tree_record(head_stdout: str, status_stdout: str) -> dict:
     """The ``tree`` entry from the output of ``git rev-parse HEAD`` and of
     ``git status --porcelain`` over the measured paths."""
@@ -89,15 +83,15 @@ def bench_record(
     perfbench_stdout: dict,
     pytest_stdout: str,
     tier1_wall_s: float,
-    lines: int,
     tree: dict,
 ) -> dict:
     summary = pytest_stdout.strip().splitlines()[-1].strip("= ")
+    perfbench = {w: perfbench_record(out) for w, out in perfbench_stdout.items()}
     return {
         "pr": pr,
-        "perfbench": {w: perfbench_record(out) for w, out in perfbench_stdout.items()},
+        "perfbench": perfbench,
         "tier1": {"summary": summary, "wall_s": tier1_wall_s, **criterion_times(pytest_stdout)},
-        "src_lines": lines,
+        "src_lines": perfbench[WORKLOADS[0]]["meta"]["src_lines"],
         "tree": tree,
     }
 
@@ -140,9 +134,7 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    record = bench_record(
-        args.pr, perfbench_stdout, proc.stdout, tier1_wall_s, src_lines(ROOT), tree
-    )
+    record = bench_record(args.pr, perfbench_stdout, proc.stdout, tier1_wall_s, tree)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out.name}")

@@ -25,7 +25,7 @@ class CurveClass:
     (they name points the class simply misses), so none are pruned."""
 
     line_degree: int
-    mults: tuple[tuple[str, int], ...] = ()
+    mults: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
         if self.line_degree < 1:
@@ -39,7 +39,7 @@ class CurveClass:
         object.__setattr__(self, "mults", tuple(sorted(self.mults)))
 
     @classmethod
-    def make(cls, line_degree: int, mults: Mapping[str, int] = {}) -> "CurveClass":
+    def make(cls, line_degree: int, mults: Mapping[str, int]) -> "CurveClass":
         return cls(line_degree, tuple(mults.items()))
 
     def multiplicity(self, label: str) -> int:

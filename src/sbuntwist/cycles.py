@@ -89,16 +89,6 @@ class CycleClass:
             raise ValueError(f"orbit ids must be unique, got {ids!r}")
         object.__setattr__(self, "orbits", orbits)
 
-    @classmethod
-    def make(
-        cls,
-        label: BrauerLabel,
-        d: int,
-        orbits: Iterable[tuple[str, int, int]],
-    ) -> "CycleClass":
-        """Build a cycle from (id, degree, multiplicity) triples."""
-        return cls(label, d, tuple(Orbit(i, n, b) for i, n, b in orbits))
-
     def normalized(self) -> "CycleClass":
         """Drop multiplicity-0 orbits."""
         kept = tuple(o for o in self.orbits if o.multiplicity > 0)

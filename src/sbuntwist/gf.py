@@ -4,7 +4,8 @@ Elements are coefficient tuples of length m (ascending powers) reduced
 modulo a canonical irreducible: the lexicographically least monic
 irreducible of degree m over F_p, comparing coefficient vectors from the
 top degree down.  Canonical moduli make field towers reproducible across
-runs and machines.
+runs and machines.  ``mul`` reduces a product by the monic modulus f itself,
+x^m = -(f_0 + ... + f_{m-1} x^{m-1}), so a field keeps one precomputed table.
 
 One extended Euclidean loop over F_p[x] serves field inversion against the
 modulus and the coprimality condition of Rabin's irreducibility test
@@ -159,7 +160,7 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FiniteField:
     """F_{p^m} with elements as coefficient tuples of length m."""
 
-    __slots__ = ("p", "m", "modulus", "zero", "one", "_xpow", "_conj", "_shifts", "_mask")
+    __slots__ = ("p", "m", "modulus", "zero", "_conj", "_shifts", "_mask")
 
     def __init__(self, p: int, m: int):
         if not _is_prime(p) or p in (2, 3):
@@ -170,11 +171,6 @@ class FiniteField:
         self.m = m
         self.modulus = _least_irreducible(p, m)
         self.zero: Element = (0,) * m
-        self.one: Element = (1,) + (0,) * (m - 1)
-        # reductions of x^k for k = m .. 2m-2, used by mul
-        self._xpow = tuple(
-            _pad(_ppowmod([0, 1], k, self.modulus, p), m) for k in range(m, 2 * m - 1)
-        )
         # row i of the one-step matrix is sigma(x^i) = x^(i p); iterating
         # the matrix on it gives sigma^k(x^i) for k = 2 .. m-1
         frob = [_pad(_ppowmod([0, 1], i * p, self.modulus, p), m) for i in range(m)]
@@ -222,15 +218,15 @@ class FiniteField:
             if ai:
                 for j, bj in enumerate(b):
                     conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = list(conv[:m])
-        for k in range(m, 2 * m - 1):
-            c = conv[k]
+        # clear degrees 2m-2 .. m: c x^(k+m) -> -c x^k (f_0 + ... + f_{m-1} x^{m-1})
+        low = self.modulus[:m]
+        for k in range(m - 2, -1, -1):
+            c = conv.pop()
             if c:
-                red = self._xpow[k - m]
-                for i in range(m):
-                    if red[i]:
-                        out[i] = (out[i] + c * red[i]) % p
-        return tuple(out)
+                for i, fi in enumerate(low, k):
+                    if fi:
+                        conv[i] = (conv[i] - c * fi) % p
+        return tuple(conv)
 
     def inv(self, a: Element) -> Element:
         if a == self.zero:

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .curves import CurveClass, cycle_point_multiset, phi6_decomposition_push, quad_transform_push
-from .cycles import BrauerLabel, CycleClass
+from .cycles import BrauerLabel, CycleClass, Orbit
 from .gf import field
 from .links import DegenerateImage, LinkKind, push
 from .plane import (
@@ -44,7 +44,7 @@ class EquivalenceReport:
     mode: str
     checked: int
     mismatches: int
-    first_mismatch: str = ""
+    first_mismatch: str
 
     @property
     def violations(self) -> int:
@@ -72,7 +72,7 @@ def _scan_link(kind: LinkKind, dmax: int) -> EquivalenceReport:
         # first b whose image the link rejects
         for b in itertools.count():
             try:
-                pushed, _ = push(CycleClass.make(BrauerLabel.GAMMA, d, [("c", n, b)]), "c")
+                pushed, _ = push(CycleClass(BrauerLabel.GAMMA, d, (Orbit("c", n, b),)), "c")
             except DegenerateImage:
                 break
             symbolic = cycle_point_multiset(

@@ -166,9 +166,9 @@ def _family_controls(p: int) -> dict[tuple[bool, bool, int], ClosedPoint]:
     norms = (norm(F.add(a, F.element(k))) for k in range(p))
     c = next(n for n in norms if F.frobenius(n) != n)
     controls = {
-        (False, False, 1): (F.one, a, F.zero),
-        (False, False, 7): (F.one, a, c),
-        (True, False, 0): (F.one, a, F.mul(a, a)),
+        (False, False, 1): (F.element(1), a, F.zero),
+        (False, False, 7): (F.element(1), a, c),
+        (True, False, 0): (F.element(1), a, F.mul(a, a)),
     }
     return {
         key: ClosedPoint(ProjPoint.make(F, coords))

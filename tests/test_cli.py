@@ -486,7 +486,7 @@ def test_verify_defaults_when_flags_are_absent(capsys, monkeypatch):
 
     def scan_phi3(dmax):
         seen["dmax"] = dmax
-        return EquivalenceReport("oracle-phi3", 0, 0)
+        return EquivalenceReport("oracle-phi3", 0, 0, "")
 
     def scan_closed_points(p, samples, seed):
         seen["samples"] = samples

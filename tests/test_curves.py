@@ -28,7 +28,7 @@ def test_curve_class_validation():
 
 def test_quad_transform_on_anticanonical():
     # three lines, no assigned points: the image is (6; 3,3,3)
-    out = quad_transform_push(CurveClass.make(3), ("p1", "p2", "p3"))
+    out = quad_transform_push(CurveClass.make(3, {}), ("p1", "p2", "p3"))
     assert out.line_degree == 6
     assert out.point_multiset() == (3, 3, 3)
 
@@ -61,7 +61,7 @@ def test_quad_transform_image_labels_skip_taken_labels():
 
 def test_quad_transform_needs_three_distinct_centers():
     with pytest.raises(ValueError, match=r"^need three distinct centers, got \('a', 'a', 'b'\)$"):
-        quad_transform_push(CurveClass.make(3), ("a", "a", "b"))
+        quad_transform_push(CurveClass.make(3, {}), ("a", "a", "b"))
 
 
 def test_quad_transform_involution():
@@ -108,7 +108,7 @@ def test_phi6_decomposition_inverse():
 
 def test_phi6_decomposition_needs_six_distinct_labels():
     with pytest.raises(ValueError):
-        phi6_decomposition_push(CurveClass.make(3), ("a", "a", "b", "c", "d", "e"))
+        phi6_decomposition_push(CurveClass.make(3, {}), ("a", "a", "b", "c", "d", "e"))
 
 
 def test_cycle_point_multiset():

@@ -16,7 +16,7 @@ GAMMA = BrauerLabel.GAMMA
 
 
 def cyc(d, orbits=(), label=GAMMA):
-    return CycleClass.make(label, d, [(f"x{i+1}", n, b) for i, (n, b) in enumerate(orbits)])
+    return CycleClass(label, d, tuple(Orbit(f"x{i+1}", n, b) for i, (n, b) in enumerate(orbits)))
 
 
 # --- label group ---
@@ -80,7 +80,7 @@ def test_cycle_rejects_nonpositive_d():
 
 def test_cycle_rejects_duplicate_ids():
     with pytest.raises(ValueError):
-        CycleClass.make(GAMMA, 2, [("x1", 3, 1), ("x1", 3, 2)])
+        CycleClass(GAMMA, 2, (Orbit("x1", 3, 1), Orbit("x1", 3, 2)))
 
 
 def test_normalized_prunes_zero_orbits():
@@ -138,12 +138,12 @@ def test_max_orbit_picks_largest():
 
 
 def test_max_orbit_tie_prefers_degree_3():
-    c = CycleClass.make(GAMMA, 4, [("a", 6, 6), ("b", 3, 6)])
+    c = CycleClass(GAMMA, 4, (Orbit("a", 6, 6), Orbit("b", 3, 6)))
     assert max_multiplicity_orbit(c).id == "b"
 
 
 def test_max_orbit_tie_prefers_smaller_id():
-    c = CycleClass.make(GAMMA, 4, [("x10", 3, 6), ("x2", 3, 6)])
+    c = CycleClass(GAMMA, 4, (Orbit("x10", 3, 6), Orbit("x2", 3, 6)))
     assert max_multiplicity_orbit(c).id == "x2"
 
 
@@ -162,7 +162,7 @@ def test_max_orbit_tie_prefers_smaller_id():
 )
 def test_max_orbit_equals_the_stepwise_reference(orbits):
     # reference: max multiplicity, then min degree, then min id number
-    c = CycleClass.make(GAMMA, 2, [(f"x{k}", n, b) for k, n, b in orbits])
+    c = CycleClass(GAMMA, 2, tuple(Orbit(f"x{k}", n, b) for k, n, b in orbits))
     candidates = [o for o in c.orbits if o.multiplicity > 0]
     if candidates:
         top = max(o.multiplicity for o in candidates)

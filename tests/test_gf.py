@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from sbuntwist.gf import FiniteField, _is_irreducible, _is_prime, _least_irreducible, field
 
 PARAMS = [(5, 1), (7, 1), (7, 2), (5, 3), (7, 3), (5, 6), (13, 2), (11, 3)]
+# m (p - 1)^2 reaches 2^64 for the last two: a slot of a fixed 64 bits in
+# the conjugate table would carry into its neighbour there
+LARGE_P = [(1_000_037, 6), (4_294_967_311, 2), (4_294_967_311, 3)]
 
 
 def elements_of(F, count, seed=0):
@@ -16,7 +19,7 @@ def elements_of(F, count, seed=0):
 def power(F, a, e):
     """a^e for e >= 0 by square-and-multiply: the reference route that
     inv and frobenius are checked against."""
-    result, acc = F.one, a
+    result, acc = F.element(1), a
     while e:
         if e & 1:
             result = F.mul(result, acc)
@@ -73,14 +76,19 @@ def _monic(p, m):
     return [[(k // p**i) % p for i in range(m)] + [1] for k in range(p**m)]
 
 
-def _divides(g, f, p):
-    """Schoolbook long division by the monic g; True iff the remainder is 0."""
+def _remainder(g, f, p):
+    """Schoolbook long division of f by the monic g: the remainder, with
+    len(g) - 1 coefficients."""
     r = list(f)
     for top in range(len(f) - 1, len(g) - 2, -1):
         c = r[top]
         for i, gi in enumerate(g):
             r[top - len(g) + 1 + i] = (r[top - len(g) + 1 + i] - c * gi) % p
-    return not any(r)
+    return r[:len(g) - 1]
+
+
+def _divides(g, f, p):
+    return not any(_remainder(g, f, p))
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -123,10 +131,10 @@ def test_field_axioms_on_samples(p, m):
     xs = elements_of(F, 8, seed=p * m)
     for a in xs:
         assert F.add(a, F.zero) == a
-        assert F.mul(a, F.one) == a
+        assert F.mul(a, F.element(1)) == a
         assert F.add(a, F.sub(F.zero, a)) == F.zero
         if a != F.zero:
-            assert F.mul(a, F.inv(a)) == F.one
+            assert F.mul(a, F.inv(a)) == F.element(1)
     for a in xs[:4]:
         for b in xs[:4]:
             assert F.add(a, b) == F.add(b, a)
@@ -135,6 +143,19 @@ def test_field_axioms_on_samples(p, m):
                 lhs = F.mul(a, F.add(b, c))
                 rhs = F.add(F.mul(a, b), F.mul(a, c))
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
+def test_mul_is_the_product_reduced_by_long_division(p, m):
+    F = field(p, m)
+    xs = [F.zero, F.element(1), (p - 1,) * m] + elements_of(F, 20, seed=p + m)
+    for a in xs:
+        for b in xs:
+            product = [0] * (2 * m - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    product[i + j] = (product[i + j] + ai * bj) % p
+            assert F.mul(a, b) == tuple(_remainder(F.modulus, product, p)), (a, b)
 
 
 @pytest.mark.parametrize("p,m", PARAMS)
@@ -177,16 +198,12 @@ def one_step_frobenius(F):
     return step
 
 
-# m (p - 1)^2 reaches 2^64 for the last two: a slot of a fixed 64 bits
-# would carry into its neighbour there
-@pytest.mark.parametrize(
-    "p,m", PARAMS + [(1_000_037, 6), (4_294_967_311, 2), (4_294_967_311, 3)]
-)
+@pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
 def test_conjugates_are_the_iterated_frobenius(p, m):
     F = field(p, m)
     step = one_step_frobenius(F)
     top = (p - 1,) * m
-    for a in [F.zero, F.one, top] + elements_of(F, 20, seed=p + m):
+    for a in [F.zero, F.element(1), top] + elements_of(F, 20, seed=p + m):
         conj = F.conjugates(a)
         assert len(conj) == m
         cur = a
@@ -216,7 +233,7 @@ def test_pow_matches_repeated_multiplication(params, data):
     F = field(p, m)
     a = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
     e = data.draw(st.integers(min_value=0, max_value=12))
-    direct = F.one
+    direct = F.element(1)
     for _ in range(e):
         direct = F.mul(direct, a)
     assert power(F, a, e) == direct
@@ -235,4 +252,4 @@ def test_multiplicative_order_divides_group_order():
         a = F.random_element(rng)
         if a == F.zero:
             continue
-        assert power(F, a, 5**3 - 1) == F.one
+        assert power(F, a, 5**3 - 1) == F.element(1)

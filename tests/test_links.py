@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from sbuntwist.cycles import (
     BrauerLabel,
     CycleClass,
+    Orbit,
     anticanonical_degree,
     arithmetic_genus,
     self_intersection,
@@ -27,7 +28,7 @@ GAMMA_INV = BrauerLabel.GAMMA_INVERSE
 
 
 def cyc(d, orbits=(), label=GAMMA):
-    return CycleClass.make(label, d, [(f"c{i+1}", n, b) for i, (n, b) in enumerate(orbits)])
+    return CycleClass(label, d, tuple(Orbit(f"c{i+1}", n, b) for i, (n, b) in enumerate(orbits)))
 
 
 # --- the link records ---
@@ -158,7 +159,7 @@ def test_fresh_ids_are_deterministic():
 
 
 def test_default_id_source_avoids_existing_ids():
-    c = CycleClass.make(GAMMA, 2, [("x7", 3, 3)])
+    c = CycleClass(GAMMA, 2, (Orbit("x7", 3, 3),))
     out, link = phi3_push(c, "x7")
     assert link.image_orbit_id == "x8"
 
@@ -170,7 +171,7 @@ def test_default_id_source_avoids_existing_ids():
 def test_fresh_ids_start_past_the_ids_the_pattern_reads(taken, first):
     # the counter reads int() of any x<digits> id: a trailing newline,
     # Unicode digits and leading zeros count, other ids do not
-    c = CycleClass.make(GAMMA, 1, [(taken, 3, 0)])
+    c = CycleClass(GAMMA, 1, (Orbit(taken, 3, 0),))
     _, link = push(c, None, LinkKind.PHI3)
     assert link.center_id == first
 
@@ -180,7 +181,7 @@ def test_pinned_absent_center_is_never_the_image_id():
     out, link = phi3_push(cyc(1), "x1")
     assert (link.center_id, link.image_orbit_id) == ("x1", "x2")
     assert [o.id for o in out.orbits] == ["x2"]
-    c = CycleClass.make(GAMMA, 2, [("x1", 3, 3)])
+    c = CycleClass(GAMMA, 2, (Orbit("x1", 3, 3),))
     out, link = phi6_push(c, "x2")
     assert (link.center_id, link.image_orbit_id) == ("x2", "x3")
     assert [o.id for o in out.orbits] == ["x1", "x3"]
@@ -201,7 +202,9 @@ def test_pinned_image_id_of_a_carried_orbit_is_rejected():
 
 def test_replay_from_a_non_normalized_cycle():
     # c2 and x3 are listed with multiplicity 0; x4 is the first link's image
-    start = CycleClass.make(GAMMA, 2, [("c1", 3, 3), ("c2", 6, 0), ("x3", 3, 0)])
+    start = CycleClass(
+        GAMMA, 2, (Orbit("c1", 3, 3), Orbit("c2", 6, 0), Orbit("x3", 3, 0))
+    )
     trajectory = [start]
     links = []
     for pushed, center in [

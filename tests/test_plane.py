@@ -64,7 +64,7 @@ def test_points_need_three_coordinates():
 
 def test_points_need_coordinates_in_the_field():
     F49 = field(7, 2)
-    one = F49.one
+    one = F49.element(1)
     for coords in (
         ((1, 0, 5), (2, 0, 0), (3, 0, 0)),  # 3-tuples are not elements of F_49
         ((1,), one, one),
@@ -292,12 +292,12 @@ def test_frobenius_orbit_matches_the_one_step_reference(p):
     for _ in range(4):
         b = {d: subfield_element(F, d, rng) for d in (1, 2, 3, 6)}
         cases = [
-            ((F.one, b[1], F.element(2)), 1),
-            ((F.one, b[2], F.zero), 2),
-            ((F.zero, F.one, b[2]), 2),
-            ((F.one, b[3], b[1]), 3),
-            ((F.one, b[6], F.zero), 6),
-            ((F.one, b[2], b[3]), 6),
+            ((F.element(1), b[1], F.element(2)), 1),
+            ((F.element(1), b[2], F.zero), 2),
+            ((F.zero, F.element(1), b[2]), 2),
+            ((F.element(1), b[3], b[1]), 3),
+            ((F.element(1), b[6], F.zero), 6),
+            ((F.element(1), b[2], b[3]), 6),
         ]
         for coords, size in cases:
             start = ProjPoint.make(F, coords)
@@ -334,7 +334,7 @@ def test_degree3_collinear_orbits_lie_on_rational_lines():
     # a degree-3 point on the rational line z = 0: guaranteed collinear
     F = field(5, 3)
     alpha = (0, 1, 0)
-    collinear_pt = ProjPoint.make(F, (F.one, alpha, F.zero))
+    collinear_pt = ProjPoint.make(F, (F.element(1), alpha, F.zero))
     orbit = frobenius_orbit(collinear_pt)
     assert len(orbit) == 3
     assert collinear(*orbit)
@@ -496,7 +496,7 @@ def test_general_position_report_needs_coordinates_in_f_p6():
     conj = a
     for _ in range(6):
         conj = F.frobenius(conj)
-    cp = ClosedPoint(ProjPoint.make(F, (F.one, F.mul(a, conj), F.zero)))
+    cp = ClosedPoint(ProjPoint.make(F, (F.element(1), F.mul(a, conj), F.zero)))
     assert cp.degree == 6
     with pytest.raises(ValueError, match=r"F_\{p\^6\}"):
         general_position_report(cp)

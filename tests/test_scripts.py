@@ -143,7 +143,7 @@ def test_bench_record_assembles_perfbench_lines_and_criterion_times():
     bench = _load_bench()
     outputs = {w: _canned_perfbench(w, 100.0 + i) for i, w in enumerate(bench.WORKLOADS)}
     tree = {"head": "0701628", "uncommitted": True}
-    record = bench.bench_record(10, outputs, CANNED_PYTEST, 15.5, 2300, tree)
+    record = bench.bench_record(10, outputs, CANNED_PYTEST, 15.5, tree)
     assert record["pr"] == 10 and record["src_lines"] == 2300
     assert record["tree"] == tree
     assert sorted(record["perfbench"]) == ["census", "classify", "words"]
@@ -169,15 +169,6 @@ def test_bench_record_refuses_incomplete_output():
     )
     with pytest.raises(ValueError, match="notes"):
         bench.perfbench_record(no_notes)
-
-
-def test_bench_counts_python_lines_under_src(tmp_path):
-    bench = _load_bench()
-    (tmp_path / "src" / "pkg").mkdir(parents=True)
-    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
-    (tmp_path / "src" / "b.py").write_text("z = 3\n")
-    (tmp_path / "src" / "notes.txt").write_text("not code\n")
-    assert bench.src_lines(tmp_path) == 3
 
 
 def test_bench_tree_names_the_head_and_uncommitted_changes():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sbuntwist.cycles import (
     BrauerLabel,
     CycleClass,
+    Orbit,
     arithmetic_genus,
     max_multiplicity_orbit,
     noether_check,
@@ -38,7 +39,7 @@ GAMMA_INV = BrauerLabel.GAMMA_INVERSE
 
 
 def cyc(d, orbits=(), label=GAMMA):
-    return CycleClass.make(label, d, [(f"x{i+1}", n, b) for i, (n, b) in enumerate(orbits)])
+    return CycleClass(label, d, tuple(Orbit(f"x{i+1}", n, b) for i, (n, b) in enumerate(orbits)))
 
 
 @pytest.mark.parametrize(
