@@ -9,13 +9,14 @@ x^m = -(f_0 + ... + f_{m-1} x^{m-1}), so a field keeps one precomputed table.
 
 One extended Euclidean loop over F_p[x] serves field inversion against the
 modulus and the coprimality condition of Rabin's irreducibility test
-(gcd(h, f) is constant iff h is invertible modulo f); scalar inverses are
-pow(c, p - 2, p).  Each power sigma^k: x -> x^(p^k) of Frobenius is
-F_p-linear, so one table per field serves ``conjugates`` and ``frobenius``:
-the int in row i packs the coefficients of sigma^k(x^i) for k = 1 .. m-1
-in slots of w = (m (p-1)^2).bit_length() bits.  Then sum_i a_i row_i
-holds every conjugate of a in its slots, each a sum of at most m
-products of residues, so no carry crosses a slot (Kronecker substitution).
+(gcd(h, f) is constant iff h is invertible modulo f).  Each of its steps
+is one division in place, with one scalar inverse pow(c, p - 2, p).  Each
+power sigma^k: x -> x^(p^k) of Frobenius is F_p-linear, so one table per
+field serves ``conjugates`` and ``frobenius``: the int in row i packs the
+coefficients of sigma^k(x^i) for k = 1 .. m-1 in slots of
+w = (m (p-1)^2).bit_length() bits.  Then sum_i a_i row_i holds every
+conjugate of a in its slots, each a sum of at most m products of
+residues, so no carry crosses a slot (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     return _ptrim(r)
 
 
-def _psubmul(a: Sequence[int], b: Sequence[int], c: int, shift: int, p: int) -> list[int]:
-    """a - c * x^shift * b over F_p."""
-    out = list(a) + [0] * (len(b) + shift - len(a))
-    for i, bi in enumerate(b):
-        out[shift + i] = (out[shift + i] - c * bi) % p
-    return _ptrim(out)
-
-
 def _ppowmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
     result = [1]
     acc = _pmod(base, f, p)
@@ -80,19 +73,24 @@ def _ppowmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]
 
 def _pinv(a: Sequence[int], f: Sequence[int], p: int) -> list[int] | None:
     """The inverse of a modulo f over F_p, or None when gcd(a, f) is not a
-    constant.  Extended Euclid: each step cancels the leading term of the
-    larger remainder with a shifted multiple of the smaller."""
+    constant.  Extended Euclid: each step divides the larger remainder by
+    the smaller in place, inverting the divisor's leading coefficient once."""
     # invariant for both pairs: s * a == r modulo f
     r0, s0 = list(f), []
     r1, s1 = _ptrim(list(a)), [1]
     while len(r1) > 1:
-        if len(r0) < len(r1):
-            r0, s0, r1, s1 = r1, s1, r0, s0
-            continue
-        c = r0[-1] * pow(r1[-1], p - 2, p) % p
-        shift = len(r0) - len(r1)
-        r0 = _psubmul(r0, r1, c, shift, p)
-        s0 = _psubmul(s0, s1, c, shift, p)
+        # r0 <- r0 mod r1, s0 <- s0 - (r0 div r1) s1; each pop drops the term c cancels
+        top = len(r0) - len(r1)
+        s0 += [0] * (top + len(s1) - len(s0))
+        body, scale = r1[:-1], pow(r1[-1], p - 2, p)
+        for shift in range(top, -1, -1):
+            c = r0.pop() * scale % p
+            if c:
+                for i, ri in enumerate(body, shift):
+                    r0[i] = (r0[i] - c * ri) % p
+                for i, si in enumerate(s1, shift):
+                    s0[i] = (s0[i] - c * si) % p
+        r0, s0, r1, s1 = r1, s1, _ptrim(r0), _ptrim(s0)
     if not r1:
         return None
     scale = pow(r1[0], p - 2, p)
@@ -130,7 +128,8 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
         return False
     for r in _prime_factors(m):
         # gcd(x^(p^(m/r)) - x, f) must be constant
-        h = _psubmul(_ppowmod(x, p ** (m // r), f, p), [1], 1, 1, p)
+        h = _ppowmod(x, p ** (m // r), f, p) + [0, 0]
+        h[1] = (h[1] - 1) % p
         if _pinv(h, f, p) is None:
             return False
     return True

@@ -35,6 +35,16 @@ collinear iff (0, 2, 4) is: either all six points lie on a rational
 line, or the orbit is two triples on a conjugate pair of lines over
 F_{p^2}.
 
+That triple is decided by descent too.  A line through the distinct
+points 0, 2 and 4 shares two of them with its sigma^2-image, so it is
+sigma^2-stable, hence defined over F_{p^2}; a line over F_{p^2} through
+point 0 holds 2 and 4.  So (0, 2, 4) is collinear iff the coordinates
+x, y, z of point 0 are dependent over F_{p^2}.  For theta in F_{p^2} but
+not in F_p, {1, theta} is an F_p-basis of F_{p^2}, so that holds iff
+x, y, z, theta x, theta y, theta z are dependent over F_p: a 6x6
+determinant over F_p.  A zero coordinate gives a zero row, and the point
+lies on a rational coordinate line, as that verdict says.
+
 This layer supplies the geometric side of the oracle: the symbolic
 link formulas never see coordinates, so every geometric claim is checked
 here explicitly.
@@ -46,6 +56,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 from .gf import Element, FiniteField, field
@@ -61,11 +72,12 @@ class UnclassifiableConfiguration(Exception):
 
 
 def _normalized(F: FiniteField, coords: Sequence[Element]) -> tuple[Element, ...]:
-    """Homogeneous coordinates scaled so the first nonzero one is 1."""
-    for c in coords:
+    """Homogeneous coordinates scaled so the first nonzero one is 1; only
+    the coordinates after it need a product."""
+    for i, c in enumerate(coords):
         if c != F.zero:
             scale = F.inv(c)
-            return tuple(F.mul(scale, x) for x in coords)
+            return (*coords[:i], F.element(1), *(F.mul(scale, x) for x in coords[i + 1:]))
     raise ValueError("(0 : 0 : 0) is not a projective point")
 
 
@@ -244,6 +256,18 @@ def sample_closed_point(p: int, degree: int, seed: int) -> ClosedPoint:
     )
 
 
+@lru_cache(maxsize=None)
+def _quadratic_element(F: FiniteField) -> Element:
+    """theta in F_{p^2} but not in F_p, inside F = F_{p^6}: the first trace
+    x^i + sigma^2(x^i) + sigma^4(x^i) to F_{p^2} that is not in F_p.  The
+    trace is F_p-linear and onto F_{p^2}, so the basis 1, x, ..., x^5
+    cannot map wholly into F_p.  Computed once per field, on first use."""
+    p, m = F.p, F.m
+    basis = ((0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m))
+    traces = (tuple(sum(c) % p for c in zip(*F.conjugates(b)[::2])) for b in basis)
+    return next(t for t in traces if any(t[1:]))
+
+
 @dataclass(frozen=True)
 class PositionReport:
     """General-position verdicts for the six points of a degree-6 closed point."""
@@ -257,19 +281,18 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
     triple and for a common conic.  A valid degree-6 link center must pass
     both.
 
-    Some triple of the six points is collinear iff (0, 2, 4) is; the
-    module docstring proves it.  Both verdicts are computed on every
-    orbit: a collinear orbit always lies on a conic, but deciding one
-    from the other would hide a fault in either test.
-
-    The six points lie on a common conic iff the 6x6 matrix over F_p of
-    the coordinates of ``cp.point``'s Veronese image in the basis 1, x,
-    ..., x^5 is singular: the orbit's Veronese rows form A C^T, with A the
-    invertible Moore matrix of the basis (see the module docstring).
-    This gives the verdict of ``on_common_conic(cp.points)`` from 6
-    multiplications over F_{p^6} and one determinant over F_p.  Raises
-    ``ValueError`` unless the coordinates lie in F_{p^6}: over a larger
-    field the coordinate matrix is not square and the argument fails.
+    Both verdicts are descent determinants over F_p on coordinate tuples
+    (see the module docstring), with (x : y : z) = ``cp.point``.  Some
+    triple is collinear iff x, y, z, theta x, theta y, theta z are
+    F_p-dependent, for theta in F_{p^2} but not in F_p; the six points lie
+    on a conic iff the six entries of the Veronese image of (x : y : z)
+    are.  The verdicts equal those of ``collinear`` on points 0, 2 and 4
+    and of ``on_common_conic(cp.points)``, at the cost of 9 products over
+    F_{p^6}.  Both are computed on every orbit: a collinear orbit always
+    lies on a conic, but deciding one from the other would hide a fault in
+    either test.  Raises ``ValueError`` unless the coordinates lie in
+    F_{p^6}: over a larger field the matrices are not square and the
+    argument fails.
     """
     if cp.degree != 6:
         raise ValueError(f"need a degree-6 closed point, got degree {cp.degree}")
@@ -278,11 +301,13 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
         raise ValueError(
             f"the conic test needs coordinates in F_{{p^6}}, got F_{{{F.p}^{F.m}}}"
         )
-    points = cp.points
+    theta = _quadratic_element(F)
+    coords = cp.point.coords
     return PositionReport(
-        no_three_collinear=not collinear(points[0], points[2], points[4]),
+        # the coordinate goes first: a normalized 1 is a one-term product
+        no_three_collinear=not _singular(F.p, coords + tuple(F.mul(c, theta) for c in coords)),
         # row j of C is the coordinate tuple of Veronese entry j over F_p
-        off_conic=not _singular(F.p, _veronese(F, cp.point.coords)),
+        off_conic=not _singular(F.p, _veronese(F, coords)),
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -237,6 +238,16 @@ def test_pow_matches_repeated_multiplication(params, data):
     for _ in range(e):
         direct = F.mul(direct, a)
     assert power(F, a, e) == direct
+
+
+@pytest.mark.parametrize("p,m", [(5, 3), (7, 2)] + LARGE_P)
+def test_inverse_times_the_element_is_one(p, m):
+    # every nonzero element of the small fields, 20 seeded ones of the large
+    F = field(p, m)
+    xs = itertools.product(range(p), repeat=m) if p**m < 1000 else elements_of(F, 20, seed=p + m)
+    for a in xs:
+        if a != F.zero:
+            assert F.mul(a, F.inv(a)) == F.element(1), a
 
 
 def test_inverse_of_zero_raises():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -45,6 +46,14 @@ def test_point_normalization_is_canonical():
     assert pt(0, 3, 5) == pt(0, 1, 4)  # 3^-1 = 5 mod 7, 5*5 = 25 = 4
     with pytest.raises(ValueError):
         pt(0, 0, 0)
+
+
+def test_make_normalizes_a_list_with_leading_zeros():
+    # the leading zeros are kept and the first nonzero coordinate becomes 1
+    F = field(7, 2)
+    c, d = (3, 5), (2, 1)
+    assert ProjPoint.make(F, [F.zero, F.zero, c]).coords == (F.zero, F.zero, F.element(1))
+    assert ProjPoint.make(F, [F.zero, c, d]).coords == (F.zero, F.element(1), F.mul(d, F.inv(c)))
 
 
 def test_coordinate_triangle_not_collinear():
@@ -413,9 +422,56 @@ def test_one_triple_report_equals_the_twenty_triple_scan():
         assert _collinear_triples_by_brute_force(pair) == ((0, 2, 4), (1, 3, 5))
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 1_000_037])
+def test_theta_lies_in_f_p2_but_not_in_f_p(p):
+    F = field(p, 6)
+    theta = plane._quadratic_element(F)
+    assert F.frobenius(F.frobenius(theta)) == theta
+    assert F.frobenius(theta) != theta
+
+
+def test_degree6_families_at_q5_exhaustively():
+    # PGL(3, F_q) is transitive on rational lines, smooth conics and
+    # conjugate line pairs, so one of each covers its family: every
+    # degree-6 point of the line z = 0 and of the conic y^2 = x z, and
+    # every degree-6 point with a triple on the line z = alpha y
+    q = 5
+    F = field(q, 6)
+    one = F.element(1)
+    degree6, off_f_q2 = [], []
+    alpha = None
+    for t in itertools.product(range(q), repeat=6):
+        conj = F.conjugates(t)
+        if len(set(conj)) == 6 and t == min(conj):
+            degree6.append(t)
+        if t != conj[2] and t == min(conj[::2]):
+            off_f_q2.append(t)  # one t per sigma^2-orbit outside F_{q^2}
+        if alpha is None and t == conj[2] != conj[1]:
+            alpha = t
+    families = {
+        "line": [(one, t, F.zero) for t in degree6],
+        "smooth_conic": [(one, t, F.mul(t, t)) for t in degree6],
+        "pair": [(one, t, F.mul(alpha, t)) for t in off_f_q2],
+    }
+    # N6(P^1) and (q^6 - q^2) / 3, the inputs of degree6_family_rates
+    assert (q**6 - q**3 - q**2 + q) // 6 == 2580 and (q**6 - q**2) // 3 == 5200
+    assert {name: len(coords) for name, coords in families.items()} == {
+        "line": 2580,
+        "smooth_conic": 2580,
+        "pair": 5200,
+    }
+    expected = {"line": (False, False), "smooth_conic": (True, False), "pair": (False, False)}
+    for name, family in families.items():
+        for coords in family:
+            cp = ClosedPoint(ProjPoint.make(F, coords))
+            rep = general_position_report(cp)
+            verdict = (rep.no_three_collinear, rep.off_conic)
+            assert cp.degree == 6 and verdict == expected[name], (name, coords)
+
+
 def test_general_position_report_runs_one_triple_and_one_conic_test(monkeypatch):
-    # both verdicts are computed on every orbit: one collinear call (its
-    # 3x3 determinant) and one 6x6 determinant over F_p, collinear or not
+    # both verdicts are computed on every orbit, collinear or not: two 6x6
+    # descent determinants over F_p and no collinear call
     calls = []
     real_collinear, real_singular = plane.collinear, plane._singular
 
@@ -434,19 +490,22 @@ def test_general_position_report_runs_one_triple_and_one_conic_test(monkeypatch)
         calls.clear()
         rep = general_position_report(cp)
         verdicts.add((rep.no_three_collinear, rep.off_conic))
-        assert sorted(calls, key=str) == [3, 6, "collinear"]
+        assert calls == [6, 6]
     # collinear, on-conic-only and general orbits all went through
     assert {(False, False), (True, False), (True, True)} <= verdicts
 
 
 def test_general_position_report_field_call_budget(monkeypatch):
-    # the 6x6 descent determinant runs on ints mod p: outside collinear,
-    # the six Veronese products are the report's only FiniteField calls
+    # both 6x6 descent determinants run on ints mod p: the six Veronese
+    # products and the three products by theta are the report's only
+    # FiniteField calls, and collinear is not called
     from collections import Counter
 
     from sbuntwist.gf import FiniteField
 
     orbits = _sampled_orbits_and_controls()
+    for F in {cp.point.field for cp in orbits}:
+        plane._quadratic_element(F)  # theta is cached per field on first use
     scope = ["report"]
     calls = Counter()
 
@@ -477,8 +536,7 @@ def test_general_position_report_field_call_budget(monkeypatch):
         calls.clear()
         rep = general_position_report(cp)
         verdicts.add((rep.no_three_collinear, rep.off_conic))
-        assert {key: n for key, n in calls.items() if key[0] != "collinear"} == {("report", "mul"): 6}
-        assert calls["collinear", "mul"] > 0
+        assert calls == {("report", "mul"): 9}
     assert {(False, False), (True, False), (True, True)} <= verdicts
 
 
