@@ -51,6 +51,9 @@ def main() -> int:
     for flag in ("samples", "dmax"):
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    # random.Random seeds with |seed|, so -7 would repeat seed 7's scans
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     failures = []
     scans = []

@@ -269,6 +269,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return _usage_error("--prime is required for this mode")
         if args.seed is None:
             return _usage_error("--seed is required for randomized modes")
+        # random.Random seeds with |seed|, so -7 would repeat seed 7's scan
+        if args.seed < 0:
+            return _usage_error(f"--seed must be >= 0, got {args.seed}")
         # bounded before the O(sqrt(p)) primality test, which would spin
         # for minutes on a prime near 2**61
         if args.prime >= 2**31:

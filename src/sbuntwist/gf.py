@@ -10,17 +10,24 @@ x^m = -(f_0 + ... + f_{m-1} x^{m-1}), so a field keeps one precomputed table.
 One extended Euclidean loop over F_p[x] serves field inversion against the
 modulus and the coprimality condition of Rabin's irreducibility test
 (gcd(h, f) is constant iff h is invertible modulo f).  Each of its steps
-is one division in place, with one scalar inverse pow(c, p - 2, p).  Each
-power sigma^k: x -> x^(p^k) of Frobenius is F_p-linear, so one table per
-field serves ``conjugates`` and ``frobenius``: the int in row i packs the
-coefficients of sigma^k(x^i) for k = 1 .. m-1 in slots of
-w = (m (p-1)^2).bit_length() bits.  Then sum_i a_i row_i holds every
-conjugate of a in its slots, each a sum of at most m products of
-residues, so no carry crosses a slot (Kronecker substitution).
+is one division in place, with one scalar inverse pow(c, p - 2, p).
+
+F_p-linear maps run on packed tables.  Row i of a table is one int that
+packs the coefficients of the images of x^i in slots of
+w = (m (p-1)^2).bit_length() bits.  Then sum_i a_i row_i holds the images
+of a in its slots, each a sum of at most m products of residues, so no
+carry crosses a slot (Kronecker substitution), and ``_slots`` is the one
+routine that reads them.  Each power sigma^k: x -> x^(p^k) of Frobenius is
+F_p-linear, so one table built with the field serves ``conjugates`` and
+``frobenius``: row i packs sigma^k(x^i) for k = 1 .. m-1.  Frobenius fixes
+F_p, so ``conjugates`` of an element of F_p skips the product.  Products
+by a fixed c are F_p-linear too: ``multiplier(c)`` packs c x^i, on demand
+and never with the field, and ``times`` reads c a from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from functools import lru_cache
@@ -95,6 +102,14 @@ def _pinv(a: Sequence[int], f: Sequence[int], p: int) -> list[int] | None:
         return None
     scale = pow(r1[0], p - 2, p)
     return [(x * scale) % p for x in s1]
+
+
+def _slots(table: Sequence[int], a: Element, p: int, mask: int, shifts: range) -> list[int]:
+    """The slots at shifts of the packed product sum_i a_i table_i, each
+    reduced mod p.  Row i of a table packs the images of x^i under F_p-linear
+    maps, so the slots hold the coefficients of the images of a."""
+    packed = sum(map(operator.mul, a, table))
+    return [(packed >> s & mask) % p for s in shifts]
 
 
 def _pad(coeffs: Sequence[int], m: int) -> tuple[int, ...]:
@@ -175,16 +190,21 @@ class FiniteField:
         frob = [_pad(_ppowmod([0, 1], i * p, self.modulus, p), m) for i in range(m)]
         cols = list(zip(*frob))
         w = (m * (p - 1) ** 2).bit_length()
-        self._shifts = range(0, w * m * (m - 1), w)
+        # slots for the m - 1 conjugates, and at least the one image of ``times``
+        self._shifts = range(0, w * m * max(m - 1, 1), w)
         self._mask = (1 << w) - 1
         conj = []
         for v in frob:
-            digits = list(v)
+            images = [v]
             for _ in range(m - 2):
                 v = [sum(map(operator.mul, v, col)) % p for col in cols]
-                digits += v
-            conj.append(sum(d << s for d, s in zip(digits, self._shifts)))
+                images.append(v)
+            conj.append(self._pack(images))
         self._conj = tuple(conj)
+
+    def _pack(self, images: Sequence[Sequence[int]]) -> int:
+        """One table row: the coefficients of the images, in consecutive slots."""
+        return sum(d << s for d, s in zip(itertools.chain(*images), self._shifts))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -235,21 +255,43 @@ class FiniteField:
 
     def conjugates(self, a: Element) -> tuple[Element, ...]:
         """(a, a^p, ..., a^(p^(m-1))), every Galois conjugate of a, read
-        from the slots of one packed product."""
-        packed = 0
-        for ai, row in zip(a, self._conj):
-            packed += ai * row
-        p, mask = self.p, self._mask
-        digits = iter([(packed >> s & mask) % p for s in self._shifts])
+        from the slots of one packed product.  Frobenius fixes F_p, so an
+        element of F_p is its own conjugates without the product."""
+        if not any(a[1:]):
+            return (a,) * self.m
+        digits = iter(_slots(self._conj, a, self.p, self._mask, self._shifts))
         return (a,) + tuple(zip(*[digits] * self.m))
 
     def frobenius(self, a: Element) -> Element:
         """x -> x^p, the canonical generator of the Galois group."""
         return self.conjugates(a)[1 % self.m]
 
+    def multiplier(self, c: Element) -> tuple[int, ...]:
+        """The packed table of x -> c x for ``times``: row i holds c x^i."""
+        return tuple(self._pack([self.mul(c, x)]) for x in self.basis())
+
+    def times(self, table: tuple[int, ...], a: Element) -> Element:
+        """c a, for the table of c from ``multiplier``: one packed product
+        in place of a dense ``mul``."""
+        return tuple(_slots(table, a, self.p, self._mask, self._shifts[:self.m]))
+
+    def basis(self) -> list[Element]:
+        """1, x, ..., x^(m-1), the F_p-basis the coefficient tuples are in."""
+        m = self.m
+        return [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
+
     def random_element(self, rng: random.Random) -> Element:
+        """Coefficients drawn as ``rng.randrange(p)`` draws them, one
+        ``getrandbits`` of p's bit length per try, without its call layers."""
         p = self.p
-        return tuple(rng.randrange(p) for _ in range(self.m))
+        k, draw = p.bit_length(), rng.getrandbits
+        out = []
+        for _ in range(self.m):
+            x = draw(k)
+            while x >= p:
+                x = draw(k)
+            out.append(x)
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)

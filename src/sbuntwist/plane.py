@@ -20,6 +20,9 @@ needs the orbit degree to equal the field degree, so the coordinates must
 lie in F_{p^6} itself.  The rows of C are the Veronese entries' coordinate
 tuples, ints in range(p), so ``_singular`` takes p as its ring: through
 ``FiniteField`` on 1-tuples the determinant took most of the census time.
+Over F_p it packs each row into one int, an entry per slot, and eliminates
+whole rows at once.  Only the pivots and leads are reduced mod p; every
+other entry stays below (2p)^(n-1) p, the slot bound, so no slot carries.
 
 Whether a degree-6 closed point has a collinear triple is decided by the
 one triple (0, 2, 4).  Frobenius sigma sends orbit point i to point
@@ -43,7 +46,9 @@ x, y, z of point 0 are dependent over F_{p^2}.  For theta in F_{p^2} but
 not in F_p, {1, theta} is an F_p-basis of F_{p^2}, so that holds iff
 x, y, z, theta x, theta y, theta z are dependent over F_p: a 6x6
 determinant over F_p.  A zero coordinate gives a zero row, and the point
-lies on a rational coordinate line, as that verdict says.
+lies on a rational coordinate line, as that verdict says.  The products
+by theta are F_p-linear, so they read one packed table of theta x^i,
+built per field on first use (``FiniteField.multiplier``).
 
 This layer supplies the geometric side of the oracle: the symbolic
 link formulas never see coordinates, so every geometric claim is checked
@@ -128,14 +133,43 @@ def _singular(ring: FiniteField | int, rows: Sequence[Sequence]) -> bool:
     in the pivot column is already 0 is left as it is.
 
     ``ring`` is a ``FiniteField``, whose elements are the entries, or a
-    prime p, for entries that are ints in range(p).  With p each update is
-    one integer expression mod p: the descent conic test's 6x6 determinant
-    would otherwise cost about 90 ``FiniteField`` calls per orbit.
+    prime p, for entries that are ints in range(p).  With p each row is one
+    int with its entries in slots of w bits, column 0 in the top slot.  The
+    update is ``row * t + (p - lead) * top`` on whole rows, congruent to
+    the one above mod p, with only the pivot t and the lead read out and
+    reduced.  Entries stay nonnegative, and each of the n - 1 updates
+    multiplies their bound by at most 2p, so they stay below
+    (2p)^(n-1) p < 2^w and no slot carries into the next.  The descent
+    tests' 6x6 determinant would otherwise cost about 90 ``FiniteField``
+    calls per orbit.
     """
     n = len(rows)
+    if isinstance(ring, int):
+        p = ring
+        w = ((2 * p) ** (n - 1) * p).bit_length()
+        mask = (1 << w) - 1
+        live = []
+        for row in rows:
+            packed = 0
+            for x in row:
+                packed = packed << w | x
+            live.append(packed)
+        for s in range(w * (n - 1), -1, -w):
+            top, rest = None, []
+            for row in live:
+                lead = (row >> s & mask) % p
+                if not lead:
+                    rest.append(row)
+                elif top is None:
+                    top, t = row, lead
+                else:
+                    rest.append(row * t + (p - lead) * top)
+            if top is None:
+                return True
+            live = rest
+        return False
     a = [list(row) for row in rows]
-    p = ring if isinstance(ring, int) else 0
-    zero = 0 if p else ring.zero
+    zero = ring.zero
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != zero), None)
         if pivot is None:
@@ -147,10 +181,7 @@ def _singular(ring: FiniteField | int, rows: Sequence[Sequence]) -> bool:
             if lead != zero:
                 row = a[r]
                 for c in range(col + 1, n):
-                    if p:
-                        row[c] = (top[col] * row[c] - lead * top[c]) % p
-                    else:
-                        row[c] = ring.sub(ring.mul(top[col], row[c]), ring.mul(lead, top[c]))
+                    row[c] = ring.sub(ring.mul(top[col], row[c]), ring.mul(lead, top[c]))
     return False
 
 
@@ -262,10 +293,16 @@ def _quadratic_element(F: FiniteField) -> Element:
     x^i + sigma^2(x^i) + sigma^4(x^i) to F_{p^2} that is not in F_p.  The
     trace is F_p-linear and onto F_{p^2}, so the basis 1, x, ..., x^5
     cannot map wholly into F_p.  Computed once per field, on first use."""
-    p, m = F.p, F.m
-    basis = ((0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m))
-    traces = (tuple(sum(c) % p for c in zip(*F.conjugates(b)[::2])) for b in basis)
+    p = F.p
+    traces = (tuple(sum(c) % p for c in zip(*F.conjugates(b)[::2])) for b in F.basis())
     return next(t for t in traces if any(t[1:]))
+
+
+@lru_cache(maxsize=None)
+def _theta_table(F: FiniteField) -> tuple[int, ...]:
+    """The packed table of x -> theta x for ``FiniteField.times``, theta
+    from ``_quadratic_element``.  Built once per field, on first use."""
+    return F.multiplier(_quadratic_element(F))
 
 
 @dataclass(frozen=True)
@@ -287,10 +324,10 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
     F_p-dependent, for theta in F_{p^2} but not in F_p; the six points lie
     on a conic iff the six entries of the Veronese image of (x : y : z)
     are.  The verdicts equal those of ``collinear`` on points 0, 2 and 4
-    and of ``on_common_conic(cp.points)``, at the cost of 9 products over
-    F_{p^6}.  Both are computed on every orbit: a collinear orbit always
-    lies on a conic, but deciding one from the other would hide a fault in
-    either test.  Raises ``ValueError`` unless the coordinates lie in
+    and of ``on_common_conic(cp.points)``, at the cost of 6 products over
+    F_{p^6} and 3 packed products by theta.  Both are computed on every
+    orbit: a collinear orbit always lies on a conic, but deciding one from
+    the other would hide a fault in either test.  Raises ``ValueError`` unless the coordinates lie in
     F_{p^6}: over a larger field the matrices are not square and the
     argument fails.
     """
@@ -301,11 +338,10 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
         raise ValueError(
             f"the conic test needs coordinates in F_{{p^6}}, got F_{{{F.p}^{F.m}}}"
         )
-    theta = _quadratic_element(F)
+    theta = _theta_table(F)
     coords = cp.point.coords
     return PositionReport(
-        # the coordinate goes first: a normalized 1 is a one-term product
-        no_three_collinear=not _singular(F.p, coords + tuple(F.mul(c, theta) for c in coords)),
+        no_three_collinear=not _singular(F.p, coords + tuple(F.times(theta, c) for c in coords)),
         # row j of C is the coordinate tuple of Veronese entry j over F_p
         off_conic=not _singular(F.p, _veronese(F, coords)),
     )

@@ -621,6 +621,9 @@ def test_verify_text_prints_its_keys_in_order(capsys, argv, keys):
         (["--mode", "lemma3", "--prime", "7", "--seed", "1", "--dmax", "-3"], "--dmax"),
         (["--mode", "table", "--prime", "7", "--seed", "1", "--dmax", "5"], "--dmax"),
         (["--mode", "lemma3", "--seed", "1"], "--prime"),
+        # random.Random seeds with |seed|: -7 would repeat seed 7
+        (["--mode", "lemma3", "--prime", "5", "--seed", "-1"], "--seed"),
+        (["--mode", "table", "--prime", "7", "--seed", "-7"], "--seed"),
     ],
 )
 def test_verify_rejects_vacuous_or_bad_input(capsys, argv, flag):

@@ -204,7 +204,9 @@ def test_conjugates_are_the_iterated_frobenius(p, m):
     F = field(p, m)
     step = one_step_frobenius(F)
     top = (p - 1,) * m
-    for a in [F.zero, F.element(1), top] + elements_of(F, 20, seed=p + m):
+    # the elements of F_p, zero included, are their own conjugates
+    constants = [F.zero, F.element(1), F.element(2), F.element(p - 1)]
+    for a in constants + [top] + elements_of(F, 20, seed=p + m):
         conj = F.conjugates(a)
         assert len(conj) == m
         cur = a
@@ -213,6 +215,28 @@ def test_conjugates_are_the_iterated_frobenius(p, m):
             cur = step(cur)
         assert cur == a
         assert F.frobenius(a) == conj[1 % m]
+
+
+@pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
+def test_times_is_mul_by_the_tabled_element(p, m):
+    F = field(p, m)
+    top = (p - 1,) * m
+    for c in [F.zero, F.element(1), top] + elements_of(F, 5, seed=p):
+        table = F.multiplier(c)
+        for a in [F.zero, F.element(p - 1), top] + elements_of(F, 20, seed=p + m):
+            assert F.times(table, a) == F.mul(c, a), (c, a)
+
+
+@pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
+def test_random_element_draws_as_randrange_does(p, m):
+    # one getrandbits of p's bit length per try, retried while >= p, is
+    # how random.Random.randrange(p) draws, so a twin-seeded generator
+    # stays in step with it draw for draw
+    F = field(p, m)
+    rng, twin = random.Random(p * m), random.Random(p * m)
+    for _ in range(200):
+        assert F.random_element(rng) == tuple(twin.randrange(p) for _ in range(m))
+    assert rng.random() == twin.random()
 
 
 def test_frobenius_fixes_exactly_the_prime_field():

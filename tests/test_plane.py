@@ -161,7 +161,7 @@ def _laplace_det(rows, p):
     ) % p
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 1000037])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 1000037, 4_294_967_311])
 def test_prime_field_singular_agrees_with_cofactor_expansion(p):
     F = p
     rng = random.Random(p)
@@ -187,6 +187,11 @@ def test_prime_field_singular_agrees_with_cofactor_expansion(p):
             for rows in deficient:
                 assert _laplace_det(rows, p) == 0
             cases += deficient
+        # toward the packed rows' entry bound (2p)^(n-1) p: entries p - 1
+        # and p - 2 leave no zero lead in column 0, so every row is updated
+        # and every entry grows from the largest residues
+        for _ in range(10):
+            cases.append([[p - 1 - rng.randrange(2) for _ in range(n)] for _ in range(n)])
         for rows in cases:
             assert plane._singular(F, rows) == (_laplace_det(rows, p) == 0), rows
 
@@ -430,6 +435,21 @@ def test_theta_lies_in_f_p2_but_not_in_f_p(p):
     assert F.frobenius(theta) != theta
 
 
+def test_theta_product_is_mul_by_theta():
+    # every element of F_{5^6}, and seeded elements of larger fields
+    for p in (5, 7, 11, 13, 1_000_037):
+        F = field(p, 6)
+        theta, table = plane._quadratic_element(F), plane._theta_table(F)
+        rng = random.Random(p)
+        elements = (
+            itertools.product(range(p), repeat=6)
+            if p == 5
+            else [F.random_element(rng) for _ in range(500)]
+        )
+        for a in elements:
+            assert F.times(table, a) == F.mul(theta, a), (p, a)
+
+
 def test_degree6_families_at_q5_exhaustively():
     # PGL(3, F_q) is transitive on rational lines, smooth conics and
     # conjugate line pairs, so one of each covers its family: every
@@ -497,7 +517,7 @@ def test_general_position_report_runs_one_triple_and_one_conic_test(monkeypatch)
 
 def test_general_position_report_field_call_budget(monkeypatch):
     # both 6x6 descent determinants run on ints mod p: the six Veronese
-    # products and the three products by theta are the report's only
+    # products and the three packed products by theta are the report's only
     # FiniteField calls, and collinear is not called
     from collections import Counter
 
@@ -505,7 +525,7 @@ def test_general_position_report_field_call_budget(monkeypatch):
 
     orbits = _sampled_orbits_and_controls()
     for F in {cp.point.field for cp in orbits}:
-        plane._quadratic_element(F)  # theta is cached per field on first use
+        plane._theta_table(F)  # theta's table is built per field on first use
     scope = ["report"]
     calls = Counter()
 
@@ -536,7 +556,7 @@ def test_general_position_report_field_call_budget(monkeypatch):
         calls.clear()
         rep = general_position_report(cp)
         verdicts.add((rep.no_three_collinear, rep.off_conic))
-        assert calls == {("report", "mul"): 9}
+        assert calls == {("report", "mul"): 6, ("report", "times"): 3}
     assert {(False, False), (True, False), (True, True)} <= verdicts
 
 

@@ -50,13 +50,16 @@ def test_run_verification_json_summary_matches_the_exit_code(tmp_path):
         assert isinstance(scan["violations"], int) and isinstance(scan["failures"], list)
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--dmax"])
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "value,flag",
+    [(v, f) for f in ("--samples", "--dmax") for v in ("0", "-1")] + [("-1", "--seed")],
+)
 def test_run_verification_rejects_an_empty_scan(tmp_path, flag, value):
-    # zero samples or an empty grid would print "all checks hold" vacuously
+    # zero samples or an empty grid would print "all checks hold" vacuously,
+    # and a negative seed would repeat the scans of its absolute value
     proc = run_script(tmp_path, flag, value)
     assert proc.returncode == 2
-    assert f"{flag} must be >= 1" in proc.stderr
+    assert f"{flag} must be >= {0 if flag == '--seed' else 1}" in proc.stderr
     assert "all checks hold" not in proc.stdout
 
 
