@@ -20,7 +20,7 @@ off general position, which a scan over F_p is expected to meet; only its
 ``failures`` make the run fail.
 
 Usage: python scripts/run_verification.py [--samples N] [--seed S] [--dmax D] [--json]
-(N and D must be at least 1)
+(N and D must be at least 1, and N at most 10^6)
 """
 
 import argparse
@@ -33,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sbuntwist.verify import (  # noqa: E402
     DEFAULT_DMAX,
+    SEED_STRIDE,
     TAIL_BOUND,
     scan_closed_points,
     scan_phi3,
@@ -54,6 +55,9 @@ def main() -> int:
     # random.Random seeds with |seed|, so -7 would repeat seed 7's scans
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
+    # more would overlap the closed-point scans at the next seed
+    if args.samples > SEED_STRIDE:
+        parser.error(f"--samples must be <= {SEED_STRIDE}, got {args.samples}")
 
     failures = []
     scans = []

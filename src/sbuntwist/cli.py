@@ -41,7 +41,7 @@ from .untwist import (
     ParityContradiction,
     untwist,
 )
-from .verify import DEFAULT_DMAX, scan_closed_points, scan_phi3, scan_phi6, scan_table
+from .verify import DEFAULT_DMAX, SEED_STRIDE, scan_closed_points, scan_phi3, scan_phi6, scan_table
 
 LABELS = {label.value: label for label in BrauerLabel}
 _DOCUMENT_KEYS = frozenset({"label", "d", "orbits", "declared_target"})
@@ -284,6 +284,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             args.samples = DEFAULT_SAMPLES
         if args.samples < 1:
             return _usage_error(f"--samples must be >= 1, got {args.samples}")
+        # more would overlap the closed-point scan at the next seed
+        if mode == "lemma3" and args.samples > SEED_STRIDE:
+            return _usage_error(f"--samples must be <= {SEED_STRIDE}, got {args.samples}")
     else:
         if args.dmax is None:
             args.dmax = DEFAULT_DMAX

@@ -7,6 +7,14 @@ top degree down.  Canonical moduli make field towers reproducible across
 runs and machines.  ``mul`` reduces a product by the monic modulus f itself,
 x^m = -(f_0 + ... + f_{m-1} x^{m-1}), so a field keeps one precomputed table.
 
+An element lies in the prime subfield F_p when every coefficient after the
+first is 0; for m = 1 every element does.  Such an element c acts on the
+F_p-basis coordinate-wise (Lidl and Niederreiter, Finite Fields, Sec. 2.1),
+and Frobenius fixes it.  So ``mul`` by c scales the other operand
+coefficient by coefficient mod p, ``inv`` of c is the scalar c^(p-2) mod p,
+and ``conjugates`` of c is c repeated m times; none runs a polynomial
+product or Euclid.
+
 One extended Euclidean loop over F_p[x] serves field inversion against the
 modulus and the coprimality condition of Rabin's irreducibility test
 (gcd(h, f) is constant iff h is invertible modulo f).  Each of its steps
@@ -19,8 +27,7 @@ of a in its slots, each a sum of at most m products of residues, so no
 carry crosses a slot (Kronecker substitution), and ``_slots`` is the one
 routine that reads them.  Each power sigma^k: x -> x^(p^k) of Frobenius is
 F_p-linear, so one table built with the field serves ``conjugates`` and
-``frobenius``: row i packs sigma^k(x^i) for k = 1 .. m-1.  Frobenius fixes
-F_p, so ``conjugates`` of an element of F_p skips the product.  Products
+``frobenius``: row i packs sigma^k(x^i) for k = 1 .. m-1.  Products
 by a fixed c are F_p-linear too: ``multiplier(c)`` packs c x^i, on demand
 and never with the field, and ``times`` reads c a from it.
 """
@@ -231,7 +238,15 @@ class FiniteField:
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def mul(self, a: Element, b: Element) -> Element:
+        """a b.  When a or b lies in F_p, the other is scaled coefficient
+        by coefficient, with no product of polynomials."""
         p, m = self.p, self.m
+        if not any(a[1:]):
+            c = a[0]
+            return tuple([c * y % p for y in b])
+        if not any(b[1:]):
+            c = b[0]
+            return tuple([c * x % p for x in a])
         conv = [0] * (2 * m - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -248,10 +263,15 @@ class FiniteField:
         return tuple(conv)
 
     def inv(self, a: Element) -> Element:
+        """1 / a.  An element c of F_p inverts as the scalar c^(p-2) mod p,
+        with no Euclid."""
         if a == self.zero:
             raise ZeroDivisionError("inversion of 0")
+        p, rest = self.p, a[1:]
+        if not any(rest):
+            return (pow(a[0], p - 2, p),) + rest
         # the modulus is irreducible, so every nonzero a is invertible
-        return _pad(_pinv(a, self.modulus, self.p), self.m)
+        return _pad(_pinv(a, self.modulus, p), self.m)
 
     def conjugates(self, a: Element) -> tuple[Element, ...]:
         """(a, a^p, ..., a^(p^(m-1))), every Galois conjugate of a, read

@@ -186,6 +186,12 @@ class PositionScanReport:
         return tuple(failures)
 
 
+# sample i of a closed-point scan at seed s is drawn with seed
+# s * SEED_STRIDE + i, so scans at different seeds share no point as long
+# as each draws at most SEED_STRIDE samples
+SEED_STRIDE = 1_000_000
+
+
 def scan_closed_points(p: int, samples: int, seed: int) -> PositionScanReport:
     """Sample degree-6 closed points and test the general-position claims.
 
@@ -193,11 +199,15 @@ def scan_closed_points(p: int, samples: int, seed: int) -> PositionScanReport:
     (degenerate conics included, so every collinear hit is also a conic
     hit) and the case of every collinear hit.  The report's ``failures``
     checks these hits against the rates of ``degree6_family_rates``.
+    More than ``SEED_STRIDE`` samples raise ``ValueError``: they would
+    overlap the scan at seed + 1.
     """
+    if samples > SEED_STRIDE:
+        raise ValueError(f"samples must be <= {SEED_STRIDE}, got {samples}")
     collinear_hits = conic_hits = violating = 0
     breakdown: dict[int, int] = {}
     for i in range(samples):
-        cp = sample_closed_point(p, 6, seed=seed * 1_000_000 + i)
+        cp = sample_closed_point(p, 6, seed=seed * SEED_STRIDE + i)
         rep = general_position_report(cp)
         if not rep.no_three_collinear:
             collinear_hits += 1

@@ -624,6 +624,12 @@ def test_verify_text_prints_its_keys_in_order(capsys, argv, keys):
         # random.Random seeds with |seed|: -7 would repeat seed 7
         (["--mode", "lemma3", "--prime", "5", "--seed", "-1"], "--seed"),
         (["--mode", "table", "--prime", "7", "--seed", "-7"], "--seed"),
+        # sample i at seed s draws with seed s * 10^6 + i: more samples would
+        # reach seed 1's first point
+        (
+            ["--mode", "lemma3", "--prime", "5", "--seed", "0", "--samples", "1000001"],
+            "--samples",
+        ),
     ],
 )
 def test_verify_rejects_vacuous_or_bad_input(capsys, argv, flag):

@@ -149,7 +149,9 @@ def test_field_axioms_on_samples(p, m):
 @pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
 def test_mul_is_the_product_reduced_by_long_division(p, m):
     F = field(p, m)
-    xs = [F.zero, F.element(1), (p - 1,) * m] + elements_of(F, 20, seed=p + m)
+    # the elements of F_p multiply as scalars, on either side
+    constants = [F.zero, F.element(1), F.element(2), F.element(p - 1)]
+    xs = constants + [(p - 1,) * m] + elements_of(F, 20, seed=p + m)
     for a in xs:
         for b in xs:
             product = [0] * (2 * m - 1)
@@ -264,20 +266,27 @@ def test_pow_matches_repeated_multiplication(params, data):
     assert power(F, a, e) == direct
 
 
-@pytest.mark.parametrize("p,m", [(5, 3), (7, 2)] + LARGE_P)
+@pytest.mark.parametrize(
+    "p,m", [(5, 3), (7, 2), (7, 1), (13, 1), (1_000_037, 1), (5, 6)] + LARGE_P
+)
 def test_inverse_times_the_element_is_one(p, m):
-    # every nonzero element of the small fields, 20 seeded ones of the large
+    # every nonzero element of the small fields; of the large, the constants
+    # below 100, which invert as scalars, and 20 seeded elements
     F = field(p, m)
-    xs = itertools.product(range(p), repeat=m) if p**m < 1000 else elements_of(F, 20, seed=p + m)
+    if p**m < 1000:
+        xs = itertools.product(range(p), repeat=m)
+    else:
+        xs = [F.element(c) for c in range(1, min(p, 100))] + elements_of(F, 20, seed=p + m)
     for a in xs:
         if a != F.zero:
             assert F.mul(a, F.inv(a)) == F.element(1), a
 
 
 def test_inverse_of_zero_raises():
-    F = field(7, 2)
-    with pytest.raises(ZeroDivisionError):
-        F.inv(F.zero)
+    # zero lies in F_p, so the scalar inverse must not see it first
+    for F in (field(7, 1), field(7, 2), field(5, 6)):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(F.zero)
 
 
 def test_multiplicative_order_divides_group_order():

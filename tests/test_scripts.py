@@ -52,14 +52,20 @@ def test_run_verification_json_summary_matches_the_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "value,flag",
-    [(v, f) for f in ("--samples", "--dmax") for v in ("0", "-1")] + [("-1", "--seed")],
+    [(v, f) for f in ("--samples", "--dmax") for v in ("0", "-1")]
+    + [("-1", "--seed"), ("1000001", "--samples")],
 )
 def test_run_verification_rejects_an_empty_scan(tmp_path, flag, value):
     # zero samples or an empty grid would print "all checks hold" vacuously,
-    # and a negative seed would repeat the scans of its absolute value
+    # a negative seed would repeat the scans of its absolute value, and more
+    # closed-point samples than the seed stride would reach the next seed's points
     proc = run_script(tmp_path, flag, value)
     assert proc.returncode == 2
-    assert f"{flag} must be >= {0 if flag == '--seed' else 1}" in proc.stderr
+    if value == "1000001":
+        rule = "<= 1000000"
+    else:
+        rule = f">= {0 if flag == '--seed' else 1}"
+    assert f"{flag} must be {rule}, got {value}" in proc.stderr
     assert "all checks hold" not in proc.stdout
 
 

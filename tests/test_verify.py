@@ -17,6 +17,7 @@ from sbuntwist.plane import (
     classify_configuration,
 )
 from sbuntwist.verify import (
+    SEED_STRIDE,
     TAIL_BOUND,
     PositionScanReport,
     binomial_tail,
@@ -199,6 +200,11 @@ def test_closed_point_scan_deterministic():
     a = scan_closed_points(7, samples=20, seed=5)
     b = scan_closed_points(7, samples=20, seed=5)
     assert a == b
+    # sample i at seed s draws with seed s * SEED_STRIDE + i, so a longer
+    # scan at seed 0 would end on seed 1's first point
+    assert SEED_STRIDE == 1_000_000
+    with pytest.raises(ValueError, match=r"^samples must be <= 1000000, got 1000001$"):
+        scan_closed_points(7, samples=SEED_STRIDE + 1, seed=0)
 
 
 @pytest.mark.parametrize(
