@@ -4,8 +4,10 @@ Elements are coefficient tuples of length m (ascending powers) reduced
 modulo a canonical irreducible: the lexicographically least monic
 irreducible of degree m over F_p, comparing coefficient vectors from the
 top degree down.  Canonical moduli make field towers reproducible across
-runs and machines.  ``mul`` reduces a product by the monic modulus f itself,
-x^m = -(f_0 + ... + f_{m-1} x^{m-1}), so a field keeps one precomputed table.
+runs and machines.  One routine, ``_mulmod``, multiplies and reduces for
+both ``mul`` and field construction (Rabin's test and the Frobenius table):
+the schoolbook product, then its top degrees cleared by the monic modulus f
+itself, x^m = -(f_0 + ... + f_{m-1} x^{m-1}).
 
 An element lies in the prime subfield F_p when every coefficient after the
 first is 0; for m = 1 every element does.  Such an element c acts on the
@@ -52,43 +54,42 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> Element:
+    """a b modulo the monic f of degree m over F_p, for a and b of length m:
+    the schoolbook product, then degrees 2m-2 .. m cleared by
+    c x^(k+m) -> -c x^k (f_0 + ... + f_{m-1} x^{m-1}), skipping the zero f_i."""
+    m = len(f) - 1
+    conv = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    # f monic
-    r = list(a)
-    df = len(f) - 1
-    while len(r) - 1 >= df and r:
-        lead = r[-1]
-        shift = len(r) - 1 - df
-        if lead:
-            for i, fi in enumerate(f):
-                r[shift + i] = (r[shift + i] - lead * fi) % p
-        r.pop()
-    return _ptrim(r)
+                conv[i + j] = (conv[i + j] + ai * bj) % p
+    low = f[:m]
+    for k in range(m - 2, -1, -1):
+        c = conv.pop()
+        if c:
+            for i, fi in enumerate(low, k):
+                if fi:
+                    conv[i] = (conv[i] - c * fi) % p
+    return tuple(conv)
 
 
-def _ppowmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    acc = _pmod(base, f, p)
+def _ppowmod(base: Element, e: int, f: Sequence[int], p: int) -> Element:
+    """base^e modulo the monic f over F_p, for base reduced modulo f."""
+    result = (1,) + (0,) * (len(base) - 1)
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, acc, p), f, p)
-        acc = _pmod(_pmul(acc, acc, p), f, p)
+            result = _mulmod(result, base, f, p)
+        base = _mulmod(base, base, f, p)
         e >>= 1
     return result
 
 
-def _pinv(a: Sequence[int], f: Sequence[int], p: int) -> list[int] | None:
-    """The inverse of a modulo f over F_p, or None when gcd(a, f) is not a
-    constant.  Extended Euclid: each step divides the larger remainder by
-    the smaller in place, inverting the divisor's leading coefficient once."""
+def _pinv(a: Sequence[int], f: Sequence[int], p: int) -> Element | None:
+    """The inverse of a modulo f over F_p, as deg f coefficients, or None
+    when gcd(a, f) is not a constant.  Extended Euclid: each step divides
+    the larger remainder by the smaller in place, inverting the divisor's
+    leading coefficient once."""
     # invariant for both pairs: s * a == r modulo f
     r0, s0 = list(f), []
     r1, s1 = _ptrim(list(a)), [1]
@@ -108,7 +109,7 @@ def _pinv(a: Sequence[int], f: Sequence[int], p: int) -> list[int] | None:
     if not r1:
         return None
     scale = pow(r1[0], p - 2, p)
-    return [(x * scale) % p for x in s1]
+    return tuple([x * scale % p for x in s1]) + (0,) * (len(f) - 1 - len(s1))
 
 
 def _slots(table: Sequence[int], a: Element, p: int, mask: int, shifts: range) -> list[int]:
@@ -117,10 +118,6 @@ def _slots(table: Sequence[int], a: Element, p: int, mask: int, shifts: range) -
     maps, so the slots hold the coefficients of the images of a."""
     packed = sum(map(operator.mul, a, table))
     return [(packed >> s & mask) % p for s in shifts]
-
-
-def _pad(coeffs: Sequence[int], m: int) -> tuple[int, ...]:
-    return tuple(coeffs) + (0,) * (m - len(coeffs))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -145,12 +142,12 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     m = len(f) - 1
     if m == 1:
         return True
-    x = [0, 1]
+    x = (0, 1) + (0,) * (m - 2)
     if _ppowmod(x, p**m, f, p) != x:
         return False
     for r in _prime_factors(m):
         # gcd(x^(p^(m/r)) - x, f) must be constant
-        h = _ppowmod(x, p ** (m // r), f, p) + [0, 0]
+        h = list(_ppowmod(x, p ** (m // r), f, p))
         h[1] = (h[1] - 1) % p
         if _pinv(h, f, p) is None:
             return False
@@ -193,8 +190,10 @@ class FiniteField:
         self.modulus = _least_irreducible(p, m)
         self.zero: Element = (0,) * m
         # row i of the one-step matrix is sigma(x^i) = x^(i p); iterating
-        # the matrix on it gives sigma^k(x^i) for k = 2 .. m-1
-        frob = [_pad(_ppowmod([0, 1], i * p, self.modulus, p), m) for i in range(m)]
+        # the matrix on it gives sigma^k(x^i) for k = 2 .. m-1 (at m = 1,
+        # x reduces to 0 modulo the modulus x, and the one row is x^0)
+        x = (0, 1, *self.zero)[:m]
+        frob = [_ppowmod(x, i * p, self.modulus, p) for i in range(m)]
         cols = list(zip(*frob))
         w = (m * (p - 1) ** 2).bit_length()
         # slots for the m - 1 conjugates, and at least the one image of ``times``
@@ -240,27 +239,14 @@ class FiniteField:
     def mul(self, a: Element, b: Element) -> Element:
         """a b.  When a or b lies in F_p, the other is scaled coefficient
         by coefficient, with no product of polynomials."""
-        p, m = self.p, self.m
+        p = self.p
         if not any(a[1:]):
             c = a[0]
             return tuple([c * y % p for y in b])
         if not any(b[1:]):
             c = b[0]
             return tuple([c * x % p for x in a])
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        # clear degrees 2m-2 .. m: c x^(k+m) -> -c x^k (f_0 + ... + f_{m-1} x^{m-1})
-        low = self.modulus[:m]
-        for k in range(m - 2, -1, -1):
-            c = conv.pop()
-            if c:
-                for i, fi in enumerate(low, k):
-                    if fi:
-                        conv[i] = (conv[i] - c * fi) % p
-        return tuple(conv)
+        return _mulmod(a, b, self.modulus, p)
 
     def inv(self, a: Element) -> Element:
         """1 / a.  An element c of F_p inverts as the scalar c^(p-2) mod p,
@@ -271,7 +257,7 @@ class FiniteField:
         if not any(rest):
             return (pow(a[0], p - 2, p),) + rest
         # the modulus is irreducible, so every nonzero a is invertible
-        return _pad(_pinv(a, self.modulus, p), self.m)
+        return _pinv(a, self.modulus, p)
 
     def conjugates(self, a: Element) -> tuple[Element, ...]:
         """(a, a^p, ..., a^(p^(m-1))), every Galois conjugate of a, read

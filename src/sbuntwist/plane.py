@@ -287,12 +287,12 @@ def sample_closed_point(p: int, degree: int, seed: int) -> ClosedPoint:
     )
 
 
-@lru_cache(maxsize=None)
 def _quadratic_element(F: FiniteField) -> Element:
     """theta in F_{p^2} but not in F_p, inside F = F_{p^6}: the first trace
     x^i + sigma^2(x^i) + sigma^4(x^i) to F_{p^2} that is not in F_p.  The
     trace is F_p-linear and onto F_{p^2}, so the basis 1, x, ..., x^5
-    cannot map wholly into F_p.  Computed once per field, on first use."""
+    cannot map wholly into F_p.  Its caller ``_theta_table`` is cached
+    per field."""
     p = F.p
     traces = (tuple(sum(c) % p for c in zip(*F.conjugates(b)[::2])) for b in F.basis())
     return next(t for t in traces if any(t[1:]))

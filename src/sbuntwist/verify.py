@@ -62,7 +62,10 @@ def _scan_link(kind: LinkKind, dmax: int) -> EquivalenceReport:
     """Compare the link formula at a degree-n center of multiplicity b with
     its realization on the plane (one quadratic transform for n = 3, three
     for n = 6) over the full (d, b) grid on which the formula's image is
-    valid: d' = (n-1)d - (n-2)b >= 1 and b' = nd - (n-1)b >= 0."""
+    valid: d' = (n-1)d - (n-2)b >= 1 and b' = nd - (n-1)b >= 0.  A dmax
+    below 1 raises ``ValueError``: its grid is empty."""
+    if dmax < 1:
+        raise ValueError(f"dmax must be >= 1, got {dmax}")
     n = kind.center_degree
     labels = tuple(f"p{i}" for i in range(1, n + 1))
     checked = mismatches = 0
@@ -200,10 +203,15 @@ def scan_closed_points(p: int, samples: int, seed: int) -> PositionScanReport:
     hit) and the case of every collinear hit.  The report's ``failures``
     checks these hits against the rates of ``degree6_family_rates``.
     More than ``SEED_STRIDE`` samples raise ``ValueError``: they would
-    overlap the scan at seed + 1.
+    overlap the scan at seed + 1.  So do no samples, and a negative seed,
+    whose draws ``random.Random`` would seed with |seed|.
     """
     if samples > SEED_STRIDE:
         raise ValueError(f"samples must be <= {SEED_STRIDE}, got {samples}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     collinear_hits = conic_hits = violating = 0
     breakdown: dict[int, int] = {}
     for i in range(samples):
@@ -378,7 +386,10 @@ class TableScanReport:
 def scan_table(q: int, random_samples: int, seed: int) -> TableScanReport:
     """Classify the witness of every configuration case over F_q, check
     the forced line counts, and classify random six-point sets to probe
-    for profile gaps."""
+    for profile gaps.  A negative seed raises ``ValueError``:
+    ``random.Random`` would seed with |seed| and repeat the scan at -seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     witnesses = []
     first = ""
     for case_id in range(1, 10):

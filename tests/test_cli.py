@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbuntwist import cli, verify
 from sbuntwist.cli import main, parse_cycle_document, render_cycle_document
 from sbuntwist.cycles import BrauerLabel, CycleClass
 from sbuntwist.links import DegenerateImage, LinkKind, WrongDegree, _Walk
-from sbuntwist.untwist import InconsistentCycle, ParityContradiction
+from sbuntwist.untwist import InconsistentCycle, ParityContradiction, random_chain
 from sbuntwist.verify import EquivalenceReport, PositionScanReport
 
 
@@ -671,3 +675,61 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["push", "nofile.json"])  # --kind is required
     assert exc.value.code == 2
+
+
+# --- document fuzz ---
+
+_LABEL_NAMES = st.sampled_from(sorted(cli.LABELS))
+_SHAPED_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "label": _LABEL_NAMES,
+        "d": st.integers(1, 30) | st.integers(1, 10**6),
+        "orbits": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "degree": st.sampled_from((3, 6, 9, 12)),
+                    "mult": st.integers(0, 30) | st.integers(0, 10**6),
+                }
+            ),
+            max_size=5,
+        ),
+    },
+    optional={"declared_target": _LABEL_NAMES},
+)
+# consistent documents: -omega pushed through at most 8 links, so d <= 5^8
+_CHAIN_DOCUMENTS = st.builds(
+    lambda n, seed: render_cycle_document(random_chain(n, seed)[0]),
+    st.integers(0, 8),
+    st.integers(0, 10**6),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_PUSH_OPTIONS = st.sampled_from(
+    [["--kind", kind, *center] for kind in ("phi3", "phi6") for center in ([], ["--center", "x1"])]
+)
+
+
+# one command per example, since building the parser dominates a main call;
+# 3 x 70 examples take about a second
+@pytest.mark.parametrize("command", ["check", "push", "untwist"])
+@settings(max_examples=70, derandomize=True, database=None, deadline=None)
+@given(
+    doc=_SHAPED_DOCUMENTS | _CHAIN_DOCUMENTS | _JSON_VALUES,
+    push_options=_PUSH_OPTIONS,
+    fmt=st.sampled_from(["text", "machine"]),
+)
+def test_generated_documents_exit_0_1_or_2(command, doc, push_options, fmt):
+    options = push_options if command == "push" else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cycle.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, path, *options, "--format", fmt])
+    assert code in (0, 1, 2), (command, options, fmt, code, err.getvalue())

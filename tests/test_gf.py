@@ -19,12 +19,20 @@ def elements_of(F, count, seed=0):
 
 def power(F, a, e):
     """a^e for e >= 0 by square-and-multiply: the reference route that
-    inv and frobenius are checked against."""
+    inv and frobenius are checked against.  Every product must come back
+    reduced, so a mul that stops reducing fails here rather than squaring
+    ever larger ints."""
+
+    def mul(x, y):
+        z = F.mul(x, y)
+        assert all(c in range(F.p) for c in z), (x, y, z)
+        return z
+
     result, acc = F.element(1), a
     while e:
         if e & 1:
-            result = F.mul(result, acc)
-        acc = F.mul(acc, acc)
+            result = mul(result, acc)
+        acc = mul(acc, acc)
         e >>= 1
     return result
 

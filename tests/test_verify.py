@@ -207,6 +207,20 @@ def test_closed_point_scan_deterministic():
         scan_closed_points(7, samples=SEED_STRIDE + 1, seed=0)
 
 
+def test_scans_refuse_negative_seeds_and_empty_scans():
+    # random.Random seeds with |seed|, so -3 would repeat seed 3's draws,
+    # and an empty scan would report ok with no checks
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        scan_closed_points(7, samples=1, seed=-1)
+    with pytest.raises(ValueError, match=r"^samples must be >= 1, got 0$"):
+        scan_closed_points(7, samples=0, seed=1)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        scan_table(7, random_samples=20, seed=-3)
+    for scan in (scan_phi3, scan_phi6):
+        with pytest.raises(ValueError, match=r"^dmax must be >= 1, got 0$"):
+            scan(0)
+
+
 @pytest.mark.parametrize(
     "p, collinear, conic",
     [(5, 4.16, 23.8), (7, 2.08, 16.3), (11, 0.83, 9.9), (13, 0.60, 8.3)],
