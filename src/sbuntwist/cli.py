@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from operator import attrgetter
 from typing import Optional
 
@@ -339,6 +340,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@cache  # built by the first main call, then reused: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sbuntwist",

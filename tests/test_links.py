@@ -166,12 +166,25 @@ def test_default_id_source_avoids_existing_ids():
 
 @pytest.mark.parametrize(
     "taken, first",
-    [("x12\n", "x13"), ("x\u0661\u0662", "x13"), ("x05", "x6"), ("x", "x1"), ("y5", "x1")],
+    [
+        (("x12\n",), "x13"),
+        (("x\u0661\u0662",), "x13"),
+        (("x05",), "x6"),
+        (("x",), "x1"),
+        (("y5",), "x1"),
+        # the largest value is neither the longest id nor the last one
+        (("x0099", "x12"), "x100"),
+        (("x10", "x9"), "x11"),
+        (("x\u0661\u0665\n", "x0014", "x\u0667"), "x16"),
+        (("x\u0669\n", "x0\u0668", "x7"), "x10"),
+    ],
+    ids=lambda value: ",".join(value) if isinstance(value, tuple) else value,
 )
 def test_fresh_ids_start_past_the_ids_the_pattern_reads(taken, first):
-    # the counter reads int() of any x<digits> id: a trailing newline,
-    # Unicode digits and leading zeros count, other ids do not
-    c = CycleClass(GAMMA, 1, (Orbit(taken, 3, 0),))
+    # the counter starts past the largest int() of any x<digits> id: a
+    # trailing newline, Unicode digits and leading zeros count, other ids
+    # do not
+    c = CycleClass(GAMMA, 1, tuple(Orbit(t, 3, 0) for t in taken))
     _, link = push(c, None, LinkKind.PHI3)
     assert link.center_id == first
 

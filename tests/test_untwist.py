@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,16 @@ def test_random_chain_draws_are_pinned(length, seed, kinds, d):
     cycle, chain = random_chain(length, seed)
     assert " ".join(link.kind.value for link in chain) == kinds
     assert cycle.d == d
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 300])
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2**40 + 3])
+def test_random_chain_draws_kinds_as_choice_does(length, seed):
+    # the inlined draw gives the stream random.Random(seed).choice gives
+    rng = random.Random(seed)
+    kinds = [rng.choice((LinkKind.PHI3, LinkKind.PHI6)) for _ in range(length)]
+    _, chain = random_chain(length, seed)
+    assert [link.kind for link in chain] == kinds
 
 
 WORDS_DIGEST = "sha256:053bfe0f921481ff98b1a877611180ff3002208ba276059745ce6a9dee48e860"
