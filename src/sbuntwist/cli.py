@@ -204,7 +204,9 @@ def _cmd_push(args: argparse.Namespace) -> int:
             f"no orbit with id {args.center!r} in the input cycle (ids: {ids or 'none'})"
         )
     out, link = push(cycle, args.center, LinkKind(args.kind))
-    doc = render_cycle_document(out, declared)
+    # the link flips the label, so carry the landing family untwist would
+    # otherwise take from the input's label
+    doc = render_cycle_document(out, declared if declared is not None else cycle.label)
     if args.format == "machine":
         _emit({"cycle": doc, "link": _link_doc(link)})
     else:

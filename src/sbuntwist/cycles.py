@@ -101,16 +101,6 @@ class CycleClass:
         return self.d == 1 and all(o.multiplicity == 0 for o in self.orbits)
 
 
-def self_intersection(cycle: CycleClass) -> int:
-    """(-d*omega - sum b_i x_i)^2 = 9 d^2 - sum(degree * b^2)."""
-    return noether_check(cycle).self_intersection
-
-
-def anticanonical_degree(cycle: CycleClass) -> int:
-    """Intersection with -omega: 9 d - sum(degree * b)."""
-    return noether_check(cycle).anticanonical_degree
-
-
 def arithmetic_genus(cycle: CycleClass) -> int:
     """p_a = 9(d^2-d)/2 + 1 - sum(degree * b(b-1)/2).
 
@@ -149,6 +139,8 @@ def max_multiplicity_orbit(cycle: CycleClass) -> Optional[Orbit]:
 class NoetherReport:
     """Verdicts for the integer relations a pushforward of -omega satisfies.
 
+    self_intersection: (-d*omega - sum b_i x_i)^2 = 9 d^2 - sum(degree * b^2).
+    anticanonical_degree: intersection with -omega, 9 d - sum(degree * b).
     e2: self-intersection equals 9.
     e3: anticanonical degree equals 9.
     e4: some multiplicity reaches d+1 whenever d >= 2.

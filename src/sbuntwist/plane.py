@@ -2,11 +2,13 @@
 
 Closed points are modeled as Frobenius orbits of plane points, and points
 and lines share one normalization (first nonzero coordinate 1).  Incidence
-tests (collinearity, common conics) are exact singularity tests by
-inversion-free elimination, and six-point configurations are classified by
-their line profile, read off by grouping the 15 point pairs by the line
-they span and looked up in ``ConfigCase``, the one table of the ten
-profiles six points can have.
+tests are exact determinant zero tests with one eliminator, ``_singular``,
+over F_p: three points are collinear iff the third lies on the line
+through the other two, and a determinant over F_{p^m} is 0 iff its norm
+to F_p is, which ``_singular_over`` reads from the regular representation.
+Six-point configurations are classified by their line profile, read off
+by grouping the 15 point pairs by the line they span and looked up in
+``ConfigCase``, the one table of the ten profiles six points can have.
 
 Whether a degree-6 closed point lies on a conic is decided by Galois
 descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
@@ -18,11 +20,11 @@ the basis is F_p-independent (Lidl and Niederreiter, Finite Fields,
 Sec. 3.4).  So the six points lie on a conic iff det C = 0.  The argument
 needs the orbit degree to equal the field degree, so the coordinates must
 lie in F_{p^6} itself.  The rows of C are the Veronese entries' coordinate
-tuples, ints in range(p), so ``_singular`` takes p as its ring: through
-``FiniteField`` on 1-tuples the determinant took most of the census time.
-Over F_p it packs each row into one int, an entry per slot, and eliminates
-whole rows at once.  Only the pivots and leads are reduced mod p; every
-other entry stays below (2p)^(n-1) p, the slot bound, so no slot carries.
+tuples, ints in range(p), so ``_singular`` takes them over F_p with no
+``FiniteField`` call.  It packs each row into one int, an entry per slot,
+and eliminates whole rows at once.  Only the pivots and leads are reduced
+mod p; every other entry stays below (2p)^(n-1) p, the slot bound, so no
+slot carries.
 
 Whether a degree-6 closed point has a collinear triple is decided by the
 one triple (0, 2, 4).  Frobenius sigma sends orbit point i to point
@@ -124,65 +126,57 @@ def frobenius_orbit(pt: ProjPoint) -> list[ProjPoint]:
     return orbit
 
 
-def _singular(ring: FiniteField | int, rows: Sequence[Sequence]) -> bool:
-    """True iff the square matrix has determinant 0.
+def _singular(p: int, rows: Sequence[Sequence[int]]) -> bool:
+    """True iff the square matrix over F_p, with entries ints in range(p),
+    has determinant 0.
 
     Fraction-free elimination (Bareiss' idea reduced to a zero test):
     ``row_r <- pivot * row_r - a[r][col] * row_col`` scales the determinant
     only by the nonzero pivot, so no inversion is needed.  A row whose entry
     in the pivot column is already 0 is left as it is.
 
-    ``ring`` is a ``FiniteField``, whose elements are the entries, or a
-    prime p, for entries that are ints in range(p).  With p each row is one
-    int with its entries in slots of w bits, column 0 in the top slot.  The
-    update is ``row * t + (p - lead) * top`` on whole rows, congruent to
-    the one above mod p, with only the pivot t and the lead read out and
-    reduced.  Entries stay nonnegative, and each of the n - 1 updates
-    multiplies their bound by at most 2p, so they stay below
-    (2p)^(n-1) p < 2^w and no slot carries into the next.  The descent
-    tests' 6x6 determinant would otherwise cost about 90 ``FiniteField``
-    calls per orbit.
+    Each row is one int with its entries in slots of w bits, column 0 in
+    the top slot.  The update is ``row * t + (p - lead) * top`` on whole
+    rows, congruent to the one above mod p, with only the pivot t and the
+    lead read out and reduced.  Entries stay nonnegative, and each of the
+    n - 1 updates multiplies their bound by at most 2p, so they stay below
+    (2p)^(n-1) p < 2^w and no slot carries into the next.  This is the one
+    eliminator: matrices over F_{p^m} reach it through ``_singular_over``.
     """
     n = len(rows)
-    if isinstance(ring, int):
-        p = ring
-        w = ((2 * p) ** (n - 1) * p).bit_length()
-        mask = (1 << w) - 1
-        live = []
-        for row in rows:
-            packed = 0
-            for x in row:
-                packed = packed << w | x
-            live.append(packed)
-        for s in range(w * (n - 1), -1, -w):
-            top, rest = None, []
-            for row in live:
-                lead = (row >> s & mask) % p
-                if not lead:
-                    rest.append(row)
-                elif top is None:
-                    top, t = row, lead
-                else:
-                    rest.append(row * t + (p - lead) * top)
-            if top is None:
-                return True
-            live = rest
-        return False
-    a = [list(row) for row in rows]
-    zero = ring.zero
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != zero), None)
-        if pivot is None:
+    w = ((2 * p) ** (n - 1) * p).bit_length()
+    mask = (1 << w) - 1
+    live = []
+    for row in rows:
+        packed = 0
+        for x in row:
+            packed = packed << w | x
+        live.append(packed)
+    for s in range(w * (n - 1), -1, -w):
+        top, rest = None, []
+        for row in live:
+            lead = (row >> s & mask) % p
+            if not lead:
+                rest.append(row)
+            elif top is None:
+                top, t = row, lead
+            else:
+                rest.append(row * t + (p - lead) * top)
+        if top is None:
             return True
-        a[col], a[pivot] = a[pivot], a[col]
-        top = a[col]
-        for r in range(col + 1, n):
-            lead = a[r][col]
-            if lead != zero:
-                row = a[r]
-                for c in range(col + 1, n):
-                    row[c] = ring.sub(ring.mul(top[col], row[c]), ring.mul(lead, top[c]))
+        live = rest
     return False
+
+
+def _singular_over(F: FiniteField, rows: Sequence[Sequence[Element]]) -> bool:
+    """True iff the square matrix A over F = F_{p^m} has determinant 0,
+    decided over F_p by ``_singular`` on the regular representation of A:
+    row (i, k) holds the coefficients of a_ij x^k over all j, for x^k in
+    ``F.basis()``.  That nm x nm matrix is the F_p-matrix of v -> v A on
+    F^n, and its determinant is the norm N_{F/F_p}(det A), which is 0 iff
+    det A is (Lidl and Niederreiter, Finite Fields, Sec. 2.3)."""
+    basis = F.basis()
+    return _singular(F.p, [[c for a in row for c in F.mul(a, b)] for row in rows for b in basis])
 
 
 def _check_same_field(points: Sequence[ProjPoint]) -> FiniteField:
@@ -193,9 +187,11 @@ def _check_same_field(points: Sequence[ProjPoint]) -> FiniteField:
 
 
 def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
-    """True iff the 3x3 coordinate determinant vanishes."""
+    """True iff the 3x3 coordinate determinant vanishes.  It is the triple
+    product (a x b) . c, so c must lie on the line a x b, which is the zero
+    vector, incident to every point, when a = b."""
     F = _check_same_field((a, b, c))
-    return _singular(F, (a.coords, b.coords, c.coords))
+    return incident(_cross(F, a.coords, b.coords), c)
 
 
 def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[Element, Element, Element]:
@@ -234,11 +230,12 @@ def _veronese(F: FiniteField, coords: Sequence[Element]) -> tuple[Element, ...]:
 
 def on_common_conic(points: Sequence[ProjPoint]) -> bool:
     """True iff six points lie on a common conic, degenerate ones included:
-    the 6x6 determinant of Veronese images (x^2, xy, xz, y^2, yz, z^2)."""
+    the 6x6 determinant of Veronese images (x^2, xy, xz, y^2, yz, z^2)
+    vanishes, decided over F_p through its norm by ``_singular_over``."""
     if len(points) != 6:
         raise ValueError(f"need exactly 6 points, got {len(points)}")
     F = _check_same_field(points)
-    return _singular(F, [_veronese(F, pt.coords) for pt in points])
+    return _singular_over(F, [_veronese(F, pt.coords) for pt in points])
 
 
 @dataclass(frozen=True)

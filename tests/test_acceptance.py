@@ -29,7 +29,6 @@ from sbuntwist.cycles import (
     arithmetic_genus,
     max_multiplicity_orbit,
     noether_check,
-    self_intersection,
 )
 from sbuntwist.gf import field
 from sbuntwist.plane import (
@@ -257,7 +256,7 @@ def test_criterion_8_genus_and_intersection_conservation():
     for cycles in _trajectories() + tuple(f.trace for f in _factorizations()):
         for cycle in cycles:
             checked += 1
-            if self_intersection(cycle) != 9 or arithmetic_genus(cycle) != 1:
+            if noether_check(cycle).self_intersection != 9 or arithmetic_genus(cycle) != 1:
                 bad += 1
     _report(8, bad == 0, f"{checked} intermediate cycles, {bad} conservation violations")
 

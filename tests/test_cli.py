@@ -220,7 +220,31 @@ def test_push_fresh_phi6_reproduces_anticanonical_image(tmp_path, capsys):
     rc = main(["push", write_doc(tmp_path, doc), "--kind", "phi6"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert data == {"label": "gamma_inv", "d": 5, "orbits": [{"degree": 6, "mult": 6}]}
+    assert data == {
+        "label": "gamma_inv",
+        "d": 5,
+        "orbits": [{"degree": 6, "mult": 6}],
+        "declared_target": "gamma",
+    }
+
+
+@pytest.mark.parametrize("push_format", ["text", "machine"])
+@pytest.mark.parametrize("label", ["gamma", "gamma_inv"])
+@pytest.mark.parametrize("kind", ["phi3", "phi6"])
+def test_push_output_untwists_back_to_the_input_label(tmp_path, capsys, kind, label, push_format):
+    # the link flips the label, and push's document declares the input's,
+    # so untwist with no --target lands where the pipe started
+    start = write_doc(tmp_path, {"label": label, "d": 1})
+    assert main(["push", start, "--kind", kind, "--format", push_format]) == 0
+    data = json.loads(capsys.readouterr().out)
+    pushed = data["cycle"] if push_format == "machine" else data
+    assert pushed["label"] != label and pushed["declared_target"] == label
+    path = write_doc(tmp_path, pushed, "pushed.json")
+    assert main(["untwist", path, "--format", "machine"]) == 0
+    fact = json.loads(capsys.readouterr().out)
+    assert fact["terminal_label"] == label and [s["kind"] for s in fact["steps"]] == [kind]
+    assert main(["untwist", path]) == 0
+    assert f"terminal: -omega on {label} " in capsys.readouterr().out
 
 
 def test_push_output_round_trips_through_check(tmp_path, capsys):

@@ -5,11 +5,9 @@ from sbuntwist.cycles import (
     BrauerLabel,
     CycleClass,
     Orbit,
-    anticanonical_degree,
     arithmetic_genus,
     max_multiplicity_orbit,
     noether_check,
-    self_intersection,
 )
 
 GAMMA = BrauerLabel.GAMMA
@@ -93,16 +91,16 @@ def test_normalized_prunes_zero_orbits():
 # --- frozen examples for the invariants ---
 
 def test_self_intersection_anticanonical():
-    assert self_intersection(cyc(1)) == 9
+    assert noether_check(cyc(1)).self_intersection == 9
 
 
 def test_self_intersection_phi6_image():
     # the image of -omega under the degree-6 link
-    assert self_intersection(cyc(5, [(6, 6)])) == 9 * 25 - 6 * 36 == 9
+    assert noether_check(cyc(5, [(6, 6)])).self_intersection == 9 * 25 - 6 * 36 == 9
 
 
 def test_self_intersection_phi3_image():
-    assert self_intersection(cyc(2, [(3, 3)])) == 36 - 27 == 9
+    assert noether_check(cyc(2, [(3, 3)])).self_intersection == 36 - 27 == 9
 
 
 def test_genus_examples():
@@ -185,16 +183,15 @@ def test_genus_identity_against_direct_sum(d, orbits):
     # halved-term formula agrees with the all-integer rearrangement
     # 2 p_a = (9 d^2 - sum n b^2) - (9 d - sum n b) + 2
     c = cyc(d, orbits)
-    assert 2 * arithmetic_genus(c) == (
-        self_intersection(c) - anticanonical_degree(c) + 2
-    )
+    rep = noether_check(c)
+    assert 2 * arithmetic_genus(c) == rep.self_intersection - rep.anticanonical_degree + 2
 
 
 @given(st.integers(min_value=1, max_value=1000), orbit_lists)
 def test_normalization_preserves_invariants(d, orbits):
     c = cyc(d, orbits)
     n = c.normalized()
-    assert self_intersection(c) == self_intersection(n)
+    assert noether_check(c).self_intersection == noether_check(n).self_intersection
     assert arithmetic_genus(c) == arithmetic_genus(n)
     assert noether_check(c) == noether_check(n)
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -145,10 +146,32 @@ def test_collinear_agrees_with_the_cofactor_determinant(p, m):
             if all(x == F.zero for x in combo):
                 continue
             c = ProjPoint.make(F, combo)
-        expected = _cofactor_det(F, [a.coords, b.coords, c.coords]) == F.zero
+        rows = [a.coords, b.coords, c.coords]
+        expected = _cofactor_det(F, rows) == F.zero
         assert collinear(a, b, c) == expected
+        assert plane._singular_over(F, rows) == expected
         hits += expected
     assert 0 < hits < 300
+
+
+def test_singular_over_an_extension_reads_dependence_over_it():
+    # the last row is an F-combination of the other five, with the
+    # coefficient 3 + 5x outside F_7, so the rows are dependent over F_{7^2}
+    F = field(7, 2)
+    rng = random.Random(72)
+    rows = [[F.random_element(rng) for _ in range(6)] for _ in range(5)]
+    coeffs = [F.random_element(rng) for _ in range(4)] + [(3, 5)]
+    last = [
+        functools.reduce(F.add, (F.mul(s, row[j]) for s, row in zip(coeffs, rows)))
+        for j in range(6)
+    ]
+    assert plane._singular_over(F, rows + [last])
+    # unit upper triangular: determinant 1, whatever lies above the diagonal
+    unit = [
+        [F.random_element(rng) if j > i else F.element(int(i == j)) for j in range(6)]
+        for i in range(6)
+    ]
+    assert not plane._singular_over(F, unit)
 
 
 def _laplace_det(rows, p):

@@ -14,7 +14,6 @@ from sbuntwist.cycles import (
     arithmetic_genus,
     max_multiplicity_orbit,
     noether_check,
-    self_intersection,
 )
 from sbuntwist.links import (
     DegenerateImage,
@@ -226,7 +225,7 @@ def test_intermediate_invariants_along_untwisting(length, seed):
     for a, b in zip(labels, labels[1:]):
         assert b is a.inverse()
     for c in fact.trace:
-        assert self_intersection(c) == 9
+        assert noether_check(c).self_intersection == 9
         assert arithmetic_genus(c) == 1
         rep = noether_check(c)
         assert rep.consistent and rep.e4 and rep.e5
