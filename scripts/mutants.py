@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Mutation checks: every mutant in ``MUTANTS`` must fail its tests.
+
+A mutant names a file, an exact old text, the text that replaces it and a
+pytest selection.  The run first requires every old text to occur exactly
+once in its file of this tree, so a mutant that a later edit made stale
+fails the run before any test starts.  It then copies ``src/``, ``tests/``,
+``scripts/``, ``perfbench/`` and ``pyproject.toml`` to a temporary
+directory and runs every selection on the clean copy, which must pass
+them all.  Then, for each mutant, it applies the mutant to a fresh copy
+and runs ``python -m pytest -q -x <selection>`` there under a timeout of
+``TIMEOUT_S`` seconds.  The mutant is killed when pytest fails; it
+survives when pytest passes; a run that reaches the timeout is reported
+as a hang (a test that spins on a broken routine instead of failing).
+
+Exit status: 0 when every mutant is killed; 1 on a stale mutant, a clean
+copy that fails a selection, a surviving mutant or a hang.  A new mutation
+check goes into ``MUTANTS``, with the narrowest selection that kills it.
+
+Usage: python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TREE = ("src", "tests", "scripts", "perfbench", "pyproject.toml")
+TIMEOUT_S = 60
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    selection: tuple[str, ...]
+
+
+LINKS, CYCLES, CLI = "src/sbuntwist/links.py", "src/sbuntwist/cycles.py", "src/sbuntwist/cli.py"
+GF, PLANE = "src/sbuntwist/gf.py", "src/sbuntwist/plane.py"
+
+MUTANTS = (
+    Mutant("image multiplicity d' - t", LINKS,
+           "m2 = d2 + t\n", "m2 = d2 - t\n", ("tests/test_links.py",)),
+    Mutant("image degree on (n-1) t", LINKS,
+           "d2 = d + (n - 2) * t\n", "d2 = d + (n - 1) * t\n", ("tests/test_links.py",)),
+    Mutant("fresh image multiplicity d'", LINKS,
+           "m2 = d2 + d\n", "m2 = d2\n", ("tests/test_links.py",)),
+    Mutant("trusted image of degree 3", LINKS,
+           "tuple.__new__(Orbit, (image_id, n, m2))", "tuple.__new__(Orbit, (image_id, 3, m2))",
+           ("tests/test_links.py",)),
+    Mutant("parsed degree and mult swapped", CLI,
+           '(f"x{i + 1}", degree, mult)', '(f"x{i + 1}", mult, degree)',
+           ("tests/test_untwist.py", "-k", "orbit_checks")),
+    Mutant("greedy key on +b", CYCLES,
+           "return (-orbit.multiplicity, orbit.degree,", "return (orbit.multiplicity, orbit.degree,",
+           ("tests/test_cycles.py",)),
+    Mutant("theta = 1", PLANE,
+           "F.multiplier(_quadratic_element(F))", "F.multiplier(F.element(1))",
+           ("tests/test_plane.py",)),
+    Mutant("unreduced scalar product in mul", GF,
+           "return tuple([c * y % p for y in b])", "return tuple([c * y for y in b])",
+           ("tests/test_gf.py", "-k", "mul or inverse")),
+    Mutant("sign-flipped shift step", GF,
+           "(ci - top * fi) % p", "(ci + top * fi) % p",
+           ("tests/test_gf.py", "-k", "regular or times")),
+)
+
+
+def stale(mutants, root=ROOT):
+    """One line per mutant whose old text does not occur exactly once."""
+    out = []
+    for m in mutants:
+        count = (root / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            out.append(f"{m.name}: old text occurs {count} times in {m.path}")
+    return out
+
+
+def copy_tree(root, dest):
+    for name in TREE:
+        if (root / name).is_dir():
+            shutil.copytree(root / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(root / name, dest / name)
+
+
+def run_pytest(tree, selection, timeout):
+    """("pass" | "fail" | "hang", seconds) for one selection run in ``tree``."""
+    # the copy's own src/ must be the package under test
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "hang", timeout
+    return ("pass" if proc.returncode == 0 else "fail"), time.perf_counter() - start
+
+
+def run(mutants=MUTANTS, root=ROOT, timeout=TIMEOUT_S):
+    problems = stale(mutants, root)
+    if problems:
+        print("STALE MUTANTS:", *problems, sep="\n  ")
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(root, clean)
+        for selection in dict.fromkeys(m.selection for m in mutants):
+            verdict, seconds = run_pytest(clean, selection, timeout)
+            if verdict != "pass":
+                print(f"clean tree: {' '.join(selection)} gave {verdict} in {seconds:.1f} s")
+                return 1
+        outcomes = {"fail": 0, "pass": 0, "hang": 0}
+        for i, m in enumerate(mutants):
+            tree = Path(tmp) / f"mutant{i}"
+            copy_tree(root, tree)
+            target = tree / m.path
+            target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new),
+                              encoding="utf-8")
+            verdict, seconds = run_pytest(tree, m.selection, timeout)
+            outcomes[verdict] += 1
+            shown = {"fail": "killed", "pass": "SURVIVED", "hang": "HANG"}[verdict]
+            print(f"{shown:9} {seconds:5.1f} s  {m.name}  [{' '.join(m.selection)}]")
+            shutil.rmtree(tree)
+    print(f"{len(mutants)} mutants: {outcomes['fail']} killed, {outcomes['pass']} survived, "
+          f"{outcomes['hang']} hung")
+    return 0 if outcomes["fail"] == len(mutants) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(run())

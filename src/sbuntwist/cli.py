@@ -120,7 +120,8 @@ def parse_cycle_document(data: object) -> tuple[CycleClass, Optional[BrauerLabel
             raise DocumentError(
                 f"field 'orbits[{i}].{key}': {value.bit_length()}-bit integer, at most {bits} bits"
             )
-        orbits.append(Orbit(f"x{i + 1}", degree, mult))
+        # the checks above imply Orbit's own, so the orbit is built unvalidated
+        orbits.append(tuple.__new__(Orbit, (f"x{i + 1}", degree, mult)))
 
     declared = None
     if "declared_target" in data:

@@ -46,8 +46,12 @@ class Orbit(_OrbitFields):
     are non-negative.
 
     An immutable (id, degree, multiplicity) named tuple, which costs half
-    as much to build as a frozen dataclass; a link step builds one.  Every
-    construction is validated, :meth:`_make` and ``_replace`` included."""
+    as much to build as a frozen dataclass.  Every construction through the
+    class is validated, :meth:`_make` and ``_replace`` included.  Two sites
+    skip the check with ``tuple.__new__(Orbit, ...)``: ``links._Walk.step``
+    for an image orbit, of degree n in {3, 6} from ``LinkKind`` and a
+    multiplicity it has tested to be positive, and
+    ``cli.parse_cycle_document`` after its own stricter field checks."""
 
     __slots__ = ()
 
@@ -115,13 +119,14 @@ def arithmetic_genus(cycle: CycleClass) -> int:
     return genus
 
 
-def greedy_key(orbit: Orbit) -> tuple[int, int, tuple[int, str]]:
+def greedy_key(orbit: Orbit) -> tuple[int, int, int, str]:
     """The greedy order on orbits, smallest first: maximal multiplicity,
     then the smallest degree (degree-3 links shorten words), then the
     smallest id, so factorizations are deterministic.  Ids compare by
     length first, so "x2" comes before "x10".  Keys of distinct ids
-    differ, so the order is total."""
-    return (-orbit.multiplicity, orbit.degree, (len(orbit.id), orbit.id))
+    differ, so the order is total.  The key is flat, (-b, degree,
+    len(id), id), so the untwisting heap holds keys and reads ids at [3]."""
+    return (-orbit.multiplicity, orbit.degree, len(orbit.id), orbit.id)
 
 
 def max_multiplicity_orbit(cycle: CycleClass) -> Optional[Orbit]:

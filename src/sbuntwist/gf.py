@@ -30,8 +30,10 @@ carry crosses a slot (Kronecker substitution), and ``_slots`` is the one
 routine that reads them.  Each power sigma^k: x -> x^(p^k) of Frobenius is
 F_p-linear, so one table built with the field serves ``conjugates`` and
 ``frobenius``: row i packs sigma^k(x^i) for k = 1 .. m-1.  Products
-by a fixed c are F_p-linear too: ``multiplier(c)`` packs c x^i, on demand
-and never with the field, and ``times`` reads c a from it.
+by a fixed c are F_p-linear too: ``regular(c)`` lists c x^i, each from
+the one before by a shift and one reduction by the monic modulus, with no
+product of polynomials; ``multiplier(c)`` packs that list, on demand and
+never with the field, and ``times`` reads c a from it.
 """
 
 from __future__ import annotations
@@ -272,9 +274,22 @@ class FiniteField:
         """x -> x^p, the canonical generator of the Galois group."""
         return self.conjugates(a)[1 % self.m]
 
+    def regular(self, c: Element) -> list[Element]:
+        """c, c x, ..., c x^(m-1), the rows of the regular representation of
+        c.  Each row is the one before shifted up a degree, with the term
+        shifted to x^m cleared by x^m = -(f_0 + ... + f_{m-1} x^{m-1})."""
+        p, low = self.p, self.modulus[:-1]
+        rows = [c]
+        for _ in range(self.m - 1):
+            top, c = c[-1], (0,) + c[:-1]
+            if top:
+                c = tuple([(ci - top * fi) % p for ci, fi in zip(c, low)])
+            rows.append(c)
+        return rows
+
     def multiplier(self, c: Element) -> tuple[int, ...]:
         """The packed table of x -> c x for ``times``: row i holds c x^i."""
-        return tuple(self._pack([self.mul(c, x)]) for x in self.basis())
+        return tuple(self._pack([v]) for v in self.regular(c))
 
     def times(self, table: tuple[int, ...], a: Element) -> Element:
         """c a, for the table of c from ``multiplier``: one packed product

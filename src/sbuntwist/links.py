@@ -129,7 +129,7 @@ class _Walk:
             if center_id is None:
                 center_id = self._fresh()
             d2 = (n - 1) * d
-            m2 = n * d
+            m2 = d2 + d
         else:
             if center.degree != n:
                 raise WrongDegree(
@@ -137,8 +137,10 @@ class _Walk:
                     f"has degree {center.degree}"
                 )
             b = center.multiplicity
-            d2 = (n - 1) * d - (n - 2) * b
-            m2 = n * d - (n - 1) * b
+            # one product: d' = d + (n-2) t and m' = d' + t, for t = d - b
+            t = d - b
+            d2 = d + (n - 2) * t
+            m2 = d2 + t
             if d2 < 1 or m2 < 0:
                 raise DegenerateImage(
                     f"{kind.value} at (degree={n}, b={b}) on d={d} gives "
@@ -160,7 +162,8 @@ class _Walk:
         if m2 > 0:
             if image_id in orbits:
                 raise ValueError(f"orbit ids must be unique, {image_id!r} is taken")
-            orbits[image_id] = Orbit(image_id, n, m2)
+            # unvalidated, as the Orbit docstring allows: n is 3 or 6 and m2 > 0
+            orbits[image_id] = tuple.__new__(Orbit, (image_id, n, m2))
         # tuple.__new__ skips the Python-level __new__ of the named tuple
         link = tuple.__new__(Link, (kind, center_id, self.label, image_id))
         self.label = self.label.inverse()

@@ -174,9 +174,10 @@ def _singular_over(F: FiniteField, rows: Sequence[Sequence[Element]]) -> bool:
     row (i, k) holds the coefficients of a_ij x^k over all j, for x^k in
     ``F.basis()``.  That nm x nm matrix is the F_p-matrix of v -> v A on
     F^n, and its determinant is the norm N_{F/F_p}(det A), which is 0 iff
-    det A is (Lidl and Niederreiter, Finite Fields, Sec. 2.3)."""
-    basis = F.basis()
-    return _singular(F.p, [[c for a in row for c in F.mul(a, b)] for row in rows for b in basis])
+    det A is (Lidl and Niederreiter, Finite Fields, Sec. 2.3).  The rows
+    a_ij x^k come from ``F.regular``, one shift and reduction each."""
+    reps = [[F.regular(a) for a in row] for row in rows]
+    return _singular(F.p, [[c for r in rep for c in r[k]] for rep in reps for k in range(F.m)])
 
 
 def _check_same_field(points: Sequence[ProjPoint]) -> FiniteField:
@@ -271,7 +272,10 @@ SAMPLING_ATTEMPTS = 1000
 def sample_closed_point(p: int, degree: int, seed: int) -> ClosedPoint:
     """A pseudo-random closed point of the requested degree: a uniformly
     sampled point of P^2(F_{p^degree}) whose Frobenius orbit has exactly
-    ``degree`` elements.  Deterministic per seed."""
+    ``degree`` elements.  Deterministic per seed; a negative seed raises
+    ``ValueError``, as ``random.Random`` would repeat the point of -seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     F = field(p, degree)
     rng = random.Random(seed)
     for _ in range(SAMPLING_ATTEMPTS):

@@ -18,12 +18,14 @@ the running cycle, and a heap keyed on :func:`~sbuntwist.cycles.greedy_key`
 yields the centers.  The trajectory, O(L^2) orbits in all, is rebuilt only
 on request (:attr:`Factorization.trace`).
 
-A link costs a few microseconds of Python: the whole walk builds one
-validated :class:`~sbuntwist.cycles.Orbit` per surviving image (an image of
-positive multiplicity) and one :class:`~sbuntwist.links.Link` per step, both
-named tuples.  At L = 300 on a shared 2-vCPU machine (Python 3.11),
-:func:`random_chain` takes about 2-3.6 us per link and :func:`untwist` about
-3.7-6.1 us, its Noether check, id scan and heap build included.
+A link costs a few microseconds of Python: one big-int product for its
+formula, one :class:`~sbuntwist.cycles.Orbit` per surviving image (an image
+of positive multiplicity, built unvalidated) and one
+:class:`~sbuntwist.links.Link` per step, both named tuples; the heap holds
+the flat greedy keys themselves.  At L = 300 on a shared 2-vCPU machine
+(Python 3.11), :func:`random_chain` takes about 1.2-2.4 us per link and
+:func:`untwist` about 2.3-5.1 us, its Noether check, id scan and heap
+build included (the spread is the machine's speed drifting between runs).
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ def untwist(
 
     initial = cycle.normalized()
     walk = _Walk(initial)
-    # Exactly the walk's orbits (all of positive multiplicity), keyed in
-    # the same order: a link removes only the center, the orbit just popped.
-    heap = list(zip(map(greedy_key, initial.orbits), walk.orbits))
+    # The keys of exactly the walk's orbits (all of positive multiplicity):
+    # a link removes only the center, the orbit whose key was just popped.
+    heap = list(map(greedy_key, initial.orbits))
     heapq.heapify(heap)
     bound = initial.d
     steps: list[Link] = []
@@ -123,7 +125,7 @@ def untwist(
             raise InconsistentCycle(
                 f"no center available at d={walk.d}; corrupted cycle data"
             )
-        _, center_id = pop(heap)
+        center_id = pop(heap)[3]
         try:
             # raises UnsupportedDegree at a center of degree other than 3, 6
             link = step(None, center_id)
@@ -136,7 +138,7 @@ def untwist(
             ) from exc
         image = orbits.get(link.image_orbit_id)
         if image is not None:
-            push(heap, (greedy_key(image), image.id))
+            push(heap, greedy_key(image))
         steps.append(link)
         d_trace.append(walk.d)
 
@@ -156,9 +158,13 @@ def untwist(
 def random_chain(length: int, seed: int) -> tuple[CycleClass, list[Link]]:
     """Push -omega through ``length`` links at fresh multiplicity-0 centers
     with kinds chosen pseudo-randomly from the seed.  Deterministic per
-    seed; returns the resulting cycle and the ground-truth chain."""
+    seed; returns the resulting cycle and the ground-truth chain.  A
+    negative seed raises ``ValueError``: ``random.Random`` would seed with
+    |seed| and repeat the chain of -seed."""
     if length < 0:
         raise ValueError(f"chain length must be >= 0, got {length}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     draw = random.Random(seed).getrandbits
     walk = _Walk(CycleClass(BrauerLabel.GAMMA, 1))
     kinds, chain = (LinkKind.PHI3, LinkKind.PHI6), []

@@ -6,6 +6,7 @@ from sbuntwist.cycles import (
     CycleClass,
     Orbit,
     arithmetic_genus,
+    greedy_key,
     max_multiplicity_orbit,
     noether_check,
 )
@@ -143,6 +144,30 @@ def test_max_orbit_tie_prefers_degree_3():
 def test_max_orbit_tie_prefers_smaller_id():
     c = CycleClass(GAMMA, 4, (Orbit("x10", 3, 6), Orbit("x2", 3, 6)))
     assert max_multiplicity_orbit(c).id == "x2"
+
+
+def nested_greedy_key(orbit):
+    """The greedy key before it was flattened: the id inside a pair."""
+    return (-orbit.multiplicity, orbit.degree, (len(orbit.id), orbit.id))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["x2", "x10", "x05", "x5", "x1", "x100", "x09", "y5", "x"])
+            | st.integers(min_value=0, max_value=200).map("x{}".format),
+            st.sampled_from([3, 6, 9]),
+            st.integers(min_value=0, max_value=4),
+        ),
+        max_size=10,
+        unique_by=lambda t: t[0],
+    )
+)
+def test_flat_greedy_key_orders_as_the_nested_key(fields):
+    orbits = [Orbit(*f) for f in fields]
+    assert sorted(orbits, key=greedy_key) == sorted(orbits, key=nested_greedy_key)
+    # the untwisting heap reads the center id from the key itself
+    assert all(greedy_key(o)[3] == o.id for o in orbits)
 
 
 # --- property tests ---

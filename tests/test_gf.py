@@ -228,6 +228,14 @@ def test_conjugates_are_the_iterated_frobenius(p, m):
 
 
 @pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
+def test_regular_rows_are_mul_by_the_basis(p, m):
+    F = field(p, m)
+    top = (p - 1,) * m
+    for c in [F.zero, F.element(1), F.element(p - 1), top] + elements_of(F, 20, seed=p + m):
+        assert F.regular(c) == [F.mul(c, x) for x in F.basis()], c
+
+
+@pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
 def test_times_is_mul_by_the_tabled_element(p, m):
     F = field(p, m)
     top = (p - 1,) * m

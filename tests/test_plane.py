@@ -350,6 +350,9 @@ def test_sampling_is_deterministic():
     b = sample_closed_point(5, 3, seed=7)
     assert a == b
     assert sample_closed_point(5, 3, seed=8) != a
+    # random.Random seeds with |seed|, so -3 would repeat seed 3's point
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        sample_closed_point(5, 6, seed=-3)
 
 
 def test_closed_point_requires_orbit_order():

@@ -186,3 +186,24 @@ def test_bench_tree_names_the_head_and_uncommitted_changes():
     assert bench.tree_record(head, "") == {"head": head.strip(), "uncommitted": False}
     status = " M src/sbuntwist/links.py\n?? tests/test_new.py\n"
     assert bench.tree_record(head, status) == {"head": head.strip(), "uncommitted": True}
+
+
+def test_mutants_refuses_a_stale_mutant_before_pytest_starts(monkeypatch, capsys):
+    script = _load_script("mutants")
+
+    def no_pytest(*args, **kwargs):
+        raise AssertionError("pytest started")
+
+    monkeypatch.setattr(script, "run_pytest", no_pytest)
+    gone = script.Mutant("gone", "src/sbuntwist/links.py", "m2 = d2 * t\n", "m2 = d2\n",
+                         ("tests/test_links.py",))
+    assert script.run(script.MUTANTS + (gone,)) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["STALE MUTANTS:", "  gone: old text occurs 0 times in "
+                                "src/sbuntwist/links.py"]
+
+
+def test_committed_mutants_are_not_stale():
+    # an edit that removes or repeats a mutant's old text must update the list
+    script = _load_script("mutants")
+    assert script.stale(script.MUTANTS) == []

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sbuntwist.cli import parse_cycle_document, render_cycle_document
 from sbuntwist.cycles import (
     BrauerLabel,
     CycleClass,
@@ -117,6 +118,9 @@ def test_random_chain_trivia():
     assert c.is_anticanonical() and chain == []
     with pytest.raises(ValueError):
         random_chain(-1, seed=1)
+    # random.Random seeds with |seed|, so -7 would repeat seed 7's chain
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -7$"):
+        random_chain(5, -7)
 
 
 def test_random_chain_deterministic_per_seed():
@@ -343,6 +347,29 @@ def test_engine_matches_reference_on_a_tie_between_x9_and_x10():
     ]
     assert untwist(c, GAMMA).steps[0].center_id == "x9"
     assert_engine_matches_reference(c)
+
+
+def assert_orbits_pass_the_orbit_checks(cycles):
+    # links._Walk.step and cli.parse_cycle_document build orbits with
+    # tuple.__new__, skipping Orbit's checks; each must be one they accept
+    for c in cycles:
+        for o in c.orbits:
+            assert type(o) is Orbit and Orbit(*o) == o, o
+
+
+@pytest.mark.parametrize("length,seed", [(0, 1), (1, 2), (2, 3), (7, 4), (40, 5), (300, 6)])
+def test_unvalidated_orbits_pass_the_orbit_checks(length, seed):
+    cycle, chain = random_chain(length, seed)
+    parsed, _ = parse_cycle_document(render_cycle_document(cycle))
+    trajectory = replay(CycleClass(GAMMA, 1), chain)
+    fact = untwist(parsed, GAMMA)
+    assert_orbits_pass_the_orbit_checks([cycle, parsed, *trajectory, *fact.trace])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pushed_words())
+def test_pushed_orbits_pass_the_orbit_checks(cycle):
+    assert_orbits_pass_the_orbit_checks([cycle])
 
 
 @pytest.mark.parametrize(
