@@ -67,9 +67,31 @@ MUTANTS = (
     Mutant("unreduced scalar product in mul", GF,
            "return tuple([c * y % p for y in b])", "return tuple([c * y for y in b])",
            ("tests/test_gf.py", "-k", "mul or inverse")),
-    Mutant("sign-flipped shift step", GF,
-           "(ci - top * fi) % p", "(ci + top * fi) % p",
+    Mutant("Frobenius step to the (p+1)-th power", GF,
+           "x, power = _ppowmod(x, p, f, p)", "x, power = _ppowmod(x, p + 1, f, p)",
+           ("tests/test_gf.py", "-k", "conjugate or frobenius")),
+    Mutant("every conjugate power squared", GF,
+           "power = _mulmod(power, x, f, p)", "power = _mulmod(x, x, f, p)",
+           ("tests/test_gf.py", "-k", "conjugate or frobenius")),
+    Mutant("every regular row c x", GF,
+           "rows.append(_mulmod(x, rows[-1], f, p))", "rows.append(_mulmod(x, c, f, p))",
            ("tests/test_gf.py", "-k", "regular or times")),
+    Mutant("collinear on a x a", PLANE,
+           "incident(_cross(F, a.coords, b.coords), c)", "incident(_cross(F, a.coords, a.coords), c)",
+           ("tests/test_plane.py", "-k", "collinear")),
+    Mutant("case 5 with case 7's profile", PLANE,
+           "TWO_TRIPLES_SHARING_A_POINT = 5, ((3, 3), 5), 11",
+           "TWO_TRIPLES_SHARING_A_POINT = 5, ((3, 3), 6), 11",
+           ("tests/test_verify.py", "-k", "witness")),
+    Mutant("eliminator update on +lead", PLANE,
+           "rest.append(row * t + (p - lead) * top)", "rest.append(row * t + lead * top)",
+           ("tests/test_plane.py", "-k", "singular")),
+    Mutant("eliminator lead test negated", PLANE,
+           "if not lead:", "if lead:",
+           ("tests/test_plane.py", "-k", "singular")),
+    Mutant("theta from the trace to F_{p^3}", PLANE,
+           "F.conjugates(b)[::2]", "F.conjugates(b)[::3]",
+           ("tests/test_plane.py", "-k", "theta")),
 )
 
 

@@ -5,9 +5,9 @@ modulo a canonical irreducible: the lexicographically least monic
 irreducible of degree m over F_p, comparing coefficient vectors from the
 top degree down.  Canonical moduli make field towers reproducible across
 runs and machines.  One routine, ``_mulmod``, multiplies and reduces for
-both ``mul`` and field construction (Rabin's test and the Frobenius table):
-the schoolbook product, then its top degrees cleared by the monic modulus f
-itself, x^m = -(f_0 + ... + f_{m-1} x^{m-1}).
+``mul``, ``regular`` and field construction (Rabin's test and the Frobenius
+table): the schoolbook product, then its top degrees cleared by the monic
+modulus f itself, x^m = -(f_0 + ... + f_{m-1} x^{m-1}).
 
 An element lies in the prime subfield F_p when every coefficient after the
 first is 0; for m = 1 every element does.  Such an element c acts on the
@@ -29,10 +29,9 @@ of a in its slots, each a sum of at most m products of residues, so no
 carry crosses a slot (Kronecker substitution), and ``_slots`` is the one
 routine that reads them.  Each power sigma^k: x -> x^(p^k) of Frobenius is
 F_p-linear, so one table built with the field serves ``conjugates`` and
-``frobenius``: row i packs sigma^k(x^i) for k = 1 .. m-1.  Products
-by a fixed c are F_p-linear too: ``regular(c)`` lists c x^i, each from
-the one before by a shift and one reduction by the monic modulus, with no
-product of polynomials; ``multiplier(c)`` packs that list, on demand and
+``frobenius``: row i packs sigma^k(x^i) = sigma^k(x)^i for k = 1 .. m-1.
+Products by a fixed c are F_p-linear too: ``regular(c)`` lists c x^i, each
+x times the one before; ``multiplier(c)`` packs that list, on demand and
 never with the field, and ``times`` reads c a from it.
 """
 
@@ -187,28 +186,22 @@ class FiniteField:
             raise ValueError(f"characteristic must be a prime other than 2 and 3, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        self.p = p
-        self.m = m
+        self.p, self.m = p, m
         self.modulus = _least_irreducible(p, m)
         self.zero: Element = (0,) * m
-        # row i of the one-step matrix is sigma(x^i) = x^(i p); iterating
-        # the matrix on it gives sigma^k(x^i) for k = 2 .. m-1 (at m = 1,
-        # x reduces to 0 modulo the modulus x, and the one row is x^0)
-        x = (0, 1, *self.zero)[:m]
-        frob = [_ppowmod(x, i * p, self.modulus, p) for i in range(m)]
-        cols = list(zip(*frob))
         w = (m * (p - 1) ** 2).bit_length()
         # slots for the m - 1 conjugates, and at least the one image of ``times``
         self._shifts = range(0, w * m * max(m - 1, 1), w)
         self._mask = (1 << w) - 1
-        conj = []
-        for v in frob:
-            images = [v]
-            for _ in range(m - 2):
-                v = [sum(map(operator.mul, v, col)) % p for col in cols]
-                images.append(v)
-            conj.append(self._pack(images))
-        self._conj = tuple(conj)
+        # row i packs sigma^k(x^i) = sigma^k(x)^i, with sigma^k(x) = sigma^(k-1)(x)^p
+        f, x = self.modulus, (0, 1, *self.zero)[:m]
+        rows = [[] for _ in range(m)]
+        for _ in range(m - 1):
+            x, power = _ppowmod(x, p, f, p), (1, *self.zero[1:])
+            for row in rows:
+                row.append(power)
+                power = _mulmod(power, x, f, p)
+        self._conj = tuple(map(self._pack, rows))
 
     def _pack(self, images: Sequence[Sequence[int]]) -> int:
         """One table row: the coefficients of the images, in consecutive slots."""
@@ -276,15 +269,12 @@ class FiniteField:
 
     def regular(self, c: Element) -> list[Element]:
         """c, c x, ..., c x^(m-1), the rows of the regular representation of
-        c.  Each row is the one before shifted up a degree, with the term
-        shifted to x^m cleared by x^m = -(f_0 + ... + f_{m-1} x^{m-1})."""
-        p, low = self.p, self.modulus[:-1]
+        c.  Each row is x times the one before by ``_mulmod``, which skips
+        the zero coefficients of x, so a row costs m products, not m^2."""
+        f, p, x = self.modulus, self.p, (0, 1, *self.zero)[:self.m]
         rows = [c]
         for _ in range(self.m - 1):
-            top, c = c[-1], (0,) + c[:-1]
-            if top:
-                c = tuple([(ci - top * fi) % p for ci, fi in zip(c, low)])
-            rows.append(c)
+            rows.append(_mulmod(x, rows[-1], f, p))
         return rows
 
     def multiplier(self, c: Element) -> tuple[int, ...]:

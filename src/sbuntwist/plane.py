@@ -175,7 +175,7 @@ def _singular_over(F: FiniteField, rows: Sequence[Sequence[Element]]) -> bool:
     ``F.basis()``.  That nm x nm matrix is the F_p-matrix of v -> v A on
     F^n, and its determinant is the norm N_{F/F_p}(det A), which is 0 iff
     det A is (Lidl and Niederreiter, Finite Fields, Sec. 2.3).  The rows
-    a_ij x^k come from ``F.regular``, one shift and reduction each."""
+    a_ij x^k come from ``F.regular``, each x times the one before."""
     reps = [[F.regular(a) for a in row] for row in rows]
     return _singular(F.p, [[c for r in rep for c in r[k]] for rep in reps for k in range(F.m)])
 

@@ -386,8 +386,10 @@ class TableScanReport:
 def scan_table(q: int, random_samples: int, seed: int) -> TableScanReport:
     """Classify the witness of every configuration case over F_q, check
     the forced line counts, and classify random six-point sets to probe
-    for profile gaps.  A negative seed raises ``ValueError``:
-    ``random.Random`` would seed with |seed| and repeat the scan at -seed."""
+    for profile gaps.  No random samples raise ``ValueError``, as does a
+    negative seed, which ``random.Random`` would seed with |seed|."""
+    if random_samples < 1:
+        raise ValueError(f"random_samples must be >= 1, got {random_samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     witnesses = []

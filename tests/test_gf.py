@@ -10,6 +10,8 @@ PARAMS = [(5, 1), (7, 1), (7, 2), (5, 3), (7, 3), (5, 6), (13, 2), (11, 3)]
 # m (p - 1)^2 reaches 2^64 for the last two: a slot of a fixed 64 bits in
 # the conjugate table would carry into its neighbour there
 LARGE_P = [(1_000_037, 6), (4_294_967_311, 2), (4_294_967_311, 3)]
+# the conjugate table's loop runs m - 1 times; PARAMS has no m = 4 or 5
+MIDDLE_M = [(5, 4), (7, 5)]
 
 
 def elements_of(F, count, seed=0):
@@ -209,7 +211,7 @@ def one_step_frobenius(F):
     return step
 
 
-@pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
+@pytest.mark.parametrize("p,m", PARAMS + MIDDLE_M + LARGE_P)
 def test_conjugates_are_the_iterated_frobenius(p, m):
     F = field(p, m)
     step = one_step_frobenius(F)
@@ -227,7 +229,7 @@ def test_conjugates_are_the_iterated_frobenius(p, m):
         assert F.frobenius(a) == conj[1 % m]
 
 
-@pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
+@pytest.mark.parametrize("p,m", PARAMS + MIDDLE_M + LARGE_P)
 def test_regular_rows_are_mul_by_the_basis(p, m):
     F = field(p, m)
     top = (p - 1,) * m

@@ -216,6 +216,9 @@ def test_scans_refuse_negative_seeds_and_empty_scans():
         scan_closed_points(7, samples=0, seed=1)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
         scan_table(7, random_samples=20, seed=-3)
+    for samples in (-5, 0):
+        with pytest.raises(ValueError, match=rf"^random_samples must be >= 1, got {samples}$"):
+            scan_table(7, random_samples=samples, seed=1)
     for scan in (scan_phi3, scan_phi6):
         with pytest.raises(ValueError, match=r"^dmax must be >= 1, got 0$"):
             scan(0)
