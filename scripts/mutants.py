@@ -67,6 +67,12 @@ MUTANTS = (
     Mutant("unreduced scalar product in mul", GF,
            "return tuple([c * y % p for y in b])", "return tuple([c * y for y in b])",
            ("tests/test_gf.py", "-k", "mul or inverse")),
+    Mutant("unreduced F_p x F_p product in mul", GF,
+           "return (c * b[0] % p,) + rest", "return (c * b[0],) + rest",
+           ("tests/test_gf.py", "-k", "long_division")),
+    Mutant("unreduced F_p difference in sub", GF,
+           "return ((a[0] - b[0]) % p,) + rest", "return (a[0] - b[0],) + rest",
+           ("tests/test_gf.py", "-k", "coordinatewise")),
     Mutant("Frobenius step to the (p+1)-th power", GF,
            "x, power = _ppowmod(x, p, f, p)", "x, power = _ppowmod(x, p + 1, f, p)",
            ("tests/test_gf.py", "-k", "conjugate or frobenius")),
@@ -76,6 +82,15 @@ MUTANTS = (
     Mutant("every regular row c x", GF,
            "rows.append(_mulmod(x, rows[-1], f, p))", "rows.append(_mulmod(x, c, f, p))",
            ("tests/test_gf.py", "-k", "regular or times")),
+    # negating one coordinate of every line keeps the pair grouping, so
+    # only the incidence tests, not the classifier, can see this one
+    Mutant("one cross-product minor negated", PLANE,
+           "sub(mul(u1, v2), mul(u2, v1)),", "sub(mul(u2, v1), mul(u1, v2)),",
+           ("tests/test_plane.py", "-k", "collinear")),
+    Mutant("products swapped between two minors", PLANE,
+           "sub(mul(u1, v2), mul(u2, v1)),\n        sub(mul(u2, v0), mul(u0, v2)),",
+           "sub(mul(u1, v2), mul(u2, v0)),\n        sub(mul(u2, v1), mul(u0, v2)),",
+           ("tests/test_plane.py", "-k", "six_point_case_counts")),
     Mutant("collinear on a x a", PLANE,
            "incident(_cross(F, a.coords, b.coords), c)", "incident(_cross(F, a.coords, a.coords), c)",
            ("tests/test_plane.py", "-k", "collinear")),

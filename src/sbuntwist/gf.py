@@ -15,7 +15,9 @@ F_p-basis coordinate-wise (Lidl and Niederreiter, Finite Fields, Sec. 2.1),
 and Frobenius fixes it.  So ``mul`` by c scales the other operand
 coefficient by coefficient mod p, ``inv`` of c is the scalar c^(p-2) mod p,
 and ``conjugates`` of c is c repeated m times; none runs a polynomial
-product or Euclid.
+product or Euclid.  When both operands lie in F_p, ``add``, ``sub`` and
+``mul`` do one scalar operation mod p on the first coefficients and keep
+the zero tail of a.
 
 One extended Euclidean loop over F_p[x] serves field inversion against the
 modulus and the coprimality condition of Rabin's irreducibility test
@@ -224,19 +226,26 @@ class FiniteField:
         return (value % self.p,) + (0,) * (self.m - 1)
 
     def add(self, a: Element, b: Element) -> Element:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        p, rest = self.p, a[1:]
+        if not any(rest) and not any(b[1:]):
+            return ((a[0] + b[0]) % p,) + rest
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a: Element, b: Element) -> Element:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        p, rest = self.p, a[1:]
+        if not any(rest) and not any(b[1:]):
+            return ((a[0] - b[0]) % p,) + rest
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def mul(self, a: Element, b: Element) -> Element:
         """a b.  When a or b lies in F_p, the other is scaled coefficient
-        by coefficient, with no product of polynomials."""
-        p = self.p
-        if not any(a[1:]):
+        by coefficient, with no product of polynomials; when both do, the
+        product is one scalar product."""
+        p, rest = self.p, a[1:]
+        if not any(rest):
             c = a[0]
+            if not any(b[1:]):
+                return (c * b[0] % p,) + rest
             return tuple([c * y % p for y in b])
         if not any(b[1:]):
             c = b[0]

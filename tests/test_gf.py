@@ -156,12 +156,29 @@ def test_field_axioms_on_samples(p, m):
                 assert lhs == rhs
 
 
+def constants_and_samples(F):
+    """0, 1, 2 and p - 1 in F_p, the all-(p - 1) element and 20 seeded
+    elements: each pair of the constants takes the scalar routes of add,
+    sub and mul, and a constant with any other the one-sided route."""
+    p, m = F.p, F.m
+    constants = [F.zero, F.element(1), F.element(2), F.element(p - 1)]
+    return constants + [(p - 1,) * m] + elements_of(F, 20, seed=p + m)
+
+
+@pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
+def test_add_and_sub_are_coordinatewise(p, m):
+    F = field(p, m)
+    xs = constants_and_samples(F)
+    for a in xs:
+        for b in xs:
+            assert F.add(a, b) == tuple((x + y) % p for x, y in zip(a, b)), (a, b)
+            assert F.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b)), (a, b)
+
+
 @pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
 def test_mul_is_the_product_reduced_by_long_division(p, m):
     F = field(p, m)
-    # the elements of F_p multiply as scalars, on either side
-    constants = [F.zero, F.element(1), F.element(2), F.element(p - 1)]
-    xs = constants + [(p - 1,) * m] + elements_of(F, 20, seed=p + m)
+    xs = constants_and_samples(F)
     for a in xs:
         for b in xs:
             product = [0] * (2 * m - 1)

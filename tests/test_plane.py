@@ -751,3 +751,60 @@ def test_classifier_agrees_with_definition_based_route():
     for pts in configs:
         assert pts is not None
         assert classify_configuration(pts) == _case_by_definition(pts)
+
+
+def _case_counts_by_closed_form(q):
+    """The number of six-point sets of P^2(F_q) in each case, by case id
+    (Hirschfeld, Projective Geometries over Finite Fields, 2nd ed.; case 0
+    counts the six-arcs)."""
+    C = math.comb
+    N = q * q + q + 1
+    return [
+        N * (N - 1) * q**2 * (q - 1) ** 2 * (q - 2) * (q - 3) * (q * q - 9 * q + 21) // 720,
+        N * C(q + 1, 6),
+        N * C(q + 1, 5) * q**2,
+        N * C(q * q, 2) * C(q, 4),
+        N * C(q * q, 2) * C(q, 3),
+        N * C(q + 1, 2) * C(q, 2) ** 2 * (q - 2) * (q - 3),
+        N * C(q + 1, 3) * q**2 * (q - 1) * (q - 2) * (q - 3) * (q - 4) // 6,
+        C(N, 2) * C(q, 3) ** 2,
+        N * (N - 1) * q**2 * (q - 1) ** 2 * (q - 2) // 6,
+        N * (N - 1) * q**2 * (q - 1) ** 2 // 24,
+    ]
+
+
+def test_six_point_case_counts_at_q5_exhaustively():
+    # PGL(3, F_q) is transitive on ordered non-collinear triples, of which
+    # there are N(N - 1)q^2.  A six-set of case c holds 20 - t_c of them
+    # unordered, t_c the sum of C(k, 3) over its lines through k >= 3
+    # points, so the m_c completions of the fixed coordinate triangle by
+    # three of the other N - 3 points give count_c = N(N-1)q^2 m_c /
+    # (6 (20 - t_c)).  Case 1 (t_1 = 20) has no non-collinear triple and
+    # rests on its closed form N C(q + 1, 6) alone.
+    q = 5
+    F = field(q, 1)
+    N = q * q + q + 1
+    triangle = [pt(1, 0, 0, F), pt(0, 1, 0, F), pt(0, 0, 1, F)]
+    points = {pt(*t, F=F) for t in itertools.product(range(q), repeat=3) if any(t)}
+    others = sorted(points - set(triangle), key=lambda p: p.coords)
+    assert len(points) == N and len(others) == N - 3
+    tally = [0] * 10
+    for extra in itertools.combinations(others, 3):
+        case, count = classify_configuration(triangle + list(extra))
+        assert count == case.line_count
+        tally[case.case_id] += 1
+    assert sum(tally) == math.comb(N - 3, 3) == 3276 and tally[1] == 0
+    counts = []
+    for m, tc in zip(tally, [0, 20, 10, 4, 5, 2, 1, 2, 3, 4]):
+        if tc == 20:
+            counts.append(N * math.comb(q + 1, 6))
+        else:
+            count, rest = divmod(N * (N - 1) * q**2 * m, 6 * (20 - tc))
+            assert rest == 0, (m, tc)
+            counts.append(count)
+    expected = _case_counts_by_closed_form(q)
+    assert expected == [3100, 31, 4650, 46500, 93000, 279000, 62000, 46500, 186000, 15500]
+    # the ten cases partition the six-sets, at every order q
+    for r in (5, 7, 9, 11, 13, 25, 199):
+        assert sum(_case_counts_by_closed_form(r)) == math.comb(r * r + r + 1, 6)
+    assert counts == expected

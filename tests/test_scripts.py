@@ -207,3 +207,142 @@ def test_committed_mutants_are_not_stale():
     # an edit that removes or repeats a mutant's old text must update the list
     script = _load_script("mutants")
     assert script.stale(script.MUTANTS) == []
+
+
+def _load_abtest(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.dirname(SCRIPT))  # abtest imports bench
+    return _load_script("abtest")
+
+
+def _canned_run(metrics, digest="sha256:abc", failed=0):
+    """perfbench/run.py output with the given {name: (value, unit)} metrics."""
+    result = {"correct": not failed, "attempted": 100, "failed": failed,
+              "metrics": {n: {"value": v, "unit": u} for n, (v, u) in metrics.items()}}
+    return "\n".join([
+        "meta " + json.dumps({"workload": "classify", "seed": 1}),
+        "notes " + json.dumps({"digest": digest}),
+        json.dumps(result),
+    ]) + "\n"
+
+
+AB_SPEC = {
+    "run_seconds": 20,
+    "workloads": [{"name": "classify"}],
+    "end_to_end": [
+        {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.15},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ],
+}
+
+
+def test_abtest_metric_report_pins_medians_wins_and_verdicts(monkeypatch):
+    abtest = _load_abtest(monkeypatch)
+    parent = [100.0, 104.0, 96.0, 102.0, 98.0, 100.0, 106.0, 94.0, 100.0, 101.0]
+    change = [130.0, 99.0, 125.0, 133.0, 128.0, 131.0, 136.0, 122.0, 129.0, 130.0]
+    rep = abtest.metric_report("higher", 0.15, parent, change)
+    assert rep["parent_median"] == 100.0 and rep["change_median"] == 129.5
+    # quartiles 97.5 and 102.5 of the parent, the default (exclusive) method
+    assert rep["parent_iqr"] == 5.0
+    assert rep["rel_change"] == 0.295 and rep["pairs"] == 10
+    # pair 2 is lost: 9 of 10 is enough for a gain
+    assert rep["wins"] == 9 and rep["gain"] is True and rep["breach"] is False
+    # one more lost pair and the gain goes, however far apart the medians
+    rep = abtest.metric_report("higher", 0.15, parent, [90.0] + change[1:])
+    assert rep["wins"] == 8 and rep["gain"] is False
+    # lower is better: 12% more memory breaches a 10% bound, 8% does not
+    rss = [30.0] * 4
+    assert abtest.metric_report("lower", 0.1, rss, [33.6] * 4)["breach"] is True
+    rep = abtest.metric_report("lower", 0.1, rss, [32.4] * 4)
+    assert rep["breach"] is False and rep["wins"] == 0 and rep["gain"] is False
+    # a median gain inside the parent's spread is no gain, and a spread
+    # wider than the bound leaves the metric unresolved
+    rep = abtest.metric_report("lower", 0.25, [1.0, 2.0, 3.0, 4.0], [0.9, 1.9, 2.9, 3.9])
+    assert rep["wins"] == 4 and rep["gain"] is False
+    assert rep["parent_iqr"] == rep["change_iqr"] == 2.5 and rep["unresolved"] is True
+    # unless every run of the change beats every run of the parent
+    rep = abtest.metric_report("lower", 0.25, [1.0, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.8])
+    assert rep["unresolved"] is False
+
+
+def test_abtest_workload_report_reads_the_bounds_and_compares_traces(monkeypatch):
+    abtest = _load_abtest(monkeypatch)
+    runs = {
+        "parent": [_canned_run({"items_per_s": (100.0 + i, "1/s"), "peak_rss_mb": (30.0, "MB")})
+                   for i in range(3)],
+        "change": [_canned_run({"items_per_s": (130.0 + i, "1/s"), "peak_rss_mb": (34.0, "MB")})
+                   for i in range(3)],
+    }
+    setups = {"parent": [0.10] * 20, "change": [0.10] * 20}
+    counts = {"gf.mul.calls_per_item": (129.775, "count"), "plane.x.self_ms": (0.1, "ms")}
+    traces = {"parent": _canned_run(counts), "change": _canned_run(counts)}
+    rep = abtest.workload_report(AB_SPEC, runs, setups, traces)
+    assert sorted(rep["metrics"]) == ["items_per_s", "peak_rss_mb", "setup_s"]
+    items = rep["metrics"]["items_per_s"]
+    assert (items["parent_median"], items["change_median"], items["wins"]) == (101.0, 131.0, 3)
+    assert items["gain"] is True and items["bound"] == 0.15
+    # RSS +13.3% breaches its 10% bound; set-up is tied, so no wins
+    assert rep["metrics"]["peak_rss_mb"]["breach"] is True
+    assert rep["metrics"]["setup_s"]["pairs"] == 20 and rep["metrics"]["setup_s"]["wins"] == 0
+    assert rep["trace"] == {"parent_digest": "sha256:abc", "change_digest": "sha256:abc",
+                            "digests_equal": True, "counts_equal": True,
+                            "differing_counts": {}}
+    assert rep["failed_frac"] == {"parent": 0.0, "change": 0.0} and rep["ok"] is False
+
+    # within every bound, but a new digest, a moved count and a failed item
+    runs["change"] = [_canned_run({"items_per_s": (99.0, "1/s"), "peak_rss_mb": (31.0, "MB")},
+                                  failed=1)] * 3
+    moved = dict(counts, **{"gf.mul.calls_per_item": (130.0, "count")})
+    traces["change"] = _canned_run(moved, digest="sha256:def")
+    rep = abtest.workload_report(AB_SPEC, runs, setups, traces)
+    assert not any(m["breach"] for m in rep["metrics"].values())
+    assert rep["failed_frac"]["change"] == 0.01
+    assert rep["trace"]["digests_equal"] is False
+    # the ms row is not a count, so only the call count is compared
+    assert rep["trace"]["differing_counts"] == {"gf.mul.calls_per_item": [129.775, 130.0]}
+    assert rep["ok"] is False
+
+
+def test_abtest_alternates_the_trees_and_prints_one_json(monkeypatch, capsys, tmp_path):
+    abtest = _load_abtest(monkeypatch)
+    monkeypatch.setattr(abtest, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(AB_SPEC))
+    calls = []
+
+    def fake_perfbench(tree, workload, seed, seconds, trace):
+        calls.append((tree, f"trace {trace}"))
+        if trace:
+            return _canned_run({"gf.mul.calls_per_item": (1.0, "count")})
+        rate = 130.0 if tree == "tree-c0ffee" else 100.0
+        return _canned_run({"items_per_s": (rate, "1/s"), "peak_rss_mb": (30.0, "MB")})
+
+    def fake_setup(tree, workload, seed, speed):
+        calls.append((tree, "setup"))
+        return 0.1
+
+    monkeypatch.setattr(abtest, "extract", lambda rev, dest: f"tree-{rev}")
+    monkeypatch.setattr(abtest, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(abtest, "setup_seconds", fake_setup)
+    monkeypatch.setattr(abtest, "_speed", lambda: None)
+    code = abtest.main(["--parent", "f00d", "--change", "c0ffee", "--pairs", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"] is True
+    assert (report["parent"], report["change"], report["pairs"]) == ("f00d", "c0ffee", 3)
+    assert report["seconds"] == 20 and report["setup_samples"] == 20
+    parent, change = ("tree-f00d", "setup"), ("tree-c0ffee", "setup")
+    # set-up samples first, then the timed pairs, then one traced run per tree
+    assert calls[:40] == [parent, change, change, parent] * 10
+    parent, change = ("tree-f00d", "trace 0"), ("tree-c0ffee", "trace 0")
+    assert calls[40:] == [parent, change, change, parent, parent, change,
+                          ("tree-f00d", "trace 1"), ("tree-c0ffee", "trace 1")]
+    items = report["workloads"]["classify"]["metrics"]["items_per_s"]
+    assert items["wins"] == 3 and items["rel_change"] == 0.3
+
+
+@pytest.mark.parametrize("flag,value,least", [("--pairs", "0", 1), ("--seed", "-1", 0)])
+def test_abtest_refuses_too_few_runs(monkeypatch, capsys, flag, value, least):
+    abtest = _load_abtest(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        abtest.main(["--parent", "HEAD", flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be >= {least}, got {value}" in capsys.readouterr().err
