@@ -9,13 +9,17 @@ fails the run before any test starts.  It then copies ``src/``, ``tests/``,
 directory and runs every selection on the clean copy, which must pass
 them all.  Then, for each mutant, it applies the mutant to a fresh copy
 and runs ``python -m pytest -q -x <selection>`` there under a timeout of
-``TIMEOUT_S`` seconds.  The mutant is killed when pytest fails; it
-survives when pytest passes; a run that reaches the timeout is reported
-as a hang (a test that spins on a broken routine instead of failing).
+``TIMEOUT_S`` seconds.  The mutant is killed when pytest exits 1 (a test
+failed); it survives when pytest passes; a run that reaches the timeout is
+reported as a hang (a test that spins on a broken routine instead of
+failing); any other exit is a crash: a signal (an out-of-memory kill reads
+-9) or pytest's own errors, 2 to 5 (interrupted, internal error, usage
+error, no tests collected), none of which shows a test catching the mutant.
 
 Exit status: 0 when every mutant is killed; 1 on a stale mutant, a clean
-copy that fails a selection, a surviving mutant or a hang.  A new mutation
-check goes into ``MUTANTS``, with the narrowest selection that kills it.
+copy that fails a selection, a surviving mutant, a hang or a crash.  A
+new mutation check goes into ``MUTANTS``, with the narrowest selection
+that kills it.
 
 Usage: python scripts/mutants.py
 """
@@ -43,6 +47,7 @@ class Mutant(NamedTuple):
 
 
 LINKS, CYCLES, CLI = "src/sbuntwist/links.py", "src/sbuntwist/cycles.py", "src/sbuntwist/cli.py"
+UNTWIST = "src/sbuntwist/untwist.py"
 GF, PLANE = "src/sbuntwist/gf.py", "src/sbuntwist/plane.py"
 
 MUTANTS = (
@@ -55,11 +60,30 @@ MUTANTS = (
     Mutant("trusted image of degree 3", LINKS,
            "tuple.__new__(Orbit, (image_id, n, m2))", "tuple.__new__(Orbit, (image_id, 3, m2))",
            ("tests/test_links.py",)),
+    # a negative image multiplicity passes, so d can grow; untwist's check
+    # that d falls must end the run instead of a hang
+    Mutant("negative image multiplicity accepted", LINKS,
+           "if d2 < 1 or m2 < 0:", "if d2 < 1:",
+           ("tests/test_untwist.py", "-k", "termination_lemma")),
+    Mutant("fresh-id counter recomputed from the current orbits", LINKS,
+           "    def _fresh(self) -> str:\n        while True:\n",
+           "    def _fresh(self) -> str:\n"
+           "        digits = [m[1] for m in map(_ID_PATTERN.match, self.orbits) if m]\n"
+           "        self._counter = max(map(int, digits), default=0) + 1\n"
+           "        while True:\n",
+           ("tests/test_untwist.py", "-k", "engine_matches_reference_on_chains")),
+    Mutant("random_chain draw masked to one bit", UNTWIST,
+           "        while r >= 2:\n            r = draw(2)\n", "        r &= 1\n",
+           ("tests/test_untwist.py", "-k", "draws_kinds_as_choice_does")),
     Mutant("parsed degree and mult swapped", CLI,
            '(f"x{i + 1}", degree, mult)', '(f"x{i + 1}", mult, degree)',
            ("tests/test_untwist.py", "-k", "orbit_checks")),
     Mutant("greedy key on +b", CYCLES,
            "return (-orbit.multiplicity, orbit.degree,", "return (orbit.multiplicity, orbit.degree,",
+           ("tests/test_cycles.py",)),
+    Mutant("greedy key without its degree term", CYCLES,
+           "return (-orbit.multiplicity, orbit.degree, len(orbit.id), orbit.id)",
+           "return (-orbit.multiplicity, 0, len(orbit.id), orbit.id)",
            ("tests/test_cycles.py",)),
     Mutant("theta = 1", PLANE,
            "F.multiplier(_quadratic_element(F))", "F.multiplier(F.element(1))",
@@ -130,7 +154,9 @@ def copy_tree(root, dest):
 
 
 def run_pytest(tree, selection, timeout):
-    """("pass" | "fail" | "hang", seconds) for one selection run in ``tree``."""
+    """("pass" | "fail" | "hang" | "crash", seconds) for one selection run in
+    ``tree``: pytest's exit 0 passes, its exit 1 (a test failed) fails, and
+    any other exit is a crash."""
     # the copy's own src/ must be the package under test
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection]
@@ -140,7 +166,8 @@ def run_pytest(tree, selection, timeout):
                               stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "hang", timeout
-    return ("pass" if proc.returncode == 0 else "fail"), time.perf_counter() - start
+    verdict = {0: "pass", 1: "fail"}.get(proc.returncode, "crash")
+    return verdict, time.perf_counter() - start
 
 
 def run(mutants=MUTANTS, root=ROOT, timeout=TIMEOUT_S):
@@ -156,7 +183,7 @@ def run(mutants=MUTANTS, root=ROOT, timeout=TIMEOUT_S):
             if verdict != "pass":
                 print(f"clean tree: {' '.join(selection)} gave {verdict} in {seconds:.1f} s")
                 return 1
-        outcomes = {"fail": 0, "pass": 0, "hang": 0}
+        outcomes = {"fail": 0, "pass": 0, "hang": 0, "crash": 0}
         for i, m in enumerate(mutants):
             tree = Path(tmp) / f"mutant{i}"
             copy_tree(root, tree)
@@ -165,11 +192,11 @@ def run(mutants=MUTANTS, root=ROOT, timeout=TIMEOUT_S):
                               encoding="utf-8")
             verdict, seconds = run_pytest(tree, m.selection, timeout)
             outcomes[verdict] += 1
-            shown = {"fail": "killed", "pass": "SURVIVED", "hang": "HANG"}[verdict]
+            shown = {"fail": "killed", "pass": "SURVIVED", "hang": "HANG", "crash": "CRASH"}[verdict]
             print(f"{shown:9} {seconds:5.1f} s  {m.name}  [{' '.join(m.selection)}]")
             shutil.rmtree(tree)
     print(f"{len(mutants)} mutants: {outcomes['fail']} killed, {outcomes['pass']} survived, "
-          f"{outcomes['hang']} hung")
+          f"{outcomes['hang']} hung, {outcomes['crash']} crash")
     return 0 if outcomes["fail"] == len(mutants) else 1
 
 

@@ -31,14 +31,12 @@ from .links import (
     DegenerateImage,
     Link,
     LinkKind,
-    UnsupportedDegree,
     WrongDegree,
     push,
 )
 from .untwist import (
     Factorization,
     InconsistentCycle,
-    NonTermination,
     ParityContradiction,
     untwist,
 )
@@ -412,8 +410,6 @@ _FAILURES = {
     DegenerateImage: "degenerate_image",
     InconsistentCycle: "inconsistent_cycle",
     ParityContradiction: "parity_contradiction",
-    UnsupportedDegree: "unsupported_degree",
-    NonTermination: "non_termination",
 }
 
 

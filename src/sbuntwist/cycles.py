@@ -151,9 +151,9 @@ class NoetherReport:
     e4: some multiplicity reaches d+1 whenever d >= 2.
     e5: every orbit of maximal multiplicity has degree 3 or 6.
 
-    e4 and e5 are consequences of e2 + e3 + non-negative multiplicities, so
-    they can only fail when the cycle is already inconsistent; they are
-    reported separately because the untwisting engine relies on them.
+    e4 and e5 are the termination lemma of :mod:`sbuntwist.untwist`: e2, e3
+    and non-negative multiplicities imply both, so they can fail only on
+    inconsistent data, where the report still shows them.
     """
 
     self_intersection: int

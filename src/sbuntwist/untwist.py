@@ -3,14 +3,27 @@
 Given the pushforward of -omega under a birational map, repeatedly apply
 the link centered at an orbit of maximal multiplicity (the Noether-Fano
 step of Iskovskikh's link theory).  The Noether relations are necessary
-but not sufficient for a datum to be such a pushforward: on data that
-satisfy them, the maximal multiplicity satisfies b >= d+1 on an orbit of
-degree 3 or 6, so d drops by at least 1 (phi3) or 4 (phi6) per step, and
-greedy either reaches -omega, certifying a word in the link generators
-followed by a biregular automorphism, or meets a link whose image leaves
-the cone of cycles and raises :class:`InconsistentCycle`.  The second
-outcome is the common one: 967 of the 979 solutions of the relations with
-2 <= d <= 16 end there.
+but not sufficient for a datum to be such a pushforward: greedy either
+reaches -omega, certifying a word in the link generators followed by a
+biregular automorphism, or meets a link whose image leaves the cone of
+cycles and raises :class:`InconsistentCycle`.  The second outcome is the
+common one: 967 of the 979 solutions of the relations with 2 <= d <= 16
+end there.
+
+Termination lemma.  Let a datum with d >= 2 and every b >= 0 satisfy
+both relations, sum n b = 9(d-1) and sum n b^2 = 9(d^2-1).  Then
+sum n b^2 = (d+1) sum n b > 0, so some b is at least d+1 (were every
+b <= d, the left side would be at most d sum n b).  An orbit with
+b >= d+1 has n (d+1)^2 <= n b^2 <= 9(d-1)(d+1), so n < 9, and as 3 | n,
+n is 3 or 6.  At such a center phi3 gives d' = 2d - b <= d - 1 and phi6
+gives d' = 5d - 4b <= d - 4.  A link preserves both relations (see
+:mod:`sbuntwist.links`) and either raises or leaves every multiplicity
+non-negative, so each cycle of the walk meets the same hypotheses: while
+d >= 2 a center exists and has degree 3 or 6, d falls at every link, and
+a word from degree d has fewer than d links.  At d = 1, sum n b = 0 leaves no orbit.  The loop checks
+the fall of d after each link; a link that breaks it is a bug in
+:mod:`sbuntwist.links`, not a property of the input, and raises
+``AssertionError``.
 
 A word of length L costs O(L log L) link and heap operations (plus the
 exact arithmetic on d, which grows to O(L) bits): one mutable walk holds
@@ -48,11 +61,6 @@ class InconsistentCycle(Exception):
 class ParityContradiction(Exception):
     """The factorization lands on the wrong surface family: an even word
     cannot change the Brauer class and an odd word always does."""
-
-
-class NonTermination(Exception):
-    """Defensive guard: the step count exceeded the initial degree, which
-    is impossible for genuine cycle data."""
 
 
 class Parity(Enum):
@@ -109,25 +117,15 @@ def untwist(
     # a link removes only the center, the orbit whose key was just popped.
     heap = list(map(greedy_key, initial.orbits))
     heapq.heapify(heap)
-    bound = initial.d
     steps: list[Link] = []
     d_trace = [initial.d]
     # the input is normalized, so the walk keeps this one orbit dict
     step, orbits, pop, push = walk.step, walk.orbits, heapq.heappop, heapq.heappush
 
+    # by the termination lemma the heap is non-empty at d >= 2; if not, heappop raises
     while walk.d > 1 or heap:
-        if len(steps) >= bound:
-            raise NonTermination(
-                f"no termination after {len(steps)} steps from d={bound}"
-            )
-        if not heap:
-            # d >= 2 with no base points contradicts the checked relations.
-            raise InconsistentCycle(
-                f"no center available at d={walk.d}; corrupted cycle data"
-            )
         center_id = pop(heap)[3]
         try:
-            # raises UnsupportedDegree at a center of degree other than 3, 6
             link = step(None, center_id)
         except DegenerateImage as exc:
             # Satisfying the Noether relations is necessary but not
@@ -136,6 +134,8 @@ def untwist(
             raise InconsistentCycle(
                 f"greedy step at orbit {center_id!r} degenerates: {exc}"
             ) from exc
+        if walk.d >= d_trace[-1]:
+            raise AssertionError(f"link at {center_id!r} took d={d_trace[-1]} to {walk.d}")
         image = orbits.get(link.image_orbit_id)
         if image is not None:
             push(heap, greedy_key(image))

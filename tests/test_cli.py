@@ -297,6 +297,19 @@ def test_push_wrong_degree_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error (wrong_degree): ")
 
 
+@pytest.mark.parametrize("kind, n", [("phi3", 3), ("phi6", 6)])
+def test_push_at_a_degree_9_center_exits_1_with_wrong_degree(tmp_path, capsys, kind, n):
+    # push always passes its kind, so a center of no link's degree is a
+    # wrong degree for that kind
+    doc = {"label": "gamma", "d": 2, "orbits": [{"degree": 9, "mult": 1}]}
+    argv = ["push", write_doc(tmp_path, doc), "--kind", kind, "--center", "x1"]
+    assert main(argv) == 1
+    message = f"{kind} needs a degree-{n} center, orbit 'x1' has degree 9"
+    assert capsys.readouterr() == ("", f"error (wrong_degree): {message}\n")
+    assert main([*argv, "--format", "machine"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "wrong_degree", "message": message}
+
+
 @pytest.mark.parametrize(
     "doc, name, key",
     [
@@ -410,20 +423,11 @@ DOCUMENT_FAILURES = {
 
 
 @pytest.mark.parametrize("failure", list(cli._FAILURES), ids=lambda failure: failure.__name__)
-def test_every_failure_exits_1_with_its_key_in_either_format(
-    tmp_path, capsys, monkeypatch, failure
-):
+def test_every_failure_exits_1_with_its_key_in_either_format(tmp_path, capsys, failure):
+    # every error key is reached by a real document
+    assert set(cli._FAILURES) == set(DOCUMENT_FAILURES)
     key = cli._FAILURES[failure]
-    if failure in DOCUMENT_FAILURES:
-        command, doc, flags, message = DOCUMENT_FAILURES[failure]
-    else:
-        # no document reaches UnsupportedDegree or NonTermination
-        command, doc, flags, message = "untwist", CHAIN_DOC, [], f"a {key} failure"
-
-        def fail(cycle, declared):
-            raise failure(message)
-
-        monkeypatch.setattr(cli, "untwist", fail)
+    command, doc, flags, message = DOCUMENT_FAILURES[failure]
     argv = [command, write_doc(tmp_path, doc), *flags]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error ({key}): {message}\n")

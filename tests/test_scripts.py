@@ -203,6 +203,30 @@ def test_mutants_refuses_a_stale_mutant_before_pytest_starts(monkeypatch, capsys
                                 "src/sbuntwist/links.py"]
 
 
+@pytest.mark.parametrize(
+    "code, shown, status, summary",
+    [
+        (1, "killed", 0, "1 killed, 0 survived, 0 hung, 0 crash"),
+        (-9, "CRASH", 1, "0 killed, 0 survived, 0 hung, 1 crash"),
+        (2, "CRASH", 1, "0 killed, 0 survived, 0 hung, 1 crash"),
+        (5, "CRASH", 1, "0 killed, 0 survived, 0 hung, 1 crash"),
+    ],
+)
+def test_mutants_counts_only_a_test_failure_as_a_kill(monkeypatch, capsys, code, shown, status,
+                                                      summary):
+    # pytest exits 1 when a test fails; a signal (-9 is an out-of-memory
+    # kill) or pytest's own error exits (2 interrupted, 5 no tests
+    # collected) say nothing about the mutant
+    script = _load_script("mutants")
+    codes = iter([0, code])  # the clean copy passes, then the mutant's run
+    monkeypatch.setattr(script.subprocess, "run",
+                        lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, next(codes)))
+    assert script.run(script.MUTANTS[:1]) == status
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].split()[0] == shown
+    assert lines[1] == f"1 mutants: {summary}"
+
+
 def test_committed_mutants_are_not_stale():
     # an edit that removes or repeats a mutant's old text must update the list
     script = _load_script("mutants")

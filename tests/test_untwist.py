@@ -1,8 +1,10 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,6 @@ from sbuntwist.links import (
 )
 from sbuntwist.untwist import (
     InconsistentCycle,
-    NonTermination,
     Parity,
     ParityContradiction,
     random_chain,
@@ -235,9 +236,64 @@ def test_intermediate_invariants_along_untwisting(length, seed):
         assert rep.consistent and rep.e4 and rep.e5
 
 
+# --- the termination lemma on every solution of the Noether relations ---
+
+def noether_solutions(d):
+    """Every datum of degree d that satisfies both Noether relations, as
+    (degree, multiplicity) terms of degree 3k and multiplicity >= 1, listed
+    by multiplicity, then degree, both descending."""
+    found, terms = [], []
+
+    def extend(s1, s2, b_top, n_top):
+        # s1 = sum n b and s2 = sum n b^2 still to place by terms <= (b_top, n_top)
+        if s1 == 0:
+            if s2 == 0:
+                found.append(tuple(terms))
+            return
+        for b in range(min(b_top, math.isqrt(s2 // 3)), 0, -1):
+            if s2 > b * s1:
+                return  # terms of multiplicity <= b have sum n b^2 <= b sum n b
+            n_max = min(s1 // b, s2 // (b * b), n_top if b == b_top else s1)
+            for n in range(n_max - n_max % 3, 2, -3):
+                terms.append((n, b))
+                extend(s1 - n * b, s2 - n * b * b, b, n)
+                terms.pop()
+
+    extend(9 * (d - 1), 9 * (d * d - 1), 9 * d * d, 9 * d * d)
+    return found
+
+
+def test_termination_lemma_on_every_noether_solution():
+    # the lemma of the untwist docstring on every solution with
+    # 2 <= d <= 22, at every orbit degree 3k, and untwist's outcome there
+    outcomes = []
+    for d in range(2, 23):
+        for terms in noether_solutions(d):
+            cycle = cyc(d, terms)
+            assert noether_check(cycle).consistent
+            assert terms[0][1] >= d + 1
+            assert all(n in (3, 6) for n, b in terms if b >= d + 1)
+            try:
+                fact, word = untwist(cycle), "even"
+            except ParityContradiction:
+                fact, word = untwist(cycle, GAMMA_INV), "odd"
+            except InconsistentCycle:
+                fact, word = None, "inconsistent"
+            if fact is not None:
+                assert fact.terminal.is_anticanonical() and len(fact.steps) < d
+                assert all(a > b for a, b in zip(fact.d_trace, fact.d_trace[1:]))
+            outcomes.append((d, word))
+
+    def tally(dmax):
+        return Counter(word for d, word in outcomes if d <= dmax)
+
+    assert tally(16) == {"inconsistent": 967, "even": 7, "odd": 5}
+    assert tally(22) == {"inconsistent": 10910, "even": 9, "odd": 14}
+
+
 # --- the engine against the stepwise reference ---
 
-UNTWIST_ERRORS = (InconsistentCycle, NonTermination, ParityContradiction, UnsupportedDegree)
+UNTWIST_ERRORS = (InconsistentCycle, ParityContradiction, UnsupportedDegree)
 
 
 def reference_untwist(cycle, declared_target=None):
@@ -251,7 +307,7 @@ def reference_untwist(cycle, declared_target=None):
     steps, trace = [], [current]
     while not current.is_anticanonical():
         if len(steps) >= trace[0].d:
-            raise NonTermination("too many steps")
+            raise AssertionError("too many steps")
         center = max_multiplicity_orbit(current)
         if center is None:
             raise InconsistentCycle("no center")
