@@ -72,6 +72,15 @@ MUTANTS = (
            "        self._counter = max(map(int, digits), default=0) + 1\n"
            "        while True:\n",
            ("tests/test_untwist.py", "-k", "engine_matches_reference_on_chains")),
+    Mutant("fresh-id counter from the last x<k> id", LINKS,
+           "max(map(int, digits), default=0) + 1", "int(digits[-1]) + 1 if digits else 1",
+           ("tests/test_links.py", "-k", "fresh_ids_start_past")),
+    Mutant("no degree check at an existing center", LINKS,
+           "if center.degree != n:", "if False:",
+           ("tests/test_links.py", "-k", "dispatch_and_guards")),
+    Mutant("untwist pushes every center as phi3", UNTWIST,
+           "step(KIND_BY_DEGREE[n], center_id)", "step(LinkKind.PHI3, center_id)",
+           ("tests/test_untwist.py", "-k", "engine_matches_reference_on_chains")),
     Mutant("random_chain draw masked to one bit", UNTWIST,
            "        while r >= 2:\n            r = draw(2)\n", "        r &= 1\n",
            ("tests/test_untwist.py", "-k", "draws_kinds_as_choice_does")),

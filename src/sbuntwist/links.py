@@ -30,14 +30,6 @@ class DegenerateImage(Exception):
     negative multiplicity); the input was not a pushforward of -omega."""
 
 
-class UnsupportedDegree(Exception):
-    """No elementary link exists at a center of this degree."""
-
-
-class UnknownCenter(Exception):
-    """The requested center id is not an orbit of the cycle."""
-
-
 class LinkKind(Enum):
     """The two links; ``center_degree`` (3 or 6) is a plain attribute,
     read once per link step."""
@@ -102,26 +94,13 @@ class _Walk:
                 return name
 
     def step(
-        self,
-        kind: Optional[LinkKind],
-        center_id: Optional[str] = None,
-        image_id: Optional[str] = None,
+        self, kind: LinkKind, center_id: Optional[str] = None, image_id: Optional[str] = None
     ) -> Link:
-        """Apply one link; see :func:`push`.  With no kind, the existing
-        center's degree selects it.  ``image_id`` pins the image orbit's
-        id, as :func:`~sbuntwist.untwist.replay` does."""
+        """Apply one link; see :func:`push`.  ``image_id`` pins the image
+        orbit's id, as :func:`~sbuntwist.untwist.replay` does."""
         d = self.d
         orbits = self.orbits
         center = None if center_id is None else orbits.get(center_id)
-        if kind is None:
-            if center is None:
-                raise UnknownCenter(f"cycle has no orbit with id {center_id!r}")
-            kind = KIND_BY_DEGREE.get(center.degree)
-            if kind is None:
-                raise UnsupportedDegree(
-                    f"no elementary link at a degree-{center.degree} center (orbit "
-                    f"{center_id!r})"
-                )
         n = kind.center_degree
         if center is None:
             # A center absent from the orbit list is a valid choice with
@@ -174,16 +153,13 @@ class _Walk:
         return CycleClass(self.label, self.d, tuple(self.orbits.values()))
 
 
-def push(
-    cycle: CycleClass, center_id: Optional[str] = None, kind: Optional[LinkKind] = None
-) -> tuple[CycleClass, Link]:
-    """Push the cycle through one link: of this kind, or else of the kind
-    the existing center's degree selects (an absent center then raises
-    :class:`UnknownCenter`).  With a kind, ``center_id=None`` asks for a
-    fresh center, and an id absent from the cycle names one: a center of
-    multiplicity 0.  Fresh ids avoid the input cycle's ids, and one walk
-    (see :mod:`sbuntwist.untwist`) never hands one out twice.  Output is
-    normalized."""
+def push(cycle: CycleClass, center_id: Optional[str], kind: LinkKind) -> tuple[CycleClass, Link]:
+    """Push the cycle through one link of this kind.  ``center_id=None``
+    asks for a fresh center, and an id absent from the cycle names one: a
+    center of multiplicity 0.  An existing center of the wrong degree
+    raises :class:`WrongDegree`.  Fresh ids avoid the input cycle's ids,
+    and one walk (see :mod:`sbuntwist.untwist`) never hands one out twice.
+    Output is normalized."""
     walk = _Walk(cycle)
     link = walk.step(kind, center_id)
     return walk.freeze(), link

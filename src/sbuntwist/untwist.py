@@ -50,7 +50,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .cycles import BrauerLabel, CycleClass, greedy_key, noether_check
-from .links import DegenerateImage, Link, LinkKind, _Walk
+from .links import KIND_BY_DEGREE, DegenerateImage, Link, LinkKind, _Walk
 
 
 class InconsistentCycle(Exception):
@@ -122,11 +122,12 @@ def untwist(
     # the input is normalized, so the walk keeps this one orbit dict
     step, orbits, pop, push = walk.step, walk.orbits, heapq.heappop, heapq.heappush
 
-    # by the termination lemma the heap is non-empty at d >= 2; if not, heappop raises
+    # by the termination lemma the heap is non-empty at d >= 2 and every
+    # center has degree 3 or 6; if not, heappop or the index raises
     while walk.d > 1 or heap:
-        center_id = pop(heap)[3]
+        _, n, _, center_id = pop(heap)
         try:
-            link = step(None, center_id)
+            link = step(KIND_BY_DEGREE[n], center_id)
         except DegenerateImage as exc:
             # Satisfying the Noether relations is necessary but not
             # sufficient; data that cannot be pushed is not a pushforward

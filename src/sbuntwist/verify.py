@@ -75,7 +75,7 @@ def _scan_link(kind: LinkKind, dmax: int) -> EquivalenceReport:
         # first b whose image the link rejects
         for b in itertools.count():
             try:
-                pushed, _ = push(CycleClass(BrauerLabel.GAMMA, d, (Orbit("c", n, b),)), "c")
+                pushed, _ = push(CycleClass(BrauerLabel.GAMMA, d, (Orbit("c", n, b),)), "c", kind)
             except DegenerateImage:
                 break
             symbolic = cycle_point_multiset(

@@ -13,8 +13,6 @@ from sbuntwist.links import (
     DegenerateImage,
     Link,
     LinkKind,
-    UnknownCenter,
-    UnsupportedDegree,
     WrongDegree,
     phi3_push,
     phi6_push,
@@ -127,25 +125,26 @@ def test_degenerate_image_on_inconsistent_data():
 
 
 def test_push_dispatch_and_guards():
-    out, _ = push(cyc(2, [(3, 3)]), "c1")
+    out, _ = push(cyc(2, [(3, 3)]), "c1", LinkKind.PHI3)
     assert out.d == 1
-    out, _ = push(cyc(5, [(6, 6)]), "c1")
+    out, _ = push(cyc(5, [(6, 6)]), "c1", LinkKind.PHI6)
     assert out.d == 1
-    # with a kind, push is the named link at an existing, fresh or absent center
+    # push is the named link at an existing, fresh or absent center
     for kind, named, c in (
         (LinkKind.PHI3, phi3_push, cyc(2, [(3, 3), (6, 1)])),
         (LinkKind.PHI6, phi6_push, cyc(5, [(6, 6), (3, 1)])),
     ):
-        assert push(c, "c1", kind) == named(c, "c1") == push(c, "c1")
+        assert push(c, "c1", kind) == named(c, "c1")
         assert push(c, None, kind) == named(c)
         assert push(c, "y7", kind) == named(c, "y7")
-    with pytest.raises(UnsupportedDegree):
-        push(cyc(4, [(9, 1)]), "c1")
-    with pytest.raises(UnknownCenter):
-        push(cyc(1), "nope")
-    # neither a center nor a kind: nothing selects the link
-    with pytest.raises(UnknownCenter):
-        push(cyc(1))
+        # a degree-9 center has no link of either kind
+        with pytest.raises(WrongDegree):
+            push(cyc(4, [(9, 1)]), "c1", kind)
+    # a fresh center and an absent named one are both multiplicity 0
+    out, link = push(cyc(1), None, LinkKind.PHI3)
+    assert (out.d, link.center_id) == (2, "x1")
+    out, link = push(cyc(1), "nope", LinkKind.PHI6)
+    assert (out.d, link.center_id) == (5, "nope")
 
 
 # --- id management ---
@@ -236,7 +235,7 @@ def test_replay_from_a_non_normalized_cycle():
 def test_phi3_involution_on_fresh_center(d):
     start = cyc(d, [(3, 2), (6, 1)])
     mid, link = phi3_push(start)
-    back, _ = push(mid, link.image_orbit_id)
+    back, _ = push(mid, link.image_orbit_id, link.kind)
     assert back.d == start.d
     assert back.label is start.label
     assert sorted((o.degree, o.multiplicity) for o in back.orbits) == sorted(
@@ -248,7 +247,7 @@ def test_phi3_involution_on_fresh_center(d):
 def test_phi6_involution_on_fresh_center(d):
     start = cyc(d, [(3, 2)])
     mid, link = phi6_push(start)
-    back, _ = push(mid, link.image_orbit_id)
+    back, _ = push(mid, link.image_orbit_id, link.kind)
     assert back.d == start.d and back.label is start.label
 
 

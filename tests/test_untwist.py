@@ -22,7 +22,6 @@ from sbuntwist.links import (
     DegenerateImage,
     Link,
     LinkKind,
-    UnsupportedDegree,
     _Walk,
     phi3_push,
     phi6_push,
@@ -293,7 +292,10 @@ def test_termination_lemma_on_every_noether_solution():
 
 # --- the engine against the stepwise reference ---
 
-UNTWIST_ERRORS = (InconsistentCycle, ParityContradiction, UnsupportedDegree)
+UNTWIST_ERRORS = (InconsistentCycle, ParityContradiction)
+
+# the reference's own degree -> kind map, independent of links.KIND_BY_DEGREE
+REFERENCE_KINDS = {3: LinkKind.PHI3, 6: LinkKind.PHI6}
 
 
 def reference_untwist(cycle, declared_target=None):
@@ -312,7 +314,7 @@ def reference_untwist(cycle, declared_target=None):
         if center is None:
             raise InconsistentCycle("no center")
         try:
-            link = walk.step(None, center.id)
+            link = walk.step(REFERENCE_KINDS[center.degree], center.id)
         except DegenerateImage as exc:
             raise InconsistentCycle("degenerate step") from exc
         current = walk.freeze()
