@@ -16,6 +16,8 @@ way with ``--change``.  For each workload:
   change first in odd ones);
 * one 2 s ``--trace 1`` run per tree, for the output digest and every
   metric counted in unit ``count`` (per-item call counts among them).
+  These run first, for every workload, so that a ``--moved`` name that
+  no trace reports is refused before the timed runs.
 
 The metrics, their better direction and their bounds are read from
 ``BENCHMARK.json``.  Per workload and metric, the output gives both
@@ -25,13 +27,16 @@ relative change of the medians, every value in run order, ``breach``
 ``metric_report``) and ``gain`` (better in at least 9 of 10 pairs, and
 the medians apart by more than the parent's interquartile range).  ``ok``
 is false when a metric breaches its bound or is unresolved, a larger
-share of the change's items fails, or the digests or counts differ.
+share of the change's items fails, or the digests differ, or a count
+differs that no ``--moved NAME`` names: a change meant to move a count
+names it, and the report lists each named count with both values.
 
 Progress goes to standard error; standard output is one JSON object.
-Exit status: 0 when ``ok``, 1 otherwise, 2 on bad arguments.
+Exit status: 0 when ``ok``, 1 otherwise, 2 on bad arguments (a
+``--moved`` name that no trace reports among them).
 
 Usage: python scripts/abtest.py --parent REV [--change REV] [--pairs N]
-           [--seed S] [--workload W ...]
+           [--seed S] [--workload W ...] [--moved NAME ...]
 """
 
 import argparse
@@ -106,12 +111,15 @@ def _counts(record: dict) -> dict:
     return {n: m["value"] for n, m in record["result"]["metrics"].items() if m["unit"] == "count"}
 
 
-def trace_report(parent_stdout: str, change_stdout: str) -> dict:
-    """Digests and count metrics of one ``--trace 1`` run per tree."""
+def trace_report(parent_stdout: str, change_stdout: str, moved=()) -> dict:
+    """Digests and count metrics of one ``--trace 1`` run per tree.  The
+    counts named in ``moved`` may differ; ``moved_counts`` lists those the
+    traces report, with both values, and ``differing_counts`` every other
+    count that differs."""
     parent, change = perfbench_record(parent_stdout), perfbench_record(change_stdout)
     pc, cc = _counts(parent), _counts(change)
-    differing = {n: [pc.get(n), cc.get(n)] for n in sorted(pc.keys() | cc.keys())
-                 if pc.get(n) != cc.get(n)}
+    both = {n: [pc.get(n), cc.get(n)] for n in sorted(pc.keys() | cc.keys())}
+    differing = {n: v for n, v in both.items() if v[0] != v[1] and n not in moved}
     digests = [parent["notes"]["digest"], change["notes"]["digest"]]
     return {
         "parent_digest": digests[0],
@@ -119,13 +127,15 @@ def trace_report(parent_stdout: str, change_stdout: str) -> dict:
         "digests_equal": digests[0] == digests[1],
         "counts_equal": not differing,
         "differing_counts": differing,
+        "moved_counts": {n: v for n, v in both.items() if n in moved},
     }
 
 
-def workload_report(spec: dict, runs: dict, setups: dict, traces: dict) -> dict:
+def workload_report(spec: dict, runs: dict, setups: dict, traces: dict, moved=()) -> dict:
     """The verdicts of one workload.  ``runs`` maps each side to its
     ``--trace 0`` outputs in pair order, ``setups`` to its set-up seconds
-    in sample order, ``traces`` to its ``--trace 1`` output."""
+    in sample order, ``traces`` to its ``--trace 1`` output; ``moved``
+    names the counts that may differ."""
     results = {side: [perfbench_record(out)["result"] for out in runs[side]] for side in SIDES}
     metrics = {}
     for m in spec["end_to_end"]:
@@ -139,7 +149,7 @@ def workload_report(spec: dict, runs: dict, setups: dict, traces: dict) -> dict:
                                          values["change"])}
     failed = {side: sum(r["failed"] for r in results[side])
               / sum(r["attempted"] for r in results[side]) for side in SIDES}
-    trace = trace_report(traces["parent"], traces["change"])
+    trace = trace_report(traces["parent"], traces["change"], moved)
     ok = (not any(m["breach"] or m["unresolved"] for m in metrics.values())
           and failed["change"] <= failed["parent"]
           and trace["digests_equal"] and trace["counts_equal"])
@@ -211,6 +221,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append", choices=names)
+    parser.add_argument("--moved", action="append", default=[], metavar="NAME",
+                        help="a count the change is meant to move (repeatable)")
     args = parser.parse_args(argv)
     for flag, value, least in (("--pairs", args.pairs, 1), ("--seed", args.seed, 0)):
         if value < least:
@@ -219,12 +231,20 @@ def main(argv=None) -> int:
     seconds, speed = spec["run_seconds"], _speed()
     report = {"parent": args.parent, "change": args.change or "working tree",
               "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
-              "setup_samples": SETUP_SAMPLES, "workloads": {}}
+              "setup_samples": SETUP_SAMPLES, "moved": args.moved, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": extract(args.parent, Path(tmp) / "parent"),
                  "change": extract(args.change, Path(tmp) / "change") if args.change else ROOT}
-        for workload in args.workload or names:
-            setups, runs, traces = {s: [] for s in SIDES}, {s: [] for s in SIDES}, {}
+        workloads = args.workload or names
+        traces = {w: {side: run_perfbench(trees[side], w, args.seed, TRACE_SECONDS, 1)
+                      for side in SIDES} for w in workloads}
+        reported = {n for t in traces.values() for out in t.values()
+                    for n in _counts(perfbench_record(out))}
+        unknown = sorted(set(args.moved) - reported)
+        if unknown:
+            parser.error(f"--moved {', '.join(unknown)}: no trace reports such a count")
+        for workload in workloads:
+            setups, runs = {s: [] for s in SIDES}, {s: [] for s in SIDES}
             for order in alternating(SETUP_SAMPLES):
                 for side in order:
                     setups[side].append(setup_seconds(trees[side], workload, args.seed, speed))
@@ -232,9 +252,8 @@ def main(argv=None) -> int:
                 for side in order:
                     print(f"{workload} pair {i + 1}/{args.pairs}: {side}", file=sys.stderr)
                     runs[side].append(run_perfbench(trees[side], workload, args.seed, seconds, 0))
-            for side in SIDES:
-                traces[side] = run_perfbench(trees[side], workload, args.seed, TRACE_SECONDS, 1)
-            report["workloads"][workload] = workload_report(spec, runs, setups, traces)
+            report["workloads"][workload] = workload_report(spec, runs, setups, traces[workload],
+                                                            args.moved)
     report["ok"] = all(w["ok"] for w in report["workloads"].values())
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1

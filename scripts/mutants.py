@@ -133,6 +133,13 @@ MUTANTS = (
            "((u1 * v2 - u2 * v1) % p,), ((u2 * v0 - u0 * v2) % p,)",
            "((u1 * v2 - u2 * v0) % p,), ((u2 * v1 - u0 * v2) % p,)",
            ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),
+    # the F_p normalization's scalar inverse and its products, on ints
+    Mutant("F_p normalization scaled by c^(p-3)", PLANE,
+           "scale = pow(c[0], p - 2, p)", "scale = pow(c[0], p - 3, p)",
+           ("tests/test_plane.py", "-k", "prime_field_normalized")),
+    Mutant("unreduced F_p normalization products", PLANE,
+           "(x * scale % p,)", "(x * scale,)",
+           ("tests/test_plane.py", "-k", "prime_field_normalized")),
     Mutant("collinear on a x a", PLANE,
            "incident(_cross(F, a.coords, b.coords), c)", "incident(_cross(F, a.coords, a.coords), c)",
            ("tests/test_plane.py", "-k", "collinear")),

