@@ -100,12 +100,23 @@ MUTANTS = (
     Mutant("unreduced scalar product in mul", GF,
            "return tuple([c * y % p for y in b])", "return tuple([c * y for y in b])",
            ("tests/test_gf.py", "-k", "mul or inverse")),
-    Mutant("unreduced F_p x F_p product in mul", GF,
-           "return (c * b[0] % p,) + rest", "return (c * b[0],) + rest",
-           ("tests/test_gf.py", "-k", "long_division")),
-    Mutant("unreduced F_p difference in sub", GF,
-           "return ((a[0] - b[0]) % p,) + rest", "return (a[0] - b[0],) + rest",
+    Mutant("unreduced sum in add", GF,
+           "return tuple([(x + y) % p for x, y in zip(a, b)])",
+           "return tuple([x + y for x, y in zip(a, b)])",
            ("tests/test_gf.py", "-k", "coordinatewise")),
+    Mutant("unreduced difference in sub", GF,
+           "return tuple([(x - y) % p for x, y in zip(a, b)])",
+           "return tuple([x - y for x, y in zip(a, b)])",
+           ("tests/test_gf.py", "-k", "coordinatewise")),
+    Mutant("unscaled Euclid result", GF,
+           "return tuple([x * scale % p for x in s1])", "return tuple(s1)",
+           ("tests/test_gf.py", "-k", "inverse")),
+    Mutant("Rabin's test without its coprimality condition", GF,
+           "        if _pinv(h, f, p) is None:\n            return False\n", "",
+           ("tests/test_gf.py", "-k", "rabin")),
+    Mutant("1 counted as prime", GF,
+           "return _prime_factors(n) == [n]", "return _prime_factors(n) in ([n], [])",
+           ("tests/test_gf.py", "-k", "is_prime")),
     Mutant("Frobenius step to the (p+1)-th power", GF,
            "x, power = _ppowmod(x, p, f, p)", "x, power = _ppowmod(x, p + 1, f, p)",
            ("tests/test_gf.py", "-k", "conjugate or frobenius")),

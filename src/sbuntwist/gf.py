@@ -13,11 +13,8 @@ An element lies in the prime subfield F_p when every coefficient after the
 first is 0; for m = 1 every element does.  Such an element c acts on the
 F_p-basis coordinate-wise (Lidl and Niederreiter, Finite Fields, Sec. 2.1),
 and Frobenius fixes it.  So ``mul`` by c scales the other operand
-coefficient by coefficient mod p, ``inv`` of c is the scalar c^(p-2) mod p,
-and ``conjugates`` of c is c repeated m times; none runs a polynomial
-product or Euclid.  When both operands lie in F_p, ``add``, ``sub`` and
-``mul`` do one scalar operation mod p on the first coefficients and keep
-the zero tail of a.
+coefficient by coefficient mod p, with no polynomial product, and
+``conjugates`` of c is c repeated m times, with no packed product.
 
 One extended Euclidean loop over F_p[x] serves field inversion against the
 modulus and the coprimality condition of Rabin's irreducibility test
@@ -226,26 +223,19 @@ class FiniteField:
         return (value % self.p,) + (0,) * (self.m - 1)
 
     def add(self, a: Element, b: Element) -> Element:
-        p, rest = self.p, a[1:]
-        if not any(rest) and not any(b[1:]):
-            return ((a[0] + b[0]) % p,) + rest
+        p = self.p
         return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a: Element, b: Element) -> Element:
-        p, rest = self.p, a[1:]
-        if not any(rest) and not any(b[1:]):
-            return ((a[0] - b[0]) % p,) + rest
+        p = self.p
         return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def mul(self, a: Element, b: Element) -> Element:
         """a b.  When a or b lies in F_p, the other is scaled coefficient
-        by coefficient, with no product of polynomials; when both do, the
-        product is one scalar product."""
-        p, rest = self.p, a[1:]
-        if not any(rest):
+        by coefficient, with no product of polynomials."""
+        p = self.p
+        if not any(a[1:]):
             c = a[0]
-            if not any(b[1:]):
-                return (c * b[0] % p,) + rest
             return tuple([c * y % p for y in b])
         if not any(b[1:]):
             c = b[0]
@@ -253,15 +243,12 @@ class FiniteField:
         return _mulmod(a, b, self.modulus, p)
 
     def inv(self, a: Element) -> Element:
-        """1 / a.  An element c of F_p inverts as the scalar c^(p-2) mod p,
-        with no Euclid."""
+        """1 / a, by extended Euclid against the modulus.  An element c of
+        F_p takes no division step: its inverse is the final scale c^(p-2)."""
         if a == self.zero:
             raise ZeroDivisionError("inversion of 0")
-        p, rest = self.p, a[1:]
-        if not any(rest):
-            return (pow(a[0], p - 2, p),) + rest
         # the modulus is irreducible, so every nonzero a is invertible
-        return _pinv(a, self.modulus, p)
+        return _pinv(a, self.modulus, self.p)
 
     def conjugates(self, a: Element) -> tuple[Element, ...]:
         """(a, a^p, ..., a^(p^(m-1))), every Galois conjugate of a, read

@@ -158,8 +158,8 @@ def test_field_axioms_on_samples(p, m):
 
 def constants_and_samples(F):
     """0, 1, 2 and p - 1 in F_p, the all-(p - 1) element and 20 seeded
-    elements: each pair of the constants takes the scalar routes of add,
-    sub and mul, and a constant with any other the one-sided route."""
+    elements: a constant times any element takes mul's scaling route, and
+    every other pair its polynomial product; add and sub have one route."""
     p, m = F.p, F.m
     constants = [F.zero, F.element(1), F.element(2), F.element(p - 1)]
     return constants + [(p - 1,) * m] + elements_of(F, 20, seed=p + m)
@@ -306,7 +306,8 @@ def test_pow_matches_repeated_multiplication(params, data):
 )
 def test_inverse_times_the_element_is_one(p, m):
     # every nonzero element of the small fields; of the large, the constants
-    # below 100, which invert as scalars, and 20 seeded elements
+    # below 100, which Euclid inverts in its final scale alone, and 20
+    # seeded elements
     F = field(p, m)
     if p**m < 1000:
         xs = itertools.product(range(p), repeat=m)
@@ -318,7 +319,7 @@ def test_inverse_times_the_element_is_one(p, m):
 
 
 def test_inverse_of_zero_raises():
-    # zero lies in F_p, so the scalar inverse must not see it first
+    # zero lies in F_p, for which Euclid returns None, so inv must raise first
     for F in (field(7, 1), field(7, 2), field(5, 6)):
         with pytest.raises(ZeroDivisionError):
             F.inv(F.zero)
