@@ -136,20 +136,28 @@ MUTANTS = (
            "sub(mul(u1, v2), mul(u2, v0)),\n        sub(mul(u2, v1), mul(u0, v2)),",
            ("tests/test_plane.py", "-k", "collinear")),
     # the two above act on the F_{p^m} minors (m >= 2); their twins below
-    # act on the int minors of the F_p path
+    # act on the int minors of ``_line_key``, the F_p route of line_through
+    # and connecting_lines
     Mutant("one F_p cross-product minor negated", PLANE,
-           "((u1 * v2 - u2 * v1) % p,)", "((u2 * v1 - u1 * v2) % p,)",
+           "(u1 * v2 - u2 * v1) % p,", "(u2 * v1 - u1 * v2) % p,",
            ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),
     Mutant("products swapped between two F_p minors", PLANE,
-           "((u1 * v2 - u2 * v1) % p,), ((u2 * v0 - u0 * v2) % p,)",
-           "((u1 * v2 - u2 * v0) % p,), ((u2 * v1 - u0 * v2) % p,)",
+           "(u1 * v2 - u2 * v1) % p, (u2 * v0 - u0 * v2) % p,",
+           "(u1 * v2 - u2 * v0) % p, (u2 * v1 - u0 * v2) % p,",
            ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),
-    # the F_p normalization's scalar inverse and its products, on ints
+    # the pair loop keys pair (i, j) on the line through points j - 1 and j
+    Mutant("F_p pair keyed on the wrong indices", PLANE,
+           "_line_key(p, ints[i], ints[j])", "_line_key(p, ints[j - 1], ints[j])",
+           ("tests/test_plane.py", "-k", "connecting_lines_equal_the_reference")),
+    # ``_unit``, the one F_p normalization, on ints
     Mutant("F_p normalization scaled by c^(p-3)", PLANE,
-           "scale = pow(c[0], p - 2, p)", "scale = pow(c[0], p - 3, p)",
+           "s = pow(x0, p - 2, p)", "s = pow(x0, p - 3, p)",
+           ("tests/test_plane.py", "-k", "prime_field_normalized")),
+    Mutant("F_p normalization with x1 leading scaled by x1^(p-3)", PLANE,
+           "pow(x1, p - 2, p)", "pow(x1, p - 3, p)",
            ("tests/test_plane.py", "-k", "prime_field_normalized")),
     Mutant("unreduced F_p normalization products", PLANE,
-           "(x * scale % p,)", "(x * scale,)",
+           "return 1, x1 * s % p, x2 * s % p", "return 1, x1 * s, x2 * s",
            ("tests/test_plane.py", "-k", "prime_field_normalized")),
     Mutant("collinear on a x a", PLANE,
            "incident(_cross(F, a.coords, b.coords), c)", "incident(_cross(F, a.coords, a.coords), c)",

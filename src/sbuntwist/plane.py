@@ -9,9 +9,9 @@ to F_p is, which ``_singular_over`` reads from the regular representation.
 Six-point configurations are classified by their line profile, read off
 by grouping the 15 point pairs by the line they span and looked up in
 ``ConfigCase``, the one table of the ten profiles six points can have.
-Over F_p the cross product's minors and the normalization's inverse and
-products are ints mod p, which perfbench's ``FiniteField`` counters do not
-see.
+Over F_p one routine on ints mod p, ``_unit``, normalizes points and
+lines, and the pairs are keyed by ``_line_key``, the 2x2 minors mod p
+through ``_unit``, with no ``FiniteField`` call for perfbench to count.
 
 Whether a degree-6 closed point lies on a conic is decided by Galois
 descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
@@ -81,18 +81,29 @@ class UnclassifiableConfiguration(Exception):
     signal a gap in the case enumeration."""
 
 
+def _unit(p: int, x0: int, x1: int, x2: int) -> tuple[int, int, int]:
+    """An int triple over F_p scaled so its first nonzero entry is 1: the
+    one F_p normalization, of points and of lines (``_line_key``)."""
+    if x0:
+        s = pow(x0, p - 2, p)
+        return 1, x1 * s % p, x2 * s % p
+    if x1:
+        return 0, 1, x2 * pow(x1, p - 2, p) % p
+    if x2:
+        return 0, 0, 1
+    raise ValueError("(0 : 0 : 0) is not a projective point")
+
+
 def _normalized(F: FiniteField, coords: Sequence[Element]) -> tuple[Element, ...]:
     """Homogeneous coordinates scaled so the first nonzero one is 1; only
-    the coordinates after it need a product.  Over F_p the scale is one
-    int inverse and the products are ints mod p, unseen by the counters
-    perfbench patches onto ``FiniteField``."""
+    the coordinates after it need a product.  Over F_p this is ``_unit`` on
+    the three ints, unseen by the counters perfbench patches onto
+    ``FiniteField``."""
+    if F.m == 1:
+        return tuple((x,) for x in _unit(F.p, *(c for (c,) in coords)))
     zero = F.zero
     for i, c in enumerate(coords):
         if c != zero:
-            if F.m == 1:
-                p = F.p
-                scale = pow(c[0], p - 2, p)
-                return (*coords[:i], (1,), *[(x * scale % p,) for (x,) in coords[i + 1:]])
             scale, mul = F.inv(c), F.mul
             return (*coords[:i], F.element(1), *[mul(scale, x) for x in coords[i + 1:]])
     raise ValueError("(0 : 0 : 0) is not a projective point")
@@ -206,15 +217,7 @@ def collinear(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
 
 
 def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[Element, Element, Element]:
-    # over F_p the minors are ints mod p, as is ``_normalized``'s scaling,
-    # unseen by the counters perfbench patches onto FiniteField; over
-    # F_{p^m}, m >= 2, the ops are read from F on each call, so those
-    # counters see them
-    if F.m == 1:
-        p = F.p
-        (u0,), (u1,), (u2,) = u
-        (v0,), (v1,), (v2,) = v
-        return ((u1 * v2 - u2 * v1) % p,), ((u2 * v0 - u0 * v2) % p,), ((u0 * v1 - u1 * v0) % p,)
+    # the ops are read from F on each call, so perfbench's counters see them
     mul, sub = F.mul, F.sub
     u0, u1, u2 = u
     v0, v1, v2 = v
@@ -225,18 +228,31 @@ def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[
     )
 
 
+def _line_key(p: int, u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    """The line through two points of P^2(F_p), from their ints: the 2x2
+    minors mod p through ``_unit``, which refuses equal points' (0, 0, 0)."""
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return _unit(p, (u1 * v2 - u2 * v1) % p, (u2 * v0 - u0 * v2) % p, (u0 * v1 - u1 * v0) % p)
+
+
 def line_through(a: ProjPoint, b: ProjPoint) -> tuple[Element, Element, Element]:
-    """Normalized dual coordinates of the line joining two distinct points."""
+    """Normalized dual coordinates of the line joining two distinct points;
+    over F_p, ``_line_key``'s ints as 1-tuples."""
     if b.field != a.field:
         raise ValueError("points must share a coordinate field")
     if a == b:
         raise ValueError("two coincident points do not span a line")
     F = a.field
+    if F.m == 1:
+        u, v = ([x for (x,) in pt.coords] for pt in (a, b))
+        return tuple((x,) for x in _line_key(F.p, u, v))
     return _normalized(F, _cross(F, a.coords, b.coords))
 
 
 def incident(line: Sequence[Element], pt: ProjPoint) -> bool:
     F = pt.field
+    if len(line) != 3:
+        raise ValueError(f"line and point must share a coordinate field; got {len(line)} line coordinates")
     if any(len(c) != F.m for c in line):
         raise ValueError("line and point must share a coordinate field")
     acc = F.zero
@@ -418,11 +434,20 @@ _CASE_BY_PROFILE = {case.profile: case for case in ConfigCase}
 def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
     """All lines through at least two of the points, each as the index set
     of the configuration points on it.  Two points span exactly one line,
-    so grouping the pairs by the normalized ``line_through`` key gives each
-    line's members without an incidence test."""
-    members: dict[tuple[Element, Element, Element], set[int]] = {}
-    for i, j in itertools.combinations(range(len(points)), 2):
-        members.setdefault(line_through(points[i], points[j]), set()).update((i, j))
+    so grouping the pairs by a normalized line key (over F_p ``_line_key``
+    on each point's ints, read once) gives each line's members."""
+    pairs = itertools.combinations(range(len(points)), 2)
+    members: dict[tuple, set[int]] = {}
+    if points and _check_same_field(points).m == 1:
+        p, ints = points[0].field.p, [[x for (x,) in pt.coords] for pt in points]
+        try:
+            for i, j in pairs:
+                members.setdefault(_line_key(p, ints[i], ints[j]), set()).update((i, j))
+        except ValueError:
+            raise ValueError("two coincident points do not span a line") from None
+    else:
+        for i, j in pairs:
+            members.setdefault(line_through(points[i], points[j]), set()).update((i, j))
     return [frozenset(m) for m in members.values()]
 
 

@@ -347,6 +347,8 @@ def test_incidence_tests_require_one_coordinate_field():
         lambda: line_through(b, a),
         lambda: incident(line49, b),
         lambda: incident(line7, a),
+        lambda: incident(line7[:2], b),
+        lambda: incident(line7 + ((1,),), b),
     ):
         with pytest.raises(ValueError, match="share a coordinate field"):
             call()
@@ -742,6 +744,33 @@ def test_classifier_requires_six_distinct_points():
 def test_connecting_lines_of_a_triangle():
     tri = [pt(0, 0, 1), pt(1, 0, 1), pt(0, 1, 1)]
     assert len(connecting_lines(tri)) == 3
+
+
+def _reference_grouping(points):
+    """The pairs grouped by a line key built from ``FiniteField`` ops alone,
+    independent of ``plane._line_key``."""
+    F = points[0].field
+    members = {}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        key = _reference_normalized(F, _reference_minors(F, points[i].coords, points[j].coords))
+        members.setdefault(key, set()).update((i, j))
+    return {frozenset(m) for m in members.values()}
+
+
+def test_prime_field_connecting_lines_equal_the_reference_grouping():
+    from sbuntwist.verify import case_witness
+
+    primes = [q for q in range(5, 100) if all(q % d for d in range(2, q))]
+    assert len(primes) == 23
+    configs = [case_witness(case_id, q) for q in primes for case_id in range(1, 10)]
+    for q in (5, 7, 11, 13):
+        rng = random.Random(q)
+        configs += [sample_configuration(field(q, 1), rng) for _ in range(2000)]
+    for points in configs:
+        lines = connecting_lines(points)
+        assert len(lines) == len(set(lines))
+        assert set(lines) == _reference_grouping(points)
+    assert connecting_lines([]) == [] and connecting_lines([pt(1, 2, 3)]) == []
 
 
 def test_each_case_has_exactly_one_profile():
