@@ -136,8 +136,8 @@ MUTANTS = (
            "sub(mul(u1, v2), mul(u2, v0)),\n        sub(mul(u2, v1), mul(u0, v2)),",
            ("tests/test_plane.py", "-k", "collinear")),
     # the two above act on the F_{p^m} minors (m >= 2); their twins below
-    # act on the int minors of ``_line_key``, the F_p route of line_through
-    # and connecting_lines
+    # act on the int minors of ``_line_key``, connecting_lines' F_p route,
+    # checked directly against the ``FiniteField`` minors
     Mutant("one F_p cross-product minor negated", PLANE,
            "(u1 * v2 - u2 * v1) % p,", "(u2 * v1 - u1 * v2) % p,",
            ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),

@@ -236,23 +236,19 @@ def _line_key(p: int, u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int
 
 
 def line_through(a: ProjPoint, b: ProjPoint) -> tuple[Element, Element, Element]:
-    """Normalized dual coordinates of the line joining two distinct points;
-    over F_p, ``_line_key``'s ints as 1-tuples."""
+    """Normalized dual coordinates of the line joining two distinct points."""
     if b.field != a.field:
         raise ValueError("points must share a coordinate field")
     if a == b:
         raise ValueError("two coincident points do not span a line")
     F = a.field
-    if F.m == 1:
-        u, v = ([x for (x,) in pt.coords] for pt in (a, b))
-        return tuple((x,) for x in _line_key(F.p, u, v))
     return _normalized(F, _cross(F, a.coords, b.coords))
 
 
 def incident(line: Sequence[Element], pt: ProjPoint) -> bool:
     F = pt.field
     if len(line) != 3:
-        raise ValueError(f"line and point must share a coordinate field; got {len(line)} line coordinates")
+        raise ValueError(f"lines need 3 dual coordinates, got {len(line)}")
     if any(len(c) != F.m for c in line):
         raise ValueError("line and point must share a coordinate field")
     acc = F.zero
@@ -460,7 +456,8 @@ def classify_configuration(
     The profile is the sizes of the lines through at least three points,
     largest first, and the number of points those lines cover; it is
     looked up in ``_CASE_BY_PROFILE``.  Two coincident points raise from
-    ``line_through``.  Raises :class:`UnclassifiableConfiguration` if the
+    ``connecting_lines`` (through ``_line_key`` over F_p, ``line_through``
+    otherwise).  Raises :class:`UnclassifiableConfiguration` if the
     profile is not there; a correct line grouping makes that unreachable,
     so any raise would expose a gap in the case analysis.
     """

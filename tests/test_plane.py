@@ -178,8 +178,9 @@ def _all_points(F):
 
 @pytest.mark.parametrize("p", [5, 7, 101])
 def test_prime_field_cross_equals_the_reference_minors(p):
-    # every ordered pair of P^2(F_p) at p = 5 and 7, coincident ones
-    # included; 1,000 random pairs at p = 101
+    # ``_line_key``, the F_p minors on ints, and ``line_through`` against
+    # the ``FiniteField`` minors: every ordered pair of P^2(F_p) at p = 5
+    # and 7, coincident ones included; 1,000 random pairs at p = 101
     F = field(p, 1)
     if p < 100:
         points = _all_points(F)
@@ -196,10 +197,14 @@ def test_prime_field_cross_equals_the_reference_minors(p):
 
         pairs = [(point(), point()) for _ in range(1000)]
     for a, b in pairs:
-        expected = _reference_minors(F, a.coords, b.coords)
-        assert plane._cross(F, a.coords, b.coords) == expected
-        if a != b:
-            assert line_through(a, b) == _reference_normalized(F, expected)
+        u, v = ([x for (x,) in q.coords] for q in (a, b))
+        if a == b:
+            with pytest.raises(ValueError, match=r"^\(0 : 0 : 0\) is not a projective point$"):
+                plane._line_key(p, u, v)
+        else:
+            key = _reference_normalized(F, _reference_minors(F, a.coords, b.coords))
+            assert plane._line_key(p, u, v) == tuple(x for (x,) in key)
+            assert line_through(a, b) == key
 
 
 @pytest.mark.parametrize("p", [5, 7, 101])
@@ -347,11 +352,12 @@ def test_incidence_tests_require_one_coordinate_field():
         lambda: line_through(b, a),
         lambda: incident(line49, b),
         lambda: incident(line7, a),
-        lambda: incident(line7[:2], b),
-        lambda: incident(line7 + ((1,),), b),
     ):
         with pytest.raises(ValueError, match="share a coordinate field"):
             call()
+    for short_or_long in (line7[:2], line7 + ((1,),)):
+        with pytest.raises(ValueError, match=rf"^lines need 3 dual coordinates, got {len(short_or_long)}$"):
+            incident(short_or_long, b)
 
 
 # --- Frobenius orbits and closed points ---
