@@ -175,6 +175,17 @@ MUTANTS = (
     Mutant("theta from the trace to F_{p^3}", PLANE,
            "F.conjugates(b)[::2]", "F.conjugates(b)[::3]",
            ("tests/test_plane.py", "-k", "theta")),
+    # the sampler: one draw of 3m residues per point, deduplicated on
+    # coordinate tuples, and the field check's identity shortcut
+    Mutant("two coordinates of the one F_p draw swapped", PLANE,
+           "x0, x1, x2 = _unit(p, *r)", "x0, x1, x2 = _unit(p, r[1], r[0], r[2])",
+           ("tests/test_plane.py", "-k", "random_point_draws_as_randrange_does")),
+    Mutant("configuration sampled without deduplication", PLANE,
+           "if pt.coords not in seen:", "if True:",
+           ("tests/test_plane.py", "-k", "reference_dedup")),
+    Mutant("equal fields in distinct objects refused", PLANE,
+           "pt.field is not F and pt.field != F", "pt.field is not F",
+           ("tests/test_plane.py", "-k", "distinct_objects")),
 )
 
 

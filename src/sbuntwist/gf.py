@@ -32,6 +32,11 @@ F_p-linear, so one table built with the field serves ``conjugates`` and
 Products by a fixed c are F_p-linear too: ``regular(c)`` lists c x^i, each
 x times the one before; ``multiplier(c)`` packs that list, on demand and
 never with the field, and ``times`` reads c a from it.
+
+One rejection loop, ``_residues``, draws residues mod p: each is a
+``getrandbits`` of p's bit length, drawn again while >= p, which is how
+``random.Random.randrange(p)`` draws.  ``random_element`` is m of them;
+``plane._random_point`` takes the 3m of a coordinate triple in one call.
 """
 
 from __future__ import annotations
@@ -110,6 +115,20 @@ def _pinv(a: Sequence[int], f: Sequence[int], p: int) -> Element | None:
         return None
     scale = pow(r1[0], p - 2, p)
     return tuple([x * scale % p for x in s1]) + (0,) * (len(f) - 1 - len(s1))
+
+
+def _residues(rng: random.Random, p: int, n: int) -> list[int]:
+    """n residues mod p drawn as n ``rng.randrange(p)`` calls draw them,
+    without their call layers: one ``getrandbits`` of p's bit length per
+    try, a try >= p dropped and drawn again.  The one residue-drawing loop:
+    ``random_element`` and ``plane._random_point`` both draw through it."""
+    k, draw = p.bit_length(), rng.getrandbits
+    out: list[int] = []
+    while len(out) < n:
+        x = draw(k)
+        if x < p:
+            out.append(x)
+    return out
 
 
 def _slots(table: Sequence[int], a: Element, p: int, mask: int, shifts: range) -> list[int]:
@@ -288,17 +307,8 @@ class FiniteField:
         return [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
 
     def random_element(self, rng: random.Random) -> Element:
-        """Coefficients drawn as ``rng.randrange(p)`` draws them, one
-        ``getrandbits`` of p's bit length per try, without its call layers."""
-        p = self.p
-        k, draw = p.bit_length(), rng.getrandbits
-        out = []
-        for _ in range(self.m):
-            x = draw(k)
-            while x >= p:
-                x = draw(k)
-            out.append(x)
-        return tuple(out)
+        """The m coefficients, drawn by ``_residues``, the one residue loop."""
+        return tuple(_residues(rng, self.p, self.m))
 
 
 @lru_cache(maxsize=None)

@@ -69,7 +69,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .gf import Element, FiniteField, field
+from .gf import Element, FiniteField, _residues, field
 
 
 class SamplingExhausted(Exception):
@@ -203,7 +203,8 @@ def _singular_over(F: FiniteField, rows: Sequence[Sequence[Element]]) -> bool:
 
 def _check_same_field(points: Sequence[ProjPoint]) -> FiniteField:
     F = points[0].field
-    if any(pt.field != F for pt in points):
+    # identity first: equal fields are nearly always one interned object
+    if any(pt.field is not F and pt.field != F for pt in points):
         raise ValueError("points must share a coordinate field")
     return F
 
@@ -292,12 +293,18 @@ class ClosedPoint:
 
 
 def _random_point(F: FiniteField, rng: random.Random) -> ProjPoint:
-    """A uniform point of P^2(F): draws triples until one is nonzero."""
-    draw, origin = F.random_element, (F.zero,) * 3
-    while True:
-        coords = (draw(rng), draw(rng), draw(rng))
-        if coords != origin:
-            return ProjPoint(F, _normalized(F, coords))
+    """A uniform point of P^2(F): draws the 3m residues of a coordinate
+    triple in one call of ``gf._residues``, the one residue loop, until one
+    is nonzero.  These are the draws of three ``random_element`` calls, in
+    their order.  Over F_p the three ints go through ``_unit``."""
+    p, m = F.p, F.m
+    r = _residues(rng, p, 3 * m)
+    while not any(r):
+        r = _residues(rng, p, 3 * m)
+    if m == 1:
+        x0, x1, x2 = _unit(p, *r)
+        return ProjPoint(F, ((x0,), (x1,), (x2,)))
+    return ProjPoint(F, _normalized(F, (tuple(r[:m]), tuple(r[m:2 * m]), tuple(r[2 * m:]))))
 
 
 #: Points drawn by ``sample_closed_point`` before it gives up.
@@ -477,10 +484,13 @@ def classify_configuration(
 def sample_configuration(
     F: FiniteField, rng: random.Random
 ) -> tuple[ProjPoint, ...]:
-    """Six distinct pseudo-random points of P^2 over F."""
+    """Six distinct pseudo-random points of P^2 over F.  All share F, so
+    points are told apart by their normalized coordinates alone."""
     points: list[ProjPoint] = []
+    seen: set[tuple[Element, ...]] = set()
     while len(points) < 6:
         pt = _random_point(F, rng)
-        if pt not in points:
+        if pt.coords not in seen:
+            seen.add(pt.coords)
             points.append(pt)
     return tuple(points)

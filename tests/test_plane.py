@@ -433,6 +433,52 @@ def test_sampling_is_deterministic():
         sample_closed_point(5, 6, seed=-3)
 
 
+def _reference_random_point(F, rng, zeros):
+    """A point as three ``random_element`` calls draw it: m ``randrange(p)``
+    draws per coordinate, all-zero triples skipped (each one counted in
+    ``zeros``) and the rest normalized by ``FiniteField`` ops alone."""
+    m = F.m
+    while True:
+        r = [rng.randrange(F.p) for _ in range(3 * m)]
+        if any(r):
+            coords = tuple(tuple(r[i:i + m]) for i in range(0, 3 * m, m))
+            return ProjPoint(F, _reference_normalized(F, coords))
+        zeros.append(r)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (11, 1), (5, 6), (13, 6)])
+def test_random_point_draws_as_randrange_does(p, m):
+    # the one draw of 3m residues per try is the stream of three
+    # random_element calls, so a twin-seeded generator stays in step with
+    # it point for point, the skipped all-zero draws included
+    F = field(p, m)
+    rng, twin, zeros = random.Random(p * m), random.Random(p * m), []
+    for _ in range(3000 if m == 1 else 300):
+        assert plane._random_point(F, rng) == _reference_random_point(F, twin, zeros)
+    assert rng.random() == twin.random()
+    if m == 1 and p < 10:
+        assert zeros  # about 3000 / p^3 all-zero triples were redrawn
+
+
+def test_sample_configuration_matches_the_reference_dedup():
+    # deduplication on coordinate tuples keeps the points that ProjPoint ==
+    # keeps; six draws from the 31 points of P^2(F_5) repeat one about
+    # 2 times in 5, so the redraw path runs
+    F = field(5, 1)
+    rng, twin, duplicates = random.Random(5), random.Random(5), 0
+    for _ in range(300):
+        points = []
+        while len(points) < 6:
+            q = _reference_random_point(F, twin, [])
+            if q in points:
+                duplicates += 1
+            else:
+                points.append(q)
+        assert sample_configuration(F, rng) == tuple(points)
+    assert rng.random() == twin.random()
+    assert duplicates > 0
+
+
 def test_closed_point_requires_orbit_order():
     # built from another point of the same orbit, a closed point lists the
     # same orbit rotated to start there
@@ -777,6 +823,33 @@ def test_prime_field_connecting_lines_equal_the_reference_grouping():
         assert len(lines) == len(set(lines))
         assert set(lines) == _reference_grouping(points)
     assert connecting_lines([]) == [] and connecting_lines([pt(1, 2, 3)]) == []
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_points_on_equal_fields_held_in_distinct_objects_mix(m):
+    # FiniteField(7, m) equals the interned field(7, m) but is another
+    # object: the incidence tests accept the two mixed and give the
+    # verdicts of the unmixed points
+    from sbuntwist.gf import FiniteField
+    from sbuntwist.verify import case_witness
+
+    F, G = field(7, m), FiniteField(7, m)
+    assert G == F and G is not F
+    rng = random.Random(m)
+    configs = [sample_configuration(F, rng) for _ in range(20)]
+    if m == 1:
+        configs += [case_witness(case_id, 7) for case_id in range(1, 10)]
+    verdicts = set()
+    for points in configs:
+        mixed = [ProjPoint(G, q.coords) if i % 2 else q for i, q in enumerate(points)]
+        assert classify_configuration(mixed) == classify_configuration(points)
+        assert on_common_conic(mixed) == on_common_conic(points)
+        for i, j, k in itertools.combinations(range(6), 3):
+            verdict = collinear(mixed[i], mixed[j], mixed[k])
+            assert verdict == collinear(points[i], points[j], points[k])
+            verdicts.add(verdict)
+    if m == 1:
+        assert verdicts == {True, False}
 
 
 def test_each_case_has_exactly_one_profile():
