@@ -121,11 +121,21 @@ MUTANTS = (
            "x, power = _ppowmod(x, p, f, p)", "x, power = _ppowmod(x, p + 1, f, p)",
            ("tests/test_gf.py", "-k", "conjugate or frobenius")),
     Mutant("every conjugate power squared", GF,
-           "power = _mulmod(power, x, f, p)", "power = _mulmod(x, x, f, p)",
+           "power = _mulmod(power, x, fold, p)", "power = _mulmod(x, x, fold, p)",
            ("tests/test_gf.py", "-k", "conjugate or frobenius")),
     Mutant("every regular row c x", GF,
-           "rows.append(_mulmod(x, rows[-1], f, p))", "rows.append(_mulmod(x, c, f, p))",
+           "rows.append(_mulmod(x, rows[-1], fold, p))", "rows.append(_mulmod(x, c, fold, p))",
            ("tests/test_gf.py", "-k", "regular or times")),
+    # the packed kernel's fold: slots too narrow for the folded sums, and
+    # x^(2m-2) mod f left out of the rows
+    Mutant("slot width sized for the product alone", GF,
+           "w = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()",
+           "w = (m * (p - 1) ** 2).bit_length()",
+           ("tests/test_gf.py", "-k", "long_division")),
+    Mutant("last fold row dropped", GF,
+           "    for _ in range(m - 1):\n        c = r[-1]\n",
+           "    for _ in range(m - 2):\n        c = r[-1]\n",
+           ("tests/test_gf.py", "-k", "long_division")),
     # negating one coordinate of every line keeps the pair grouping, so
     # only the incidence tests, not the classifier, can see this one
     Mutant("one cross-product minor negated", PLANE,

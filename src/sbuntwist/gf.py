@@ -6,8 +6,11 @@ irreducible of degree m over F_p, comparing coefficient vectors from the
 top degree down.  Canonical moduli make field towers reproducible across
 runs and machines.  One routine, ``_mulmod``, multiplies and reduces for
 ``mul``, ``regular`` and field construction (Rabin's test and the Frobenius
-table): the schoolbook product, then its top degrees cleared by the monic
-modulus f itself, x^m = -(f_0 + ... + f_{m-1} x^{m-1}).
+table) by Kronecker substitution (von zur Gathen and Gerhard, Modern
+Computer Algebra, Sec. 8.4): each operand packed into one int, one product
+of the two ints, and its m - 1 top slots folded onto the m low ones through
+the packed rows x^k mod f, k = m .. 2m - 2, of ``_fold``.  A field builds
+its fold once; ``_ppowmod`` builds one per call, never one per product.
 
 An element lies in the prime subfield F_p when every coefficient after the
 first is 0; for m = 1 every element does.  Such an element c acts on the
@@ -25,10 +28,11 @@ F_p-linear maps run on packed tables.  Row i of a table is one int that
 packs the coefficients of the images of x^i in slots of
 w = (m (p-1)^2).bit_length() bits.  Then sum_i a_i row_i holds the images
 of a in its slots, each a sum of at most m products of residues, so no
-carry crosses a slot (Kronecker substitution), and ``_slots`` is the one
-routine that reads them.  Each power sigma^k: x -> x^(p^k) of Frobenius is
-F_p-linear, so one table built with the field serves ``conjugates`` and
-``frobenius``: row i packs sigma^k(x^i) = sigma^k(x)^i for k = 1 .. m-1.
+carry crosses a slot, and ``_slots`` reads them (``_mulmod`` reads its own
+product the same way, in the fold's wider slots).  Each power
+sigma^k: x -> x^(p^k) of Frobenius is F_p-linear, so one table built with
+the field serves ``conjugates`` and ``frobenius``: row i packs
+sigma^k(x^i) = sigma^k(x)^i for k = 1 .. m-1.
 Products by a fixed c are F_p-linear too: ``regular(c)`` lists c x^i, each
 x times the one before; ``multiplier(c)`` packs that list, on demand and
 never with the field, and ``times`` reads c a from it.
@@ -48,6 +52,8 @@ from functools import lru_cache
 from typing import Sequence
 
 Element = tuple[int, ...]
+# (w, mask, rows) from ``_fold``
+Fold = tuple[int, int, tuple[int, ...]]
 
 
 # --- dense polynomial helpers over F_p (ascending coefficients) ---
@@ -59,33 +65,60 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> Element:
-    """a b modulo the monic f of degree m over F_p, for a and b of length m:
-    the schoolbook product, then degrees 2m-2 .. m cleared by
-    c x^(k+m) -> -c x^k (f_0 + ... + f_{m-1} x^{m-1}), skipping the zero f_i."""
+def _fold(f: Sequence[int], p: int) -> Fold:
+    """(w, mask, rows), the fold of ``_mulmod`` for the monic f of degree m
+    over F_p: the slot width w, the mask of one slot, and rows[k - m]
+    packing the coefficients of x^k mod f for k = m .. 2m - 2, each x times
+    the one before, with x^m = -(f_0 + ... + f_{m-1} x^{m-1}).
+
+    The product of two packed reduced operands has 2m - 1 slots, each a sum
+    of at most m products of residues.  The fold adds m - 1 of them, each
+    times a residue, onto a low slot, so every slot stays at most
+    m (p-1)^2 (1 + (m-1)(p-1)) < 2^w and no carry crosses a slot."""
     m = len(f) - 1
-    conv = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] = (conv[i + j] + ai * bj) % p
-    low = f[:m]
-    for k in range(m - 2, -1, -1):
-        c = conv.pop()
-        if c:
-            for i, fi in enumerate(low, k):
-                if fi:
-                    conv[i] = (conv[i] - c * fi) % p
-    return tuple(conv)
+    w = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()
+    rows, r, shifts = [], [0] * (m - 1) + [1], range(0, m * w, w)
+    for _ in range(m - 1):
+        c = r[-1]
+        r = [(d - c * fi) % p for d, fi in zip([0, *r[:-1]], f)]
+        rows.append(sum(map(operator.lshift, r, shifts)))
+    return w, (1 << w) - 1, tuple(rows)
+
+
+def _mulmod(a: Sequence[int], b: Sequence[int], fold: Fold, p: int) -> Element:
+    """a b modulo the monic f of degree m over F_p, for a and b of length m
+    and fold = ``_fold(f, p)`` (Kronecker substitution): a and b packed into
+    w-bit slots, one product of the two ints, each high slot k times row k
+    (x^k mod f) added onto the low m slots, and those m slots read mod p."""
+    w, mask, rows = fold
+    packed_a = packed_b = 0
+    for d in reversed(a):
+        packed_a = packed_a << w | d
+    for d in reversed(b):
+        packed_b = packed_b << w | d
+    high = packed_a * packed_b
+    top = len(a) * w
+    low = high & ((1 << top) - 1)
+    high >>= top
+    for row in rows:
+        low += (high & mask) * row
+        high >>= w
+    out = []
+    for _ in a:
+        out.append((low & mask) % p)
+        low >>= w
+    return tuple(out)
 
 
 def _ppowmod(base: Element, e: int, f: Sequence[int], p: int) -> Element:
-    """base^e modulo the monic f over F_p, for base reduced modulo f."""
+    """base^e modulo the monic f over F_p, for base reduced modulo f, by
+    square and multiply on the one fold of f that this call builds."""
+    fold = _fold(f, p)
     result = (1,) + (0,) * (len(base) - 1)
     while e:
         if e & 1:
-            result = _mulmod(result, base, f, p)
-        base = _mulmod(base, base, f, p)
+            result = _mulmod(result, base, fold, p)
+        base = _mulmod(base, base, fold, p)
         e >>= 1
     return result
 
@@ -197,7 +230,7 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FiniteField:
     """F_{p^m} with elements as coefficient tuples of length m."""
 
-    __slots__ = ("p", "m", "modulus", "zero", "_conj", "_shifts", "_mask")
+    __slots__ = ("p", "m", "modulus", "zero", "_fold", "_conj", "_shifts", "_mask")
 
     def __init__(self, p: int, m: int):
         if not _is_prime(p) or p in (2, 3):
@@ -213,12 +246,13 @@ class FiniteField:
         self._mask = (1 << w) - 1
         # row i packs sigma^k(x^i) = sigma^k(x)^i, with sigma^k(x) = sigma^(k-1)(x)^p
         f, x = self.modulus, (0, 1, *self.zero)[:m]
+        self._fold = fold = _fold(f, p)
         rows = [[] for _ in range(m)]
         for _ in range(m - 1):
             x, power = _ppowmod(x, p, f, p), (1, *self.zero[1:])
             for row in rows:
                 row.append(power)
-                power = _mulmod(power, x, f, p)
+                power = _mulmod(power, x, fold, p)
         self._conj = tuple(map(self._pack, rows))
 
     def _pack(self, images: Sequence[Sequence[int]]) -> int:
@@ -251,7 +285,8 @@ class FiniteField:
 
     def mul(self, a: Element, b: Element) -> Element:
         """a b.  When a or b lies in F_p, the other is scaled coefficient
-        by coefficient, with no product of polynomials."""
+        by coefficient, with no product of polynomials; otherwise one
+        packed product by ``_mulmod`` on the field's fold."""
         p = self.p
         if not any(a[1:]):
             c = a[0]
@@ -259,7 +294,7 @@ class FiniteField:
         if not any(b[1:]):
             c = b[0]
             return tuple([c * x % p for x in a])
-        return _mulmod(a, b, self.modulus, p)
+        return _mulmod(a, b, self._fold, p)
 
     def inv(self, a: Element) -> Element:
         """1 / a, by extended Euclid against the modulus.  An element c of
@@ -284,12 +319,12 @@ class FiniteField:
 
     def regular(self, c: Element) -> list[Element]:
         """c, c x, ..., c x^(m-1), the rows of the regular representation of
-        c.  Each row is x times the one before by ``_mulmod``, which skips
-        the zero coefficients of x, so a row costs m products, not m^2."""
-        f, p, x = self.modulus, self.p, (0, 1, *self.zero)[:self.m]
+        c.  Each row is x times the one before, one packed product by
+        ``_mulmod`` on the field's fold."""
+        fold, p, x = self._fold, self.p, (0, 1, *self.zero)[:self.m]
         rows = [c]
         for _ in range(self.m - 1):
-            rows.append(_mulmod(x, rows[-1], f, p))
+            rows.append(_mulmod(x, rows[-1], fold, p))
         return rows
 
     def multiplier(self, c: Element) -> tuple[int, ...]:

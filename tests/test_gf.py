@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbuntwist.gf import FiniteField, _is_irreducible, _is_prime, _least_irreducible, field
+from sbuntwist.gf import (
+    FiniteField, _fold, _is_irreducible, _is_prime, _least_irreducible, _mulmod, field,
+)
 
 PARAMS = [(5, 1), (7, 1), (7, 2), (5, 3), (7, 3), (5, 6), (13, 2), (11, 3)]
 # m (p - 1)^2 reaches 2^64 for the last two: a slot of a fixed 64 bits in
@@ -102,6 +105,15 @@ def _divides(g, f, p):
     return not any(_remainder(g, f, p))
 
 
+def _product(a, b, p):
+    """The schoolbook product of a and b over F_p, unreduced."""
+    product = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            product[i + j] = (product[i + j] + ai * bj) % p
+    return product
+
+
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_rabin_test_agrees_with_trial_division(p, m):
@@ -181,11 +193,29 @@ def test_mul_is_the_product_reduced_by_long_division(p, m):
     xs = constants_and_samples(F)
     for a in xs:
         for b in xs:
-            product = [0] * (2 * m - 1)
-            for i, ai in enumerate(a):
-                for j, bj in enumerate(b):
-                    product[i + j] = (product[i + j] + ai * bj) % p
-            assert F.mul(a, b) == tuple(_remainder(F.modulus, product, p)), (a, b)
+            assert F.mul(a, b) == tuple(_remainder(F.modulus, _product(a, b, p), p)), (a, b)
+
+
+@pytest.mark.parametrize("p", [5, 7, 1_000_037])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_mulmod_on_reducible_moduli_is_long_division(p, m):
+    # the kernel runs on any monic f, as _least_irreducible tries them:
+    # x^m, (x + 1)^m and the last candidate, every lower coefficient p - 1
+    top, x_top = (p - 1,) * m, (0,) * (m - 1) + (1,)
+    rng = random.Random(p + m)
+    xs = [top, x_top] + [tuple(rng.randrange(p) for _ in range(m)) for _ in range(5)]
+    moduli = [(0,) * m + (1,), tuple(math.comb(m, i) % p for i in range(m + 1)), top + (1,)]
+    for f in moduli:
+        fold = _fold(f, p)
+        w, mask, rows = fold
+        # rows[k - m] packs x^k mod f
+        for k, row in enumerate(rows, m):
+            reduced = _remainder(f, (0,) * k + (1,), p)
+            assert [row >> i * w & mask for i in range(m)] == reduced, (f, k)
+        for a in xs:
+            for b in xs:
+                expected = tuple(_remainder(f, _product(a, b, p), p))
+                assert _mulmod(a, b, fold, p) == expected, (f, a, b)
 
 
 @pytest.mark.parametrize("p,m", PARAMS)
@@ -248,10 +278,13 @@ def test_conjugates_are_the_iterated_frobenius(p, m):
 
 @pytest.mark.parametrize("p,m", PARAMS + MIDDLE_M + LARGE_P)
 def test_regular_rows_are_mul_by_the_basis(p, m):
+    # row i is c x^i reduced by long division: regular and mul share
+    # _mulmod, so mul cannot referee regular
     F = field(p, m)
     top = (p - 1,) * m
     for c in [F.zero, F.element(1), F.element(p - 1), top] + elements_of(F, 20, seed=p + m):
-        assert F.regular(c) == [F.mul(c, x) for x in F.basis()], c
+        rows = [tuple(_remainder(F.modulus, (0,) * i + c, p)) for i in range(m)]
+        assert F.regular(c) == rows, c
 
 
 @pytest.mark.parametrize("p,m", PARAMS + LARGE_P)
