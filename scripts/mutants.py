@@ -132,6 +132,9 @@ MUTANTS = (
            "w = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()",
            "w = (m * (p - 1) ** 2).bit_length()",
            ("tests/test_gf.py", "-k", "long_division")),
+    Mutant("slot width one bit short of the fold's bound", GF,
+           "(1 + (m - 1) * (p - 1))).bit_length()", "(1 + (m - 1) * (p - 1))).bit_length() - 1",
+           ("tests/test_gf.py", "-k", "long_division")),
     Mutant("last fold row dropped", GF,
            "    for _ in range(m - 1):\n        c = r[-1]\n",
            "    for _ in range(m - 2):\n        c = r[-1]\n",

@@ -200,11 +200,14 @@ def test_mul_is_the_product_reduced_by_long_division(p, m):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_mulmod_on_reducible_moduli_is_long_division(p, m):
     # the kernel runs on any monic f, as _least_irreducible tries them:
-    # x^m, (x + 1)^m and the last candidate, every lower coefficient p - 1
+    # x^m, (x + 1)^m, the last candidate (every lower coefficient p - 1)
+    # and x^m + x^(m-1), whose all-(p - 1) square fills a slot of all w
+    # bits at (7, 2), so a slot one bit narrower carries there
     top, x_top = (p - 1,) * m, (0,) * (m - 1) + (1,)
     rng = random.Random(p + m)
     xs = [top, x_top] + [tuple(rng.randrange(p) for _ in range(m)) for _ in range(5)]
-    moduli = [(0,) * m + (1,), tuple(math.comb(m, i) % p for i in range(m + 1)), top + (1,)]
+    moduli = [(0,) * m + (1,), tuple(math.comb(m, i) % p for i in range(m + 1)), top + (1,),
+              x_top + (1,)]
     for f in moduli:
         fold = _fold(f, p)
         w, mask, rows = fold
