@@ -118,7 +118,7 @@ MUTANTS = (
            "return _prime_factors(n) == [n]", "return _prime_factors(n) in ([n], [])",
            ("tests/test_gf.py", "-k", "is_prime")),
     Mutant("Frobenius step to the (p+1)-th power", GF,
-           "x, power = _ppowmod(x, p, f, p)", "x, power = _ppowmod(x, p + 1, f, p)",
+           "_ppowmod(x, p, fold, p)", "_ppowmod(x, p + 1, fold, p)",
            ("tests/test_gf.py", "-k", "conjugate or frobenius")),
     Mutant("every conjugate power squared", GF,
            "power = _mulmod(power, x, fold, p)", "power = _mulmod(x, x, fold, p)",
@@ -139,6 +139,17 @@ MUTANTS = (
            "    for _ in range(m - 1):\n        c = r[-1]\n",
            "    for _ in range(m - 2):\n        c = r[-1]\n",
            ("tests/test_gf.py", "-k", "long_division")),
+    # a point's degree: the lcm of its coordinates' degrees, each read off
+    # the conjugate table's block k - 1 for sigma^k
+    Mutant("closed-point degree as the max of the coordinates' degrees", PLANE,
+           "degree = math.lcm(degree, F.degree(c))", "degree = max(degree, F.degree(c))",
+           ("tests/test_plane.py", "-k", "degree")),
+    Mutant("sigma^k's slots read one block late", GF,
+           "block = packed >> (k - 1) * m * w", "block = packed >> k * m * w",
+           ("tests/test_gf.py", "-k", "degree")),
+    Mutant("degree m for every element outside F_p", GF,
+           "            else:\n                return k\n", "",
+           ("tests/test_gf.py", "-k", "degree")),
     # negating one coordinate of every line keeps the pair grouping, so
     # only the incidence tests, not the classifier, can see this one
     Mutant("one cross-product minor negated", PLANE,

@@ -10,7 +10,8 @@ table) by Kronecker substitution (von zur Gathen and Gerhard, Modern
 Computer Algebra, Sec. 8.4): each operand packed into one int, one product
 of the two ints, and its m - 1 top slots folded onto the m low ones through
 the packed rows x^k mod f, k = m .. 2m - 2, of ``_fold``.  A field builds
-its fold once; ``_ppowmod`` builds one per call, never one per product.
+its fold once; ``_ppowmod`` takes its fold from the caller, so Rabin's test
+builds one per candidate modulus and the field's construction reuses its own.
 
 An element lies in the prime subfield F_p when every coefficient after the
 first is 0; for m = 1 every element does.  Such an element c acts on the
@@ -31,8 +32,10 @@ of a in its slots, each a sum of at most m products of residues, so no
 carry crosses a slot, and ``_slots`` reads them (``_mulmod`` reads its own
 product the same way, in the fold's wider slots).  Each power
 sigma^k: x -> x^(p^k) of Frobenius is F_p-linear, so one table built with
-the field serves ``conjugates`` and ``frobenius``: row i packs
-sigma^k(x^i) = sigma^k(x)^i for k = 1 .. m-1.
+the field serves ``conjugates``, ``frobenius`` and ``degree``: row i packs
+sigma^k(x^i) = sigma^k(x)^i for k = 1 .. m-1, sigma^k's m slots in block
+k - 1.  ``degree`` reads only the blocks of the divisors of m, and leaves
+each at its first slot that differs from a.
 Products by a fixed c are F_p-linear too: ``regular(c)`` lists c x^i, each
 x times the one before; ``multiplier(c)`` packs that list, on demand and
 never with the field, and ``times`` reads c a from it.
@@ -110,10 +113,9 @@ def _mulmod(a: Sequence[int], b: Sequence[int], fold: Fold, p: int) -> Element:
     return tuple(out)
 
 
-def _ppowmod(base: Element, e: int, f: Sequence[int], p: int) -> Element:
-    """base^e modulo the monic f over F_p, for base reduced modulo f, by
-    square and multiply on the one fold of f that this call builds."""
-    fold = _fold(f, p)
+def _ppowmod(base: Element, e: int, fold: Fold, p: int) -> Element:
+    """base^e modulo the monic f over F_p, for base reduced modulo f and
+    fold = ``_fold(f, p)`` from the caller, by square and multiply."""
     result = (1,) + (0,) * (len(base) - 1)
     while e:
         if e & 1:
@@ -194,12 +196,12 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     m = len(f) - 1
     if m == 1:
         return True
-    x = (0, 1) + (0,) * (m - 2)
-    if _ppowmod(x, p**m, f, p) != x:
+    x, fold = (0, 1) + (0,) * (m - 2), _fold(f, p)
+    if _ppowmod(x, p**m, fold, p) != x:
         return False
     for r in _prime_factors(m):
         # gcd(x^(p^(m/r)) - x, f) must be constant
-        h = list(_ppowmod(x, p ** (m // r), f, p))
+        h = list(_ppowmod(x, p ** (m // r), fold, p))
         h[1] = (h[1] - 1) % p
         if _pinv(h, f, p) is None:
             return False
@@ -245,11 +247,11 @@ class FiniteField:
         self._shifts = range(0, w * m * max(m - 1, 1), w)
         self._mask = (1 << w) - 1
         # row i packs sigma^k(x^i) = sigma^k(x)^i, with sigma^k(x) = sigma^(k-1)(x)^p
-        f, x = self.modulus, (0, 1, *self.zero)[:m]
-        self._fold = fold = _fold(f, p)
+        x = (0, 1, *self.zero)[:m]
+        self._fold = fold = _fold(self.modulus, p)
         rows = [[] for _ in range(m)]
         for _ in range(m - 1):
-            x, power = _ppowmod(x, p, f, p), (1, *self.zero[1:])
+            x, power = _ppowmod(x, p, fold, p), (1, *self.zero[1:])
             for row in rows:
                 row.append(power)
                 power = _mulmod(power, x, fold, p)
@@ -312,6 +314,31 @@ class FiniteField:
             return (a,) * self.m
         digits = iter(_slots(self._conj, a, self.p, self._mask, self._shifts))
         return (a,) + tuple(zip(*[digits] * self.m))
+
+    def degree(self, a: Element) -> int:
+        """The size of a's conjugate orbit: its degree over F_p, the least
+        k | m with sigma^k(a) = a (Lidl and Niederreiter, Finite Fields,
+        Sec. 2.1).  One packed product with the conjugate table, as in
+        ``conjugates``; then for each divisor k of m in ascending order the
+        slots of sigma^k(a) are read until one differs from a.  Frobenius
+        moves every element outside F_p, so k = 1 is not read, and an
+        element of F_p has degree 1 without the product."""
+        if not any(a[1:]):
+            return 1
+        m, p, mask = self.m, self.p, self._mask
+        w = mask.bit_length()
+        packed = sum(map(operator.mul, a, self._conj))
+        for k in range(2, m):
+            if m % k:
+                continue
+            block = packed >> (k - 1) * m * w
+            for d in a:
+                if (block & mask) % p != d:
+                    break
+                block >>= w
+            else:
+                return k
+        return m
 
     def frobenius(self, a: Element) -> Element:
         """x -> x^p, the canonical generator of the Galois group."""

@@ -63,10 +63,11 @@ here explicitly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .gf import Element, FiniteField, _residues, field
@@ -277,19 +278,31 @@ def on_common_conic(points: Sequence[ProjPoint]) -> bool:
 @dataclass(frozen=True)
 class ClosedPoint:
     """A closed point of the plane over F_p: the Frobenius orbit of a
-    geometric point, listed in orbit order starting at that point."""
+    geometric point, listed in orbit order starting at that point.
+
+    ``degree`` is computed with the point, from its coordinates alone: the
+    first nonzero coordinate is 1, which Frobenius fixes, so sigma^k fixes
+    the point iff it fixes every coordinate, and the orbit size is the lcm
+    of the coordinates' degrees over F_p (``FiniteField.degree``).  The
+    orbit itself, ``points``, is built by ``frobenius_orbit`` on first
+    read."""
 
     point: ProjPoint
-    # orbit order (points[i + 1] is the Frobenius image of points[i]) is
-    # what lets general_position_report test the one triple (0, 2, 4)
-    points: tuple[ProjPoint, ...] = dataclass_field(init=False)
+    degree: int = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(frobenius_orbit(self.point)))
+        F, degree = self.point.field, 1
+        for c in self.point.coords:
+            degree = math.lcm(degree, F.degree(c))
+            if degree == F.m:
+                break
+        object.__setattr__(self, "degree", degree)
 
-    @property
-    def degree(self) -> int:
-        return len(self.points)
+    # orbit order (points[i + 1] is the Frobenius image of points[i]) is
+    # what lets general_position_report test the one triple (0, 2, 4)
+    @cached_property
+    def points(self) -> tuple[ProjPoint, ...]:
+        return tuple(frobenius_orbit(self.point))
 
 
 def _random_point(F: FiniteField, rng: random.Random) -> ProjPoint:

@@ -279,6 +279,24 @@ def test_conjugates_are_the_iterated_frobenius(p, m):
         assert F.frobenius(a) == conj[1 % m]
 
 
+@pytest.mark.parametrize("p,m", [(p, m) for p in (5, 7, 13) for m in (1, 2, 3, 4, 6)] + LARGE_P)
+def test_degree_is_the_conjugate_orbit_size(p, m):
+    # the trace to F_{p^k}, the sum of every k-th conjugate, lies in
+    # F_{p^k}, so for each k | m the traces meet the subfields, where
+    # degree must stop at a divisor below m
+    F = field(p, m)
+    top = (p - 1,) * m
+    seen = set()
+    for a in [F.zero, F.element(1), F.element(p - 1), top] + elements_of(F, 30, seed=p + m):
+        for k in (k for k in range(1, m + 1) if m % k == 0):
+            t = tuple(sum(c) % p for c in zip(*F.conjugates(a)[::k]))
+            size = len(set(F.conjugates(t)))
+            assert F.degree(t) == size, (a, k, t)
+            seen.add(size)
+    # every subfield's own elements were met
+    assert seen == {k for k in range(1, m + 1) if m % k == 0}
+
+
 @pytest.mark.parametrize("p,m", PARAMS + MIDDLE_M + LARGE_P)
 def test_regular_rows_are_mul_by_the_basis(p, m):
     # row i is c x^i reduced by long division: regular and mul share

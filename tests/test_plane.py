@@ -423,6 +423,27 @@ def test_frobenius_orbit_matches_the_one_step_reference(p):
                 assert frobenius_point(q) == orbit[(i + 1) % size]
 
 
+@pytest.mark.parametrize("p,m", [(5, 4), (7, 6), (13, 6)])
+def test_closed_point_degree_is_its_orbit_size(p, m):
+    # the degree is the lcm of the coordinates' degrees, read before any
+    # orbit is built: (1, b2, b3) has degree 6 where a max would give 3,
+    # and subfield points stop short of m
+    F = field(p, m)
+    rng = random.Random(p * m)
+    b = {d: subfield_element(F, d, rng) for d in range(1, m + 1) if m % d == 0}
+    subfield_points = [
+        (F.element(1), b[d], b[e]) for d in b for e in b
+    ] + [(F.zero, F.element(1), b[d]) for d in b] + [(F.zero, F.zero, F.element(1))]
+    points = [ProjPoint.make(F, coords) for coords in subfield_points]
+    points += [plane._random_point(F, rng) for _ in range(40)]
+    sizes = set()
+    for start in points:
+        cp = ClosedPoint(start)
+        assert cp.degree == len(cp.points) == len(set(cp.points)), start
+        sizes.add(cp.degree)
+    assert sizes == set(b)
+
+
 def test_sampling_is_deterministic():
     a = sample_closed_point(5, 3, seed=7)
     b = sample_closed_point(5, 3, seed=7)

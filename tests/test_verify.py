@@ -196,6 +196,26 @@ def test_closed_point_scan_reports_structure():
         )
 
 
+def test_closed_point_scan_builds_an_orbit_per_collinear_hit_only(monkeypatch):
+    # a sampled point's degree comes from its coordinates, and its orbit is
+    # built on first read of ClosedPoint.points: only classify_configuration
+    # reads it, on collinear hits, so rejected draws and clean samples
+    # build none
+    from sbuntwist import plane
+
+    built = []
+
+    def counted(pt):
+        built.append(pt)
+        return orbit(pt)
+
+    orbit = plane.frobenius_orbit
+    monkeypatch.setattr(plane, "frobenius_orbit", counted)
+    report = scan_closed_points(5, samples=200, seed=0)
+    assert report.collinear_hits > 0
+    assert len(built) == report.collinear_hits
+
+
 def test_closed_point_scan_deterministic():
     a = scan_closed_points(7, samples=20, seed=5)
     b = scan_closed_points(7, samples=20, seed=5)
