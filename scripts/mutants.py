@@ -124,7 +124,7 @@ MUTANTS = (
            "power = _mulmod(power, x, fold, p)", "power = _mulmod(x, x, fold, p)",
            ("tests/test_gf.py", "-k", "conjugate or frobenius")),
     Mutant("every regular row c x", GF,
-           "rows.append(_mulmod(x, rows[-1], fold, p))", "rows.append(_mulmod(x, c, fold, p))",
+           "rows.append(_times_x(rows[-1], f, p))", "rows.append(_times_x(c, f, p))",
            ("tests/test_gf.py", "-k", "regular or times")),
     # the packed kernel's fold: slots too narrow for the folded sums, and
     # x^(2m-2) mod f left out of the rows
@@ -136,8 +136,8 @@ MUTANTS = (
            "(1 + (m - 1) * (p - 1))).bit_length()", "(1 + (m - 1) * (p - 1))).bit_length() - 1",
            ("tests/test_gf.py", "-k", "long_division")),
     Mutant("last fold row dropped", GF,
-           "    for _ in range(m - 1):\n        c = r[-1]\n",
-           "    for _ in range(m - 2):\n        c = r[-1]\n",
+           "    for _ in range(m - 1):\n        r = _times_x(r, f, p)\n",
+           "    for _ in range(m - 2):\n        r = _times_x(r, f, p)\n",
            ("tests/test_gf.py", "-k", "long_division")),
     # a point's degree: the lcm of its coordinates' degrees, each read off
     # the conjugate table's block k - 1 for sigma^k
@@ -169,10 +169,25 @@ MUTANTS = (
            "(u1 * v2 - u2 * v1) % p, (u2 * v0 - u0 * v2) % p,",
            "(u1 * v2 - u2 * v0) % p, (u2 * v1 - u0 * v2) % p,",
            ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),
-    # the pair loop keys pair (i, j) on the line through points j - 1 and j
+    # the pair loop keys pair (i, j) on the line through points j - 1 and j,
+    # on the ``_line_key`` route (p > 13) and on the line table's (p <= 13)
     Mutant("F_p pair keyed on the wrong indices", PLANE,
            "_line_key(p, ints[i], ints[j])", "_line_key(p, ints[j - 1], ints[j])",
            ("tests/test_plane.py", "-k", "connecting_lines_equal_the_reference")),
+    Mutant("table pair read on the wrong indices", PLANE,
+           "line_of[at[i] * n + at[j]]", "line_of[at[j - 1] * n + at[j]]",
+           ("tests/test_plane.py", "-k", "connecting_lines_equal_the_reference")),
+    # the line table of P^2(F_p): the point index, the fill, the diagonal
+    Mutant("(1, a, b) chart indexed as b p + a", PLANE,
+           "return x1 * p + x2", "return x2 * p + x1",
+           ("tests/test_plane.py", "-k", "line_table_groups")),
+    Mutant("one point of each line left out of the fill", PLANE,
+           "        for i in on:\n", "        for i in on[1:]:\n",
+           ("tests/test_plane.py", "-k", "line_table_groups")),
+    Mutant("diagonal sentinel not checked", PLANE,
+           "        if _NO_LINE in keys:\n"
+           "            raise ValueError(\"two coincident points do not span a line\")\n", "",
+           ("tests/test_plane.py", "-k", "coincident_points_raise")),
     # ``_unit``, the one F_p normalization, on ints
     Mutant("F_p normalization scaled by c^(p-3)", PLANE,
            "s = pow(x0, p - 2, p)", "s = pow(x0, p - 3, p)",

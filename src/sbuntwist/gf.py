@@ -5,11 +5,11 @@ modulo a canonical irreducible: the lexicographically least monic
 irreducible of degree m over F_p, comparing coefficient vectors from the
 top degree down.  Canonical moduli make field towers reproducible across
 runs and machines.  One routine, ``_mulmod``, multiplies and reduces for
-``mul``, ``regular`` and field construction (Rabin's test and the Frobenius
-table) by Kronecker substitution (von zur Gathen and Gerhard, Modern
-Computer Algebra, Sec. 8.4): each operand packed into one int, one product
-of the two ints, and its m - 1 top slots folded onto the m low ones through
-the packed rows x^k mod f, k = m .. 2m - 2, of ``_fold``.  A field builds
+``mul`` and field construction (Rabin's test and the Frobenius table) by
+Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+Algebra, Sec. 8.4): each operand packed into one int, one product of the
+two ints, and its m - 1 top slots folded onto the m low ones through the
+packed rows x^k mod f, k = m .. 2m - 2, of ``_fold``.  A field builds
 its fold once; ``_ppowmod`` takes its fold from the caller, so Rabin's test
 builds one per candidate modulus and the field's construction reuses its own.
 
@@ -37,7 +37,8 @@ sigma^k(x^i) = sigma^k(x)^i for k = 1 .. m-1, sigma^k's m slots in block
 k - 1.  ``degree`` reads only the blocks of the divisors of m, and leaves
 each at its first slot that differs from a.
 Products by a fixed c are F_p-linear too: ``regular(c)`` lists c x^i, each
-x times the one before; ``multiplier(c)`` packs that list, on demand and
+``_times_x`` of the one before, the step that also builds ``_fold``'s rows;
+``multiplier(c)`` packs that list, on demand and
 never with the field, and ``times`` reads c a from it.
 
 One rejection loop, ``_residues``, draws residues mod p: each is a
@@ -68,11 +69,19 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
+def _times_x(r: Sequence[int], f: Sequence[int], p: int) -> Element:
+    """x r modulo the monic f of degree m over F_p, for r of length m: the
+    coefficients move up one place, and the top one, c, comes back as
+    c x^m = -c (f_0 + ... + f_{m-1} x^{m-1})."""
+    c = r[-1]
+    return tuple([(d - c * fi) % p for d, fi in zip((0, *r[:-1]), f)])
+
+
 def _fold(f: Sequence[int], p: int) -> Fold:
     """(w, mask, rows), the fold of ``_mulmod`` for the monic f of degree m
     over F_p: the slot width w, the mask of one slot, and rows[k - m]
-    packing the coefficients of x^k mod f for k = m .. 2m - 2, each x times
-    the one before, with x^m = -(f_0 + ... + f_{m-1} x^{m-1}).
+    packing the coefficients of x^k mod f for k = m .. 2m - 2, each
+    ``_times_x`` of the one before.
 
     The product of two packed reduced operands has 2m - 1 slots, each a sum
     of at most m products of residues.  The fold adds m - 1 of them, each
@@ -80,10 +89,9 @@ def _fold(f: Sequence[int], p: int) -> Fold:
     m (p-1)^2 (1 + (m-1)(p-1)) < 2^w and no carry crosses a slot."""
     m = len(f) - 1
     w = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()
-    rows, r, shifts = [], [0] * (m - 1) + [1], range(0, m * w, w)
+    rows, r, shifts = [], (0,) * (m - 1) + (1,), range(0, m * w, w)
     for _ in range(m - 1):
-        c = r[-1]
-        r = [(d - c * fi) % p for d, fi in zip([0, *r[:-1]], f)]
+        r = _times_x(r, f, p)
         rows.append(sum(map(operator.lshift, r, shifts)))
     return w, (1 << w) - 1, tuple(rows)
 
@@ -346,12 +354,12 @@ class FiniteField:
 
     def regular(self, c: Element) -> list[Element]:
         """c, c x, ..., c x^(m-1), the rows of the regular representation of
-        c.  Each row is x times the one before, one packed product by
-        ``_mulmod`` on the field's fold."""
-        fold, p, x = self._fold, self.p, (0, 1, *self.zero)[:self.m]
+        c.  Each row is ``_times_x`` of the one before: one shift and one
+        multiple of the modulus, no packed product."""
+        f, p = self.modulus, self.p
         rows = [c]
         for _ in range(self.m - 1):
-            rows.append(_mulmod(x, rows[-1], fold, p))
+            rows.append(_times_x(rows[-1], f, p))
         return rows
 
     def multiplier(self, c: Element) -> tuple[int, ...]:

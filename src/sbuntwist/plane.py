@@ -10,8 +10,14 @@ Six-point configurations are classified by their line profile, read off
 by grouping the 15 point pairs by the line they span and looked up in
 ``ConfigCase``, the one table of the ten profiles six points can have.
 Over F_p one routine on ints mod p, ``_unit``, normalizes points and
-lines, and the pairs are keyed by ``_line_key``, the 2x2 minors mod p
-through ``_unit``, with no ``FiniteField`` call for perfbench to count.
+lines, with no ``FiniteField`` call for perfbench to count.  Up to
+p = ``LINE_TABLE_MAX_PRIME`` = 13 the pairs read their lines from a table
+of the plane: ``_index`` numbers the N = p^2 + p + 1 normalized triples,
+(1, a, b) -> a p + b, (0, 1, b) -> p^2 + b, (0, 0, 1) -> p^2 + p, and
+``_line_table(p)``, built once per prime on first use, holds at i N + j
+the number of the line through points i != j (33,489 bytes at p = 13;
+p = 17 would take 94,249 and numbers past a byte).  Larger p key the
+pairs by ``_line_key``, the 2x2 minors mod p through ``_unit``.
 
 Whether a degree-6 closed point lies on a conic is decided by Galois
 descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
@@ -113,7 +119,12 @@ def _normalized(F: FiniteField, coords: Sequence[Element]) -> tuple[Element, ...
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of P^2 with homogeneous coordinates normalized so the first
-    nonzero coordinate is 1; equal points have identical representations."""
+    nonzero coordinate is 1; equal points have identical representations.
+
+    The normalization is an invariant that ``connecting_lines`` reads the
+    plane's ``_index`` from.  ``make`` and ``_random_point`` normalize, and
+    ``frobenius_orbit`` keeps it (Frobenius fixes 0 and 1); a direct
+    construction must pass normalized coordinates."""
 
     field: FiniteField
     coords: tuple[Element, Element, Element]
@@ -447,23 +458,76 @@ EXPECTED_LINE_COUNTS = {case: case.line_count for case in ConfigCase}
 _CASE_BY_PROFILE = {case.profile: case for case in ConfigCase}
 
 
+#: The largest p whose pairs ``connecting_lines`` reads from ``_line_table``:
+#: N^2 = 33,489 one-byte entries at p = 13, while p = 17 would need 94,249
+#: and line numbers past 255.
+LINE_TABLE_MAX_PRIME = 13
+
+#: The diagonal entry of ``_line_table``: no line through i = j.
+_NO_LINE = 0xFF
+
+
+def _index(p: int, x0: int, x1: int, x2: int) -> int:
+    """The number of a normalized triple among the N = p^2 + p + 1 points
+    of P^2(F_p), as the module docstring lists it; a line takes the number
+    of its dual coordinates."""
+    if x0:
+        return x1 * p + x2
+    return p * p + (x2 if x1 else p)
+
+
+@lru_cache(maxsize=None)
+def _line_table(p: int) -> bytes:
+    """line_of[i N + j], the number of the line through points i != j of
+    P^2(F_p), with ``_NO_LINE`` on the diagonal: the p + 1 points on each
+    of the N lines listed, triples in ``_index`` order, and every pair of
+    them written."""
+    triples = [(1, a, b) for a in range(p) for b in range(p)]
+    triples += [(0, 1, b) for b in range(p)] + [(0, 0, 1)]
+    n = len(triples)
+    line_of = bytearray([_NO_LINE]) * (n * n)
+    for line, (l0, l1, l2) in enumerate(triples):
+        on = [i for i, (x0, x1, x2) in enumerate(triples) if not (l0 * x0 + l1 * x1 + l2 * x2) % p]
+        for i in on:
+            row = i * n
+            for j in on:
+                line_of[row + j] = line
+    line_of[::n + 1] = bytes([_NO_LINE]) * n
+    return bytes(line_of)
+
+
 def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
     """All lines through at least two of the points, each as the index set
-    of the configuration points on it.  Two points span exactly one line,
-    so grouping the pairs by a normalized line key (over F_p ``_line_key``
-    on each point's ints, read once) gives each line's members."""
-    pairs = itertools.combinations(range(len(points)), 2)
-    members: dict[tuple, set[int]] = {}
-    if points and _check_same_field(points).m == 1:
-        p, ints = points[0].field.p, [[x for (x,) in pt.coords] for pt in points]
+    of the configuration points on it, in the order of their first pair.
+    Two points span exactly one line, so grouping the pairs by line gives
+    each line's members.
+
+    Over F_p with p <= ``LINE_TABLE_MAX_PRIME`` (13, whose table takes
+    33,489 bytes) each point's normalized ints are read once into its
+    ``_index``, and each pair's line from ``_line_table(p)``, built once
+    per prime; a larger p keys the pairs by ``_line_key``, and F_{p^m} by
+    ``line_through``.  Two coincident points raise ``ValueError`` on every
+    route."""
+    pairs = list(itertools.combinations(range(len(points)), 2))
+    if not points or _check_same_field(points).m > 1:
+        keys = [line_through(points[i], points[j]) for i, j in pairs]
+    elif (p := points[0].field.p) <= LINE_TABLE_MAX_PRIME:
+        line_of, n = _line_table(p), p * p + p + 1
+        at = [_index(p, x0, x1, x2) for (x0,), (x1,), (x2,) in [pt.coords for pt in points]]
+        keys = [line_of[at[i] * n + at[j]] for i, j in pairs]
+        if _NO_LINE in keys:
+            raise ValueError("two coincident points do not span a line")
+    else:
+        ints = [[x for (x,) in pt.coords] for pt in points]
         try:
-            for i, j in pairs:
-                members.setdefault(_line_key(p, ints[i], ints[j]), set()).update((i, j))
+            keys = [_line_key(p, ints[i], ints[j]) for i, j in pairs]
         except ValueError:
             raise ValueError("two coincident points do not span a line") from None
-    else:
-        for i, j in pairs:
-            members.setdefault(line_through(points[i], points[j]), set()).update((i, j))
+    members: dict[object, set[int]] = {}
+    for (i, j), key in zip(pairs, keys):
+        # a line met before holds i already: its first pair (h, k) has
+        # h <= i, and when h < i the pair (h, i) came before (i, j)
+        members.setdefault(key, {i}).add(j)
     return [frozenset(m) for m in members.values()]
 
 
@@ -476,10 +540,10 @@ def classify_configuration(
     The profile is the sizes of the lines through at least three points,
     largest first, and the number of points those lines cover; it is
     looked up in ``_CASE_BY_PROFILE``.  Two coincident points raise from
-    ``connecting_lines`` (through ``_line_key`` over F_p, ``line_through``
-    otherwise).  Raises :class:`UnclassifiableConfiguration` if the
-    profile is not there; a correct line grouping makes that unreachable,
-    so any raise would expose a gap in the case analysis.
+    ``connecting_lines``, on each of its routes.  Raises
+    :class:`UnclassifiableConfiguration` if the profile is not there; a
+    correct line grouping makes that unreachable, so any raise would
+    expose a gap in the case analysis.
     """
     if len(points) != 6:
         raise ValueError(f"need exactly 6 points, got {len(points)}")

@@ -299,8 +299,8 @@ def test_degree_is_the_conjugate_orbit_size(p, m):
 
 @pytest.mark.parametrize("p,m", PARAMS + MIDDLE_M + LARGE_P)
 def test_regular_rows_are_mul_by_the_basis(p, m):
-    # row i is c x^i reduced by long division: regular and mul share
-    # _mulmod, so mul cannot referee regular
+    # row i is c x^i reduced by long division: regular and mul's fold
+    # rows share _times_x, so mul cannot referee regular
     F = field(p, m)
     top = (p - 1,) * m
     for c in [F.zero, F.element(1), F.element(p - 1), top] + elements_of(F, 20, seed=p + m):

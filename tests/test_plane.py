@@ -91,6 +91,16 @@ def test_coincident_points_span_no_line():
             line_through(a, b)
 
 
+@pytest.mark.parametrize("F", [F7, field(17, 1), field(7, 2)], ids=["table", "line_key", "F49"])
+def test_coincident_points_raise_on_every_connecting_lines_route(F):
+    # the line table at p = 7, ``_line_key`` at p = 17 and ``line_through``
+    # over F_49; the repeated pair comes last, after two distinct points
+    a, b = pt(1, 2, 3, F=F), pt(0, 1, 5, F=F)
+    assert len(connecting_lines([a, b])) == 1
+    with pytest.raises(ValueError, match=r"^two coincident points do not span a line$"):
+        connecting_lines([a, b, pt(2, 4, 6, F=F)])
+
+
 def test_sampled_line_points_are_collinear():
     # parametrize the line through (1:0:1) and (0:1:3) over F_7
     a, b = pt(1, 0, 1), pt(0, 1, 3)
@@ -205,6 +215,33 @@ def test_prime_field_cross_equals_the_reference_minors(p):
             key = _reference_normalized(F, _reference_minors(F, a.coords, b.coords))
             assert plane._line_key(p, u, v) == tuple(x for (x,) in key)
             assert line_through(a, b) == key
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_line_table_groups_every_pair_as_line_key_does(p):
+    # every ordered pair of distinct points of P^2(F_p): two pairs share a
+    # table entry exactly when they share a ``_line_key``, and the entry
+    # is the index of that key's dual coordinates; a point paired with
+    # itself reads the sentinel, and connecting_lines raises on it
+    F = field(p, 1)
+    points = _all_points(F)
+    n = p * p + p + 1
+    assert p <= plane.LINE_TABLE_MAX_PRIME and len(points) == n
+    ints = [[x for (x,) in q.coords] for q in points]
+    at = [plane._index(p, *u) for u in ints]
+    assert sorted(at) == list(range(n))
+    line_of = plane._line_table(p)
+    assert len(line_of) == n * n
+    line_of_key = {}
+    for i, j in itertools.permutations(range(n), 2):
+        key = plane._line_key(p, ints[i], ints[j])
+        line = line_of[at[i] * n + at[j]]
+        assert line_of_key.setdefault(key, line) == line == plane._index(p, *key)
+    assert len(set(line_of_key.values())) == len(line_of_key) == n
+    for q, a in zip(points, at):
+        assert line_of[a * n + a] == plane._NO_LINE
+        with pytest.raises(ValueError, match=r"^two coincident points do not span a line$"):
+            connecting_lines([q, q])
 
 
 @pytest.mark.parametrize("p", [5, 7, 101])
@@ -836,7 +873,8 @@ def test_prime_field_connecting_lines_equal_the_reference_grouping():
     primes = [q for q in range(5, 100) if all(q % d for d in range(2, q))]
     assert len(primes) == 23
     configs = [case_witness(case_id, q) for q in primes for case_id in range(1, 10)]
-    for q in (5, 7, 11, 13):
+    # the line table up to p = 13, ``_line_key`` from p = 17
+    for q in (5, 7, 11, 13, 17):
         rng = random.Random(q)
         configs += [sample_configuration(field(q, 1), rng) for _ in range(2000)]
     for points in configs:
