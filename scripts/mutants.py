@@ -177,13 +177,17 @@ MUTANTS = (
     Mutant("table pair read on the wrong indices", PLANE,
            "line_of[at[i] * n + at[j]]", "line_of[at[j - 1] * n + at[j]]",
            ("tests/test_plane.py", "-k", "connecting_lines_equal_the_reference")),
-    # the line table of P^2(F_p): the point index, the fill, the diagonal
+    # the line table of P^2(F_p): the point index and its normalization
+    # check, the fill, the diagonal
     Mutant("(1, a, b) chart indexed as b p + a", PLANE,
            "return x1 * p + x2", "return x2 * p + x1",
            ("tests/test_plane.py", "-k", "line_table_groups")),
     Mutant("one point of each line left out of the fill", PLANE,
            "        for i in on:\n", "        for i in on[1:]:\n",
            ("tests/test_plane.py", "-k", "line_table_groups")),
+    Mutant("unnormalized (1, a, b) chart entry indexed", PLANE,
+           "        if x0 == 1:\n", "        if True:\n",
+           ("tests/test_plane.py", "-k", "unnormalized")),
     Mutant("diagonal sentinel not checked", PLANE,
            "        if _NO_LINE in keys:\n"
            "            raise ValueError(\"two coincident points do not span a line\")\n", "",
@@ -214,13 +218,25 @@ MUTANTS = (
     Mutant("theta from the trace to F_{p^3}", PLANE,
            "F.conjugates(b)[::2]", "F.conjugates(b)[::3]",
            ("tests/test_plane.py", "-k", "theta")),
-    # the sampler: one draw of 3m residues per point, deduplicated on
-    # coordinate tuples, and the field check's identity shortcut
+    # the samplers: one draw of 3m residues per point, and per round of
+    # the configuration loop one draw for every missing point, its
+    # triples read from the point table (p <= 13) and deduplicated on
+    # coordinate tuples; then the field check's identity shortcut
     Mutant("two coordinates of the one F_p draw swapped", PLANE,
            "x0, x1, x2 = _unit(p, *r)", "x0, x1, x2 = _unit(p, r[1], r[0], r[2])",
            ("tests/test_plane.py", "-k", "random_point_draws_as_randrange_does")),
     Mutant("configuration sampled without deduplication", PLANE,
-           "if pt.coords not in seen:", "if True:",
+           "kept.setdefault(pt.coords, pt)", "kept[len(kept)] = pt",
+           ("tests/test_plane.py", "-k", "reference_dedup")),
+    Mutant("point table code built with r1 and r2 swapped", PLANE,
+           "point_of[(s * x0 % p * p + s * x1 % p) * p + s * x2 % p] = pt",
+           "point_of[(s * x0 % p * p + s * x2 % p) * p + s * x1 % p] = pt",
+           ("tests/test_plane.py", "-k", "point_table_gives")),
+    Mutant("zero triple not skipped", PLANE,
+           "                if pt is None:\n                    continue\n", "",
+           ("tests/test_plane.py", "-k", "reference_dedup")),
+    Mutant("round draws 3m 6 residues however many points are missing", PLANE,
+           "_residues(rng, p, w * (6 - len(kept)))", "_residues(rng, p, w * 6)",
            ("tests/test_plane.py", "-k", "reference_dedup")),
     Mutant("equal fields in distinct objects refused", PLANE,
            "pt.field is not F and pt.field != F", "pt.field is not F",

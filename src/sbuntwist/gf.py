@@ -44,7 +44,9 @@ never with the field, and ``times`` reads c a from it.
 One rejection loop, ``_residues``, draws residues mod p: each is a
 ``getrandbits`` of p's bit length, drawn again while >= p, which is how
 ``random.Random.randrange(p)`` draws.  ``random_element`` is m of them;
-``plane._random_point`` takes the 3m of a coordinate triple in one call.
+``plane._random_point`` takes the 3m of a coordinate triple in one call,
+and ``plane.sample_configuration`` the 3m of every point a configuration
+still misses in one call per round.
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ def _residues(rng: random.Random, p: int, n: int) -> list[int]:
     """n residues mod p drawn as n ``rng.randrange(p)`` calls draw them,
     without their call layers: one ``getrandbits`` of p's bit length per
     try, a try >= p dropped and drawn again.  The one residue-drawing loop:
-    ``random_element`` and ``plane._random_point`` both draw through it."""
+    ``random_element``, ``plane._random_point`` and
+    ``plane.sample_configuration`` all draw through it."""
     k, draw = p.bit_length(), rng.getrandbits
     out: list[int] = []
     while len(out) < n:

@@ -11,13 +11,19 @@ by grouping the 15 point pairs by the line they span and looked up in
 ``ConfigCase``, the one table of the ten profiles six points can have.
 Over F_p one routine on ints mod p, ``_unit``, normalizes points and
 lines, with no ``FiniteField`` call for perfbench to count.  Up to
-p = ``LINE_TABLE_MAX_PRIME`` = 13 the pairs read their lines from a table
-of the plane: ``_index`` numbers the N = p^2 + p + 1 normalized triples,
-(1, a, b) -> a p + b, (0, 1, b) -> p^2 + b, (0, 0, 1) -> p^2 + p, and
-``_line_table(p)``, built once per prime on first use, holds at i N + j
-the number of the line through points i != j (33,489 bytes at p = 13;
-p = 17 would take 94,249 and numbers past a byte).  Larger p key the
-pairs by ``_line_key``, the 2x2 minors mod p through ``_unit``.
+p = ``LINE_TABLE_MAX_PRIME`` = 13 two tables of the plane, each built once
+per prime on first use, replace that arithmetic.  ``_plane_triples``
+lists the N = p^2 + p + 1 normalized triples in the order ``_index``
+numbers them, (1, a, b) -> a p + b, (0, 1, b) -> p^2 + b,
+(0, 0, 1) -> p^2 + p, and both tables are built from that one listing.
+``_line_table(p)`` holds at i N + j the number of the line through points
+i != j (33,489 bytes at p = 13; p = 17 would take 94,249 and numbers past
+a byte), and the pairs of ``connecting_lines`` read their lines from it.
+``_point_table(p)`` holds at (r0 p + r1) p + r2 the one shared point of
+every nonzero triple (2,197 entries at p = 13), and
+``sample_configuration`` reads its draws from it.  Larger p key the pairs
+by ``_line_key``, the 2x2 minors mod p through ``_unit``, and normalize
+the draws with ``_unit``.
 
 Whether a degree-6 closed point lies on a conic is decided by Galois
 descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
@@ -316,19 +322,26 @@ class ClosedPoint:
         return tuple(frobenius_orbit(self.point))
 
 
-def _random_point(F: FiniteField, rng: random.Random) -> ProjPoint:
-    """A uniform point of P^2(F): draws the 3m residues of a coordinate
-    triple in one call of ``gf._residues``, the one residue loop, until one
-    is nonzero.  These are the draws of three ``random_element`` calls, in
-    their order.  Over F_p the three ints go through ``_unit``."""
+def _drawn_point(F: FiniteField, r: Sequence[int]) -> ProjPoint:
+    """The point of P^2(F) whose coordinates hold the 3m residues r, m per
+    coordinate, normalized; r must not be all 0.  Over F_p the three ints
+    go through ``_unit``."""
     p, m = F.p, F.m
-    r = _residues(rng, p, 3 * m)
-    while not any(r):
-        r = _residues(rng, p, 3 * m)
     if m == 1:
         x0, x1, x2 = _unit(p, *r)
         return ProjPoint(F, ((x0,), (x1,), (x2,)))
     return ProjPoint(F, _normalized(F, (tuple(r[:m]), tuple(r[m:2 * m]), tuple(r[2 * m:]))))
+
+
+def _random_point(F: FiniteField, rng: random.Random) -> ProjPoint:
+    """A uniform point of P^2(F): draws the 3m residues of a coordinate
+    triple in one call of ``gf._residues``, the one residue loop, until one
+    is nonzero, and reads the point off them with ``_drawn_point``.  These
+    are the draws of three ``random_element`` calls, in their order."""
+    r = _residues(rng, F.p, 3 * F.m)
+    while not any(r):
+        r = _residues(rng, F.p, 3 * F.m)
+    return _drawn_point(F, r)
 
 
 #: Points drawn by ``sample_closed_point`` before it gives up.
@@ -458,22 +471,38 @@ EXPECTED_LINE_COUNTS = {case: case.line_count for case in ConfigCase}
 _CASE_BY_PROFILE = {case.profile: case for case in ConfigCase}
 
 
-#: The largest p whose pairs ``connecting_lines`` reads from ``_line_table``:
+#: The largest p whose pairs ``connecting_lines`` reads from ``_line_table``
+#: and whose draws ``sample_configuration`` reads from ``_point_table``:
 #: N^2 = 33,489 one-byte entries at p = 13, while p = 17 would need 94,249
-#: and line numbers past 255.
+#: and line numbers past 255.  The point table, p^3 entries, is far smaller.
 LINE_TABLE_MAX_PRIME = 13
 
 #: The diagonal entry of ``_line_table``: no line through i = j.
 _NO_LINE = 0xFF
 
 
+def _plane_triples(p: int) -> list[tuple[int, int, int]]:
+    """The N = p^2 + p + 1 normalized triples of P^2(F_p) in ``_index``
+    order, the one listing both plane tables are built from."""
+    triples = [(1, a, b) for a in range(p) for b in range(p)]
+    return triples + [(0, 1, b) for b in range(p)] + [(0, 0, 1)]
+
+
 def _index(p: int, x0: int, x1: int, x2: int) -> int:
     """The number of a normalized triple among the N = p^2 + p + 1 points
     of P^2(F_p), as the module docstring lists it; a line takes the number
-    of its dual coordinates."""
+    of its dual coordinates.  A triple whose first nonzero entry is not 1
+    raises ``ValueError``: read as it stands it would number another
+    point."""
     if x0:
-        return x1 * p + x2
-    return p * p + (x2 if x1 else p)
+        if x0 == 1:
+            return x1 * p + x2
+    elif x1:
+        if x1 == 1:
+            return p * p + x2
+    elif x2 == 1:
+        return p * p + p
+    raise ValueError(f"({x0}, {x1}, {x2}) is not normalized: its first nonzero entry must be 1")
 
 
 @lru_cache(maxsize=None)
@@ -482,8 +511,7 @@ def _line_table(p: int) -> bytes:
     P^2(F_p), with ``_NO_LINE`` on the diagonal: the p + 1 points on each
     of the N lines listed, triples in ``_index`` order, and every pair of
     them written."""
-    triples = [(1, a, b) for a in range(p) for b in range(p)]
-    triples += [(0, 1, b) for b in range(p)] + [(0, 0, 1)]
+    triples = _plane_triples(p)
     n = len(triples)
     line_of = bytearray([_NO_LINE]) * (n * n)
     for line, (l0, l1, l2) in enumerate(triples):
@@ -494,6 +522,20 @@ def _line_table(p: int) -> bytes:
                 line_of[row + j] = line
     line_of[::n + 1] = bytes([_NO_LINE]) * n
     return bytes(line_of)
+
+
+@lru_cache(maxsize=None)
+def _point_table(p: int) -> tuple[ProjPoint | None, ...]:
+    """point_of[(r0 p + r1) p + r2], the point (r0 : r1 : r2) of P^2(F_p)
+    as one shared ``ProjPoint`` over ``field(p, 1)``, and None at code 0,
+    the zero triple: each of the N normalized triples, in ``_index``
+    order, written at the codes of its p - 1 nonzero multiples."""
+    F, point_of = field(p, 1), [None] * p ** 3
+    for x0, x1, x2 in _plane_triples(p):
+        pt = ProjPoint(F, ((x0,), (x1,), (x2,)))
+        for s in range(1, p):
+            point_of[(s * x0 % p * p + s * x1 % p) * p + s * x2 % p] = pt
+    return tuple(point_of)
 
 
 def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
@@ -507,7 +549,9 @@ def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
     ``_index``, and each pair's line from ``_line_table(p)``, built once
     per prime; a larger p keys the pairs by ``_line_key``, and F_{p^m} by
     ``line_through``.  Two coincident points raise ``ValueError`` on every
-    route."""
+    route.  A point built unnormalized raises from ``_index`` on the table
+    route; ``_line_key`` normalizes the minors, so it reads such a point as
+    the point it is."""
     pairs = list(itertools.combinations(range(len(points)), 2))
     if not points or _check_same_field(points).m > 1:
         keys = [line_through(points[i], points[j]) for i, j in pairs]
@@ -561,13 +605,34 @@ def classify_configuration(
 def sample_configuration(
     F: FiniteField, rng: random.Random
 ) -> tuple[ProjPoint, ...]:
-    """Six distinct pseudo-random points of P^2 over F.  All share F, so
-    points are told apart by their normalized coordinates alone."""
-    points: list[ProjPoint] = []
-    seen: set[tuple[Element, ...]] = set()
-    while len(points) < 6:
-        pt = _random_point(F, rng)
-        if pt.coords not in seen:
-            seen.add(pt.coords)
-            points.append(pt)
-    return tuple(points)
+    """Six distinct pseudo-random points of P^2 over F, in the order they
+    are first drawn.  All share F, so points are told apart by their
+    normalized coordinates alone.
+
+    Each round draws the residues of every missing point in one
+    ``gf._residues`` call, 3m per point, and walks the triples in draw
+    order, skipping a zero triple or a point already kept.  A round draws
+    no more triples than points are missing, and ``_random_point`` draws
+    one triple per try, so the generator consumes what one
+    ``_random_point`` call per try until six distinct points would, and
+    ends in the same state.  Over F_p with p <= ``LINE_TABLE_MAX_PRIME``
+    a triple reads its point from ``_point_table(p)``, built once per
+    prime, whose points lie over ``field(p, 1)``; otherwise
+    ``_drawn_point`` normalizes it."""
+    p, w = F.p, 3 * F.m
+    point_of = _point_table(p) if w == 3 and p <= LINE_TABLE_MAX_PRIME else None
+    kept: dict[tuple[Element, ...], ProjPoint] = {}
+    while len(kept) < 6:
+        r = _residues(rng, p, w * (6 - len(kept)))
+        for i in range(0, len(r), w):
+            if point_of is not None:
+                pt = point_of[(r[i] * p + r[i + 1]) * p + r[i + 2]]
+                if pt is None:
+                    continue
+            elif any(t := r[i:i + w]):
+                pt = _drawn_point(F, t)
+            else:
+                continue
+            # the first draw of a point is kept, a repeat dropped
+            kept.setdefault(pt.coords, pt)
+    return tuple(kept.values())

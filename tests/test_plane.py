@@ -519,22 +519,54 @@ def test_random_point_draws_as_randrange_does(p, m):
 
 
 def test_sample_configuration_matches_the_reference_dedup():
-    # deduplication on coordinate tuples keeps the points that ProjPoint ==
-    # keeps; six draws from the 31 points of P^2(F_5) repeat one about
-    # 2 times in 5, so the redraw path runs
-    F = field(5, 1)
-    rng, twin, duplicates = random.Random(5), random.Random(5), 0
-    for _ in range(300):
-        points = []
-        while len(points) < 6:
-            q = _reference_random_point(F, twin, [])
-            if q in points:
-                duplicates += 1
-            else:
-                points.append(q)
-        assert sample_configuration(F, rng) == tuple(points)
-    assert rng.random() == twin.random()
-    assert duplicates > 0
+    # one _random_point-shaped draw per try, deduplicated as ProjPoint ==
+    # does, on each route of the one loop: the point table (p = 5, 13),
+    # ``_unit`` (p = 17) and ``_normalized`` over F_25.  Six draws from the
+    # N points of the plane repeat one about 15 / N of the time (N = 31,
+    # 183, 307, 651), so the redraw rounds run on every field
+    for p, m in [(5, 1), (13, 1), (17, 1), (5, 2)]:
+        F = field(p, m)
+        rng, twin, duplicates = random.Random(p * m), random.Random(p * m), 0
+        for _ in range(300 if p * m < 10 else 600):
+            points = []
+            while len(points) < 6:
+                q = _reference_random_point(F, twin, [])
+                if q in points:
+                    duplicates += 1
+                else:
+                    points.append(q)
+            assert sample_configuration(F, rng) == tuple(points), F
+        assert rng.random() == twin.random(), F
+        assert duplicates > 0, F
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_point_table_gives_each_triple_its_one_shared_point(p):
+    # every code (r0 p + r1) p + r2 of F_p^3: the zero triple reads None,
+    # every other triple the point ProjPoint.of_ints normalizes it to, and
+    # the multiples of one point share one object
+    F = field(p, 1)
+    point_of = plane._point_table(p)
+    assert len(point_of) == p ** 3 and point_of[0] is None
+    for code, triple in enumerate(itertools.product(range(p), repeat=3)):
+        if code:
+            assert point_of[code] == ProjPoint.of_ints(F, triple), triple
+    shared = {id(q): q for q in point_of[1:]}
+    assert len(shared) == len(set(shared.values())) == p * p + p + 1
+
+
+@pytest.mark.parametrize("p", [7, 17], ids=["table", "line_key"])
+def test_unnormalized_points_raise_on_the_f_p_routes(p):
+    # (2 : 4 : 6) built directly is (1 : 2 : 3) unnormalized: the table
+    # route refuses its index, ``_line_key`` finds it coincident with
+    # (1 : 2 : 3); neither reads it as another point
+    F = field(p, 1)
+    points = [ProjPoint(F, ((2,), (4,), (6,))), pt(1, 2, 3, F=F), pt(0, 1, 0, F=F)]
+    message = {7: r"^\(2, 4, 6\) is not normalized", 17: r"^two coincident points do not span a line$"}
+    with pytest.raises(ValueError, match=message[p]):
+        connecting_lines(points)
+    with pytest.raises(ValueError, match=r"^\(0, 2, 1\) is not normalized: its first nonzero entry must be 1$"):
+        plane._index(p, 0, 2, 1)
 
 
 def test_closed_point_requires_orbit_order():
