@@ -128,9 +128,10 @@ class ProjPoint:
     nonzero coordinate is 1; equal points have identical representations.
 
     The normalization is an invariant that ``connecting_lines`` reads the
-    plane's ``_index`` from.  ``make`` and ``_random_point`` normalize, and
-    ``frobenius_orbit`` keeps it (Frobenius fixes 0 and 1); a direct
-    construction must pass normalized coordinates."""
+    plane's ``_index`` from.  ``make``, ``_drawn_point`` and
+    ``_point_table`` normalize, and ``frobenius_orbit`` keeps it (Frobenius
+    fixes 0 and 1); a direct construction must pass normalized
+    coordinates, and ``_index`` refuses a point that does not."""
 
     field: FiniteField
     coords: tuple[Element, Element, Element]
@@ -620,7 +621,7 @@ def sample_configuration(
     prime, whose points lie over ``field(p, 1)``; otherwise
     ``_drawn_point`` normalizes it."""
     p, w = F.p, 3 * F.m
-    point_of = _point_table(p) if w == 3 and p <= LINE_TABLE_MAX_PRIME else None
+    point_of = _point_table(p) if F.m == 1 and p <= LINE_TABLE_MAX_PRIME else None
     kept: dict[tuple[Element, ...], ProjPoint] = {}
     while len(kept) < 6:
         r = _residues(rng, p, w * (6 - len(kept)))
