@@ -177,6 +177,19 @@ MUTANTS = (
     Mutant("table pair read on the wrong indices", PLANE,
            "line_of[at[i] * n + at[j]]", "line_of[at[j - 1] * n + at[j]]",
            ("tests/test_plane.py", "-k", "connecting_lines_equal_the_reference")),
+    # the grouping after the keys, on every route: a line is the union of
+    # its pairs' shared frozensets, listed at its first pair
+    Mutant("repeat pair replaces its line", PLANE,
+           "lines[key] = pair if (line := lines.get(key)) is None else line | pair",
+           "lines[key] = pair",
+           ("tests/test_plane.py", "-k", "first_pair_order")),
+    Mutant("line kept as its first pair", PLANE,
+           "lines[key] = pair if (line := lines.get(key)) is None else line | pair",
+           "lines[key] = lines.get(key) or pair",
+           ("tests/test_plane.py", "-k", "first_pair_order")),
+    Mutant("lines returned reversed", PLANE,
+           "return list(lines.values())", "return list(lines.values())[::-1]",
+           ("tests/test_plane.py", "-k", "first_pair_order")),
     # the line table of P^2(F_p): the point index and its normalization
     # check, the fill, the diagonal
     Mutant("(1, a, b) chart indexed as b p + a", PLANE,

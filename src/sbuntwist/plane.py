@@ -9,6 +9,10 @@ to F_p is, which ``_singular_over`` reads from the regular representation.
 Six-point configurations are classified by their line profile, read off
 by grouping the 15 point pairs by the line they span and looked up in
 ``ConfigCase``, the one table of the ten profiles six points can have.
+The grouping folds each pair's line key onto a dict in one loop.  The
+pairs of n points and their frozensets are built once per count
+(``_pairs``, a bounded cache); a 2-point line is its shared pair set, and
+a richer line the union of its pairs, listed at its first pair.
 Over F_p one routine on ints mod p, ``_unit``, normalizes points and
 lines, with no ``FiniteField`` call for perfbench to count.  Up to
 p = ``LINE_TABLE_MAX_PRIME`` = 13 two tables of the plane, each built once
@@ -539,11 +543,24 @@ def _point_table(p: int) -> tuple[ProjPoint | None, ...]:
     return tuple(point_of)
 
 
+@lru_cache(maxsize=4)
+def _pairs(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[frozenset[int], ...]]:
+    """The pairs i < j of range(n) in ``itertools.combinations`` order, and
+    the same pairs as frozensets, shared by every ``connecting_lines`` call
+    on n points; the cache is bounded, so a one-off call on many points
+    does not keep its n (n - 1) / 2 pairs alive."""
+    pairs = tuple(itertools.combinations(range(n), 2))
+    return pairs, tuple(map(frozenset, pairs))
+
+
 def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
     """All lines through at least two of the points, each as the index set
     of the configuration points on it, in the order of their first pair.
     Two points span exactly one line, so grouping the pairs by line gives
-    each line's members.
+    each line's members: shared pair sets, a line the union of its pairs.
+    A line met once is its pair's frozenset from ``_pairs``, shared
+    between calls and immutable; a line met again becomes its union with
+    the new pair, a new frozenset, so no call sees another's lines.
 
     Over F_p with p <= ``LINE_TABLE_MAX_PRIME`` (13, whose table takes
     33,489 bytes) each point's normalized ints are read once into its
@@ -553,7 +570,7 @@ def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
     route.  A point built unnormalized raises from ``_index`` on the table
     route; ``_line_key`` normalizes the minors, so it reads such a point as
     the point it is."""
-    pairs = list(itertools.combinations(range(len(points)), 2))
+    pairs, pair_sets = _pairs(len(points))
     if not points or _check_same_field(points).m > 1:
         keys = [line_through(points[i], points[j]) for i, j in pairs]
     elif (p := points[0].field.p) <= LINE_TABLE_MAX_PRIME:
@@ -568,12 +585,10 @@ def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
             keys = [_line_key(p, ints[i], ints[j]) for i, j in pairs]
         except ValueError:
             raise ValueError("two coincident points do not span a line") from None
-    members: dict[object, set[int]] = {}
-    for (i, j), key in zip(pairs, keys):
-        # a line met before holds i already: its first pair (h, k) has
-        # h <= i, and when h < i the pair (h, i) came before (i, j)
-        members.setdefault(key, {i}).add(j)
-    return [frozenset(m) for m in members.values()]
+    lines: dict[object, frozenset[int]] = {}
+    for key, pair in zip(keys, pair_sets):
+        lines[key] = pair if (line := lines.get(key)) is None else line | pair
+    return list(lines.values())
 
 
 def classify_configuration(
@@ -595,7 +610,7 @@ def classify_configuration(
     lines = connecting_lines(points)
     rich = [m for m in lines if len(m) >= 3]
     profile = (
-        tuple(sorted((len(m) for m in rich), reverse=True)),
+        tuple(sorted(map(len, rich), reverse=True)),
         len(frozenset().union(*rich)),
     )
     if profile not in _CASE_BY_PROFILE:

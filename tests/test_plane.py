@@ -890,13 +890,14 @@ def test_connecting_lines_of_a_triangle():
 
 def _reference_grouping(points):
     """The pairs grouped by a line key built from ``FiniteField`` ops alone,
-    independent of ``plane._line_key``."""
-    F = points[0].field
+    independent of ``plane._line_key``: each line once, listed at its first
+    pair in ``itertools.combinations`` order."""
     members = {}
     for i, j in itertools.combinations(range(len(points)), 2):
+        F = points[i].field
         key = _reference_normalized(F, _reference_minors(F, points[i].coords, points[j].coords))
         members.setdefault(key, set()).update((i, j))
-    return {frozenset(m) for m in members.values()}
+    return [frozenset(m) for m in members.values()]
 
 
 def test_prime_field_connecting_lines_equal_the_reference_grouping():
@@ -912,8 +913,55 @@ def test_prime_field_connecting_lines_equal_the_reference_grouping():
     for points in configs:
         lines = connecting_lines(points)
         assert len(lines) == len(set(lines))
-        assert set(lines) == _reference_grouping(points)
+        assert set(lines) == set(_reference_grouping(points))
     assert connecting_lines([]) == [] and connecting_lines([pt(1, 2, 3)]) == []
+
+
+def _seven_point_configurations(F, rounds):
+    """Seven distinct points over F, in shuffled order: each case witness
+    (its ints read into F) and ``rounds`` sampled configurations, each with
+    one more sampled point, so rich lines meet their first pair anywhere."""
+    from sbuntwist.verify import _WITNESSES
+
+    rng = random.Random(F.p ** F.m)
+    bases = [tuple(pt(*t, F=F) for t in w) for w in _WITNESSES.values()]
+    bases += [sample_configuration(F, rng) for _ in range(rounds)]
+    configs = []
+    for base in bases:
+        extra = next(q for q in sample_configuration(F, rng) if q not in base)
+        points = [*base, extra]
+        rng.shuffle(points)
+        configs.append(points)
+    return configs
+
+
+@pytest.mark.parametrize(
+    "q, m", [(7, 1), (13, 1), (17, 1), (5, 2)], ids=["table7", "table13", "line_key17", "F25"]
+)
+def test_connecting_lines_keep_the_first_pair_order(q, m):
+    # the line table at p = 7 and 13, ``_line_key`` at 17 and
+    # ``line_through`` over F_25; the counts 0 to 7 take the per-count
+    # pair cache through more counts than it keeps
+    F = field(q, m)
+    for points in _seven_point_configurations(F, 40):
+        for n in (0, 1, 2, 3, 6, 7):
+            assert connecting_lines(points[:n]) == _reference_grouping(points[:n])
+
+
+def test_connecting_lines_share_no_state_between_calls():
+    # the 2-point lines are pair sets shared through ``plane._pairs``: a
+    # later call, on the same count or another, must not change what an
+    # earlier one returned, nor see its lines
+    seven = _seven_point_configurations(F7, 0)[3]
+    six = sample_configuration(F7, random.Random(6))
+    plane._pairs.cache_clear()
+    got = [connecting_lines(points) for points in (seven, six, seven)]
+    fresh = []
+    for points in (seven, six, seven):
+        plane._pairs.cache_clear()
+        fresh.append(connecting_lines(points))
+    assert got == fresh == [_reference_grouping(points) for points in (seven, six, seven)]
+    assert all(type(line) is frozenset for lines in got + fresh for line in lines)
 
 
 @pytest.mark.parametrize("m", [1, 2])
