@@ -97,6 +97,20 @@ MUTANTS = (
     Mutant("theta = 1", PLANE,
            "F.multiplier(_quadratic_element(F))", "F.multiplier(F.element(1))",
            ("tests/test_plane.py",)),
+    # the report's x = 0 branch, which the x = 0 line family at q = 5
+    # crosses orbit by orbit, and its two 5x5 minors along the unit row
+    # x = 1; every family there lies on a conic, so only the sampled orbits
+    # off every conic see the conic minor read on the wrong columns
+    Mutant("x = 0 orbit read as general position", PLANE,
+           "return PositionReport(no_three_collinear=False, off_conic=False)",
+           "return PositionReport(no_three_collinear=True, off_conic=True)",
+           ("tests/test_plane.py", "-k", "families_at_q5")),
+    Mutant("conic minor keeping the unit column", PLANE,
+           "[v[1:] for v in veronese]", "[v[:-1] for v in veronese]",
+           ("tests/test_plane.py", "-k", "one_triple_report")),
+    Mutant("theta row read as the unit row", PLANE,
+           "rows = (y, z, _theta_row(F),", "rows = (y, z, F.element(1),",
+           ("tests/test_plane.py", "-k", "families_at_q5")),
     Mutant("unreduced scalar product in mul", GF,
            "return tuple([c * y % p for y in b])", "return tuple([c * y for y in b])",
            ("tests/test_gf.py", "-k", "mul or inverse")),

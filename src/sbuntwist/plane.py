@@ -43,7 +43,10 @@ tuples, ints in range(p), so ``_singular`` takes them over F_p with no
 ``FiniteField`` call.  It packs each row into one int, an entry per slot,
 and eliminates whole rows at once.  Only the pivots and leads are reduced
 mod p; every other entry stays below (2p)^(n-1) p, the slot bound, so no
-slot carries.
+slot carries.  Point 0 is normalized, so with x = 1 its Veronese image is
+(1, y, z, y^2, yz, z^2), row 0 of C is the unit vector e_0, and det C,
+expanded along it, is the 5x5 minor of the rows y, z, y^2, yz, z^2 on
+columns 1..5: three products over F_{p^6}.
 
 Whether a degree-6 closed point has a collinear triple is decided by the
 one triple (0, 2, 4).  Frobenius sigma sends orbit point i to point
@@ -67,9 +70,15 @@ x, y, z of point 0 are dependent over F_{p^2}.  For theta in F_{p^2} but
 not in F_p, {1, theta} is an F_p-basis of F_{p^2}, so that holds iff
 x, y, z, theta x, theta y, theta z are dependent over F_p: a 6x6
 determinant over F_p.  A zero coordinate gives a zero row, and the point
-lies on a rational coordinate line, as that verdict says.  The products
-by theta are F_p-linear, so they read one packed table of theta x^i,
-built per field on first use (``FiniteField.multiplier``).
+lies on a rational coordinate line, as that verdict says.  With x = 1 the
+rows x and theta x are e_0 and theta 1 = theta, read once per field
+(``_theta_row``), so the determinant is the 5x5 minor of y, z, theta,
+theta y, theta z on columns 1..5.  The products by theta are
+F_p-linear, so they read one packed table of theta x^i, built per field
+on first use (``FiniteField.multiplier``): two per point.  With x = 0
+the orbit lies on the rational line x = 0, and both 6x6 matrices have a
+zero row (x, theta x, and the Veronese entries x^2, xy, xz), so both
+verdicts are "collinear, on a conic" with no determinant.
 
 This layer supplies the geometric side of the oracle: the symbolic
 link formulas never see coordinates, so every geometric claim is checked
@@ -132,7 +141,8 @@ class ProjPoint:
     nonzero coordinate is 1; equal points have identical representations.
 
     The normalization is an invariant that ``connecting_lines`` reads the
-    plane's ``_index`` from.  ``make``, ``_drawn_point`` and
+    plane's ``_index`` from, and ``general_position_report`` its unit
+    row.  ``make``, ``_drawn_point`` and
     ``_point_table`` normalize, and ``frobenius_orbit`` keeps it (Frobenius
     fixes 0 and 1); a direct construction must pass normalized
     coordinates, and ``_index`` refuses a point that does not."""
@@ -390,6 +400,14 @@ def _theta_table(F: FiniteField) -> tuple[int, ...]:
     return F.multiplier(_quadratic_element(F))
 
 
+@lru_cache(maxsize=None)
+def _theta_row(F: FiniteField) -> Element:
+    """theta = theta 1, the collinear descent's row of x = 1, read from
+    ``_theta_table`` so that one theta reaches every theta row.  Built once
+    per field, on first use."""
+    return F.times(_theta_table(F), F.element(1))
+
+
 @dataclass(frozen=True)
 class PositionReport:
     """General-position verdicts for the six points of a degree-6 closed point."""
@@ -409,12 +427,16 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
     F_p-dependent, for theta in F_{p^2} but not in F_p; the six points lie
     on a conic iff the six entries of the Veronese image of (x : y : z)
     are.  The verdicts equal those of ``collinear`` on points 0, 2 and 4
-    and of ``on_common_conic(cp.points)``, at the cost of 6 products over
-    F_{p^6} and 3 packed products by theta.  Both are computed on every
-    orbit: a collinear orbit always lies on a conic, but deciding one from
-    the other would hide a fault in either test.  Raises ``ValueError`` unless the coordinates lie in
-    F_{p^6}: over a larger field the matrices are not square and the
-    argument fails.
+    and of ``on_common_conic(cp.points)``.  The point is normalized, so x
+    is 1 or 0.  With x = 1 each 6x6 matrix has the unit row e_0, and its
+    determinant is a 5x5 minor, at the cost of 3 products over F_{p^6}
+    and 2 packed products by theta; with x = 0 both matrices have a zero
+    row, and the report is "collinear, on a conic" at no cost.  Both
+    verdicts are computed on every orbit: a collinear orbit always lies on
+    a conic, but deciding one from the other would hide a fault in either
+    test.  Raises ``ValueError`` unless the coordinates lie in F_{p^6}:
+    over a larger field the matrices are not square and the argument
+    fails.
     """
     if cp.degree != 6:
         raise ValueError(f"need a degree-6 closed point, got degree {cp.degree}")
@@ -423,12 +445,18 @@ def general_position_report(cp: ClosedPoint) -> PositionReport:
         raise ValueError(
             f"the conic test needs coordinates in F_{{p^6}}, got F_{{{F.p}^{F.m}}}"
         )
-    theta = _theta_table(F)
-    coords = cp.point.coords
+    p, (x, y, z) = F.p, cp.point.coords
+    if not x[0]:
+        # the orbit lies on the rational line x = 0: a zero row in both
+        return PositionReport(no_three_collinear=False, off_conic=False)
+    table, times, mul = _theta_table(F), F.times, F.mul
+    # row 0 of each 6x6 matrix is x = 1 = e_0, so each determinant is the
+    # 5x5 minor of the other five rows on columns 1..5
+    rows = (y, z, _theta_row(F), times(table, y), times(table, z))
+    veronese = (y, z, mul(y, y), mul(y, z), mul(z, z))
     return PositionReport(
-        no_three_collinear=not _singular(F.p, coords + tuple(F.times(theta, c) for c in coords)),
-        # row j of C is the coordinate tuple of Veronese entry j over F_p
-        off_conic=not _singular(F.p, _veronese(F, coords)),
+        no_three_collinear=not _singular(p, [r[1:] for r in rows]),
+        off_conic=not _singular(p, [v[1:] for v in veronese]),
     )
 
 

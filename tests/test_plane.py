@@ -629,12 +629,16 @@ def _collinear_triples_by_brute_force(points):
 
 
 def _sampled_orbits_and_controls():
+    # with the family controls, the orbit (0 : 1 : a) on the rational line
+    # x = 0, a the root of the degree-6 modulus: the report's x = 0 branch
     from test_acceptance import _family_controls
 
     orbits = []
     for p, count in ((5, 100), (7, 100), (11, 100), (13, 100), (17, 50), (19, 50)):
+        F = field(p, 6)
         orbits += [sample_closed_point(p, 6, seed=500 + i) for i in range(count)]
         orbits += _family_controls(p).values()
+        orbits.append(ClosedPoint(ProjPoint.make(F, (F.zero, F.element(1), (0, 1, 0, 0, 0, 0)))))
     return orbits
 
 
@@ -680,6 +684,7 @@ def test_theta_product_is_mul_by_theta():
     for p in (5, 7, 11, 13, 1_000_037):
         F = field(p, 6)
         theta, table = plane._quadratic_element(F), plane._theta_table(F)
+        assert plane._theta_row(F) == theta
         rng = random.Random(p)
         elements = (
             itertools.product(range(p), repeat=6)
@@ -694,7 +699,8 @@ def test_degree6_families_at_q5_exhaustively():
     # PGL(3, F_q) is transitive on rational lines, smooth conics and
     # conjugate line pairs, so one of each covers its family: every
     # degree-6 point of the line z = 0 and of the conic y^2 = x z, and
-    # every degree-6 point with a triple on the line z = alpha y
+    # every degree-6 point with a triple on the line z = alpha y; the line
+    # x = 0 is the rational line the report decides with no determinant
     q = 5
     F = field(q, 6)
     one = F.element(1)
@@ -710,6 +716,7 @@ def test_degree6_families_at_q5_exhaustively():
             alpha = t
     families = {
         "line": [(one, t, F.zero) for t in degree6],
+        "line x = 0": [(F.zero, one, t) for t in degree6],
         "smooth_conic": [(one, t, F.mul(t, t)) for t in degree6],
         "pair": [(one, t, F.mul(alpha, t)) for t in off_f_q2],
     }
@@ -717,10 +724,16 @@ def test_degree6_families_at_q5_exhaustively():
     assert (q**6 - q**3 - q**2 + q) // 6 == 2580 and (q**6 - q**2) // 3 == 5200
     assert {name: len(coords) for name, coords in families.items()} == {
         "line": 2580,
+        "line x = 0": 2580,
         "smooth_conic": 2580,
         "pair": 5200,
     }
-    expected = {"line": (False, False), "smooth_conic": (True, False), "pair": (False, False)}
+    expected = {
+        "line": (False, False),
+        "line x = 0": (False, False),
+        "smooth_conic": (True, False),
+        "pair": (False, False),
+    }
     for name, family in families.items():
         for coords in family:
             cp = ClosedPoint(ProjPoint.make(F, coords))
@@ -730,8 +743,9 @@ def test_degree6_families_at_q5_exhaustively():
 
 
 def test_general_position_report_runs_one_triple_and_one_conic_test(monkeypatch):
-    # both verdicts are computed on every orbit, collinear or not: two 6x6
-    # descent determinants over F_p and no collinear call
+    # both verdicts are computed on every orbit with x = 1, collinear or
+    # not: two 5x5 minors of the 6x6 descent determinants over F_p, and no
+    # collinear call; an orbit with x = 0 runs neither
     calls = []
     real_collinear, real_singular = plane.collinear, plane._singular
 
@@ -750,22 +764,23 @@ def test_general_position_report_runs_one_triple_and_one_conic_test(monkeypatch)
         calls.clear()
         rep = general_position_report(cp)
         verdicts.add((rep.no_three_collinear, rep.off_conic))
-        assert calls == [6, 6]
+        assert calls == ([5, 5] if cp.point.coords[0][0] else []), cp.point.coords
     # collinear, on-conic-only and general orbits all went through
     assert {(False, False), (True, False), (True, True)} <= verdicts
 
 
 def test_general_position_report_field_call_budget(monkeypatch):
-    # both 6x6 descent determinants run on ints mod p: the six Veronese
-    # products and the three packed products by theta are the report's only
-    # FiniteField calls, and collinear is not called
+    # both descent minors run on ints mod p: on an orbit with x = 1 the
+    # three Veronese products y^2, yz, z^2 and the two packed products
+    # theta y, theta z are the report's only FiniteField calls, on an orbit
+    # with x = 0 there are none, and collinear is not called
     from collections import Counter
 
     from sbuntwist.gf import FiniteField
 
     orbits = _sampled_orbits_and_controls()
     for F in {cp.point.field for cp in orbits}:
-        plane._theta_table(F)  # theta's table is built per field on first use
+        plane._theta_row(F)  # theta's table and row are built per field on first use
     scope = ["report"]
     calls = Counter()
 
@@ -796,7 +811,8 @@ def test_general_position_report_field_call_budget(monkeypatch):
         calls.clear()
         rep = general_position_report(cp)
         verdicts.add((rep.no_three_collinear, rep.off_conic))
-        assert calls == {("report", "mul"): 6, ("report", "times"): 3}
+        expected = {("report", "mul"): 3, ("report", "times"): 2} if cp.point.coords[0][0] else {}
+        assert calls == expected, cp.point.coords
     assert {(False, False), (True, False), (True, True)} <= verdicts
 
 
