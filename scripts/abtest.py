@@ -220,9 +220,9 @@ def main(argv=None) -> int:
     parser.add_argument("--change", help="a revision to measure in place of the working tree")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=names)
-    parser.add_argument("--moved", action="append", default=[], metavar="NAME",
-                        help="a count the change is meant to move (repeatable)")
+    parser.add_argument("--workload", action="extend", nargs="+", choices=names)
+    parser.add_argument("--moved", action="extend", nargs="+", default=[], metavar="NAME",
+                        help="counts the change is meant to move (repeatable)")
     args = parser.parse_args(argv)
     for flag, value, least in (("--pairs", args.pairs, 1), ("--seed", args.seed, 0)):
         if value < least:

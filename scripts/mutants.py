@@ -173,20 +173,21 @@ MUTANTS = (
            "sub(mul(u1, v2), mul(u2, v1)),\n        sub(mul(u2, v0), mul(u0, v2)),",
            "sub(mul(u1, v2), mul(u2, v0)),\n        sub(mul(u2, v1), mul(u0, v2)),",
            ("tests/test_plane.py", "-k", "collinear")),
-    # the two above act on the F_{p^m} minors (m >= 2); their twins below
-    # act on the int minors of ``_line_key``, connecting_lines' F_p route,
-    # checked directly against the ``FiniteField`` minors
-    Mutant("one F_p cross-product minor negated", PLANE,
-           "(u1 * v2 - u2 * v1) % p,", "(u2 * v1 - u1 * v2) % p,",
+    # the two above are seen by the collinear tests over F_{p^m}; their
+    # twins below, on the other minors, by the F_p minors of
+    # ``line_through`` checked directly against the ``FiniteField`` ones
+    Mutant("last cross-product minor negated", PLANE,
+           "sub(mul(u0, v1), mul(u1, v0)),", "sub(mul(u1, v0), mul(u0, v1)),",
            ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),
-    Mutant("products swapped between two F_p minors", PLANE,
-           "(u1 * v2 - u2 * v1) % p, (u2 * v0 - u0 * v2) % p,",
-           "(u1 * v2 - u2 * v0) % p, (u2 * v1 - u0 * v2) % p,",
+    Mutant("products swapped between the last two minors", PLANE,
+           "sub(mul(u2, v0), mul(u0, v2)),\n        sub(mul(u0, v1), mul(u1, v0)),",
+           "sub(mul(u2, v0), mul(u0, v1)),\n        sub(mul(u0, v2), mul(u1, v0)),",
            ("tests/test_plane.py", "-k", "cross_equals_the_reference_minors")),
     # the pair loop keys pair (i, j) on the line through points j - 1 and j,
-    # on the ``_line_key`` route (p > 13) and on the line table's (p <= 13)
-    Mutant("F_p pair keyed on the wrong indices", PLANE,
-           "_line_key(p, ints[i], ints[j])", "_line_key(p, ints[j - 1], ints[j])",
+    # on the ``line_through`` route (p > 13, F_{p^m}) and on the line
+    # table's (p <= 13)
+    Mutant("pair keyed on the wrong indices", PLANE,
+           "line_through(points[i], points[j])", "line_through(points[j - 1], points[j])",
            ("tests/test_plane.py", "-k", "connecting_lines_equal_the_reference")),
     Mutant("table pair read on the wrong indices", PLANE,
            "line_of[at[i] * n + at[j]]", "line_of[at[j - 1] * n + at[j]]",
@@ -219,15 +220,16 @@ MUTANTS = (
            "        if _NO_LINE in keys:\n"
            "            raise ValueError(\"two coincident points do not span a line\")\n", "",
            ("tests/test_plane.py", "-k", "coincident_points_raise")),
-    # ``_unit``, the one F_p normalization, on ints
-    Mutant("F_p normalization scaled by c^(p-3)", PLANE,
-           "s = pow(x0, p - 2, p)", "s = pow(x0, p - 3, p)",
+    # ``_normalized``'s one loop, the normalization of every field off
+    # the plane tables, checked over F_p against ``FiniteField`` ops
+    Mutant("normalization scaled by c^-2", PLANE,
+           "scale, mul = F.inv(c), F.mul", "scale, mul = F.inv(F.mul(c, c)), F.mul",
            ("tests/test_plane.py", "-k", "prime_field_normalized")),
-    Mutant("F_p normalization with x1 leading scaled by x1^(p-3)", PLANE,
-           "pow(x1, p - 2, p)", "pow(x1, p - 3, p)",
+    Mutant("normalization leaving the leading coordinate as it is", PLANE,
+           "(*coords[:i], F.element(1), *", "(*coords[:i], c, *",
            ("tests/test_plane.py", "-k", "prime_field_normalized")),
-    Mutant("unreduced F_p normalization products", PLANE,
-           "return 1, x1 * s % p, x2 * s % p", "return 1, x1 * s, x2 * s",
+    Mutant("normalization leaving the later coordinates unscaled", PLANE,
+           "*[mul(scale, x) for x in coords[i + 1:]]", "*coords[i + 1:]",
            ("tests/test_plane.py", "-k", "prime_field_normalized")),
     Mutant("collinear on a x a", PLANE,
            "incident(_cross(F, a.coords, b.coords), c)", "incident(_cross(F, a.coords, a.coords), c)",
@@ -245,12 +247,14 @@ MUTANTS = (
     Mutant("theta from the trace to F_{p^3}", PLANE,
            "F.conjugates(b)[::2]", "F.conjugates(b)[::3]",
            ("tests/test_plane.py", "-k", "theta")),
-    # the samplers: one draw of 3m residues per point, and per round of
-    # the configuration loop one draw for every missing point, its
-    # triples read from the point table (p <= 13) and deduplicated on
-    # coordinate tuples; then the field check's identity shortcut
-    Mutant("two coordinates of the one F_p draw swapped", PLANE,
-           "x0, x1, x2 = _unit(p, *r)", "x0, x1, x2 = _unit(p, r[1], r[0], r[2])",
+    # the samplers: one draw of 3m residues per point, sliced m to a
+    # coordinate, and per round of the configuration loop one draw for
+    # every missing point, its triples read from the point table (p <= 13)
+    # and deduplicated on coordinate tuples; then the field check's
+    # identity shortcut
+    Mutant("two coordinates of the one draw swapped", PLANE,
+           "(tuple(r[:m]), tuple(r[m:2 * m]), tuple(r[2 * m:]))",
+           "(tuple(r[m:2 * m]), tuple(r[:m]), tuple(r[2 * m:]))",
            ("tests/test_plane.py", "-k", "random_point_draws_as_randrange_does")),
     Mutant("configuration sampled without deduplication", PLANE,
            "kept.setdefault(pt.coords, pt)", "kept[len(kept)] = pt",

@@ -13,10 +13,8 @@ The grouping folds each pair's line key onto a dict in one loop.  The
 pairs of n points and their frozensets are built once per count
 (``_pairs``, a bounded cache); a 2-point line is its shared pair set, and
 a richer line the union of its pairs, listed at its first pair.
-Over F_p one routine on ints mod p, ``_unit``, normalizes points and
-lines, with no ``FiniteField`` call for perfbench to count.  Up to
-p = ``LINE_TABLE_MAX_PRIME`` = 13 two tables of the plane, each built once
-per prime on first use, replace that arithmetic.  ``_plane_triples``
+Up to p = ``LINE_TABLE_MAX_PRIME`` = 13 two tables of P^2(F_p), each built
+once per prime on first use, replace the field arithmetic.  ``_plane_triples``
 lists the N = p^2 + p + 1 normalized triples in the order ``_index``
 numbers them, (1, a, b) -> a p + b, (0, 1, b) -> p^2 + b,
 (0, 0, 1) -> p^2 + p, and both tables are built from that one listing.
@@ -25,9 +23,9 @@ i != j (33,489 bytes at p = 13; p = 17 would take 94,249 and numbers past
 a byte), and the pairs of ``connecting_lines`` read their lines from it.
 ``_point_table(p)`` holds at (r0 p + r1) p + r2 the one shared point of
 every nonzero triple (2,197 entries at p = 13), and
-``sample_configuration`` reads its draws from it.  Larger p key the pairs
-by ``_line_key``, the 2x2 minors mod p through ``_unit``, and normalize
-the draws with ``_unit``.
+``sample_configuration`` reads its draws from it.  Every other field,
+F_p with p > 13 as well as F_{p^m}, takes the one ``FiniteField`` route:
+``line_through`` keys the pairs and ``_normalized`` normalizes the draws.
 
 Whether a degree-6 closed point lies on a conic is decided by Galois
 descent: a conic through a Frobenius orbit is Frobenius-stable, so it is
@@ -107,26 +105,9 @@ class UnclassifiableConfiguration(Exception):
     signal a gap in the case enumeration."""
 
 
-def _unit(p: int, x0: int, x1: int, x2: int) -> tuple[int, int, int]:
-    """An int triple over F_p scaled so its first nonzero entry is 1: the
-    one F_p normalization, of points and of lines (``_line_key``)."""
-    if x0:
-        s = pow(x0, p - 2, p)
-        return 1, x1 * s % p, x2 * s % p
-    if x1:
-        return 0, 1, x2 * pow(x1, p - 2, p) % p
-    if x2:
-        return 0, 0, 1
-    raise ValueError("(0 : 0 : 0) is not a projective point")
-
-
 def _normalized(F: FiniteField, coords: Sequence[Element]) -> tuple[Element, ...]:
     """Homogeneous coordinates scaled so the first nonzero one is 1; only
-    the coordinates after it need a product.  Over F_p this is ``_unit`` on
-    the three ints, unseen by the counters perfbench patches onto
-    ``FiniteField``."""
-    if F.m == 1:
-        return tuple((x,) for x in _unit(F.p, *(c for (c,) in coords)))
+    the coordinates after it need a product."""
     zero = F.zero
     for i, c in enumerate(coords):
         if c != zero:
@@ -142,10 +123,10 @@ class ProjPoint:
 
     The normalization is an invariant that ``connecting_lines`` reads the
     plane's ``_index`` from, and ``general_position_report`` its unit
-    row.  ``make``, ``_drawn_point`` and
-    ``_point_table`` normalize, and ``frobenius_orbit`` keeps it (Frobenius
-    fixes 0 and 1); a direct construction must pass normalized
-    coordinates, and ``_index`` refuses a point that does not."""
+    row.  ``make``, ``_drawn_point`` and ``_point_table`` normalize, and
+    ``frobenius_orbit`` keeps it (Frobenius fixes 0 and 1); a direct
+    construction must pass normalized coordinates, and ``_index`` refuses
+    a point that does not."""
 
     field: FiniteField
     coords: tuple[Element, Element, Element]
@@ -262,21 +243,17 @@ def _cross(F: FiniteField, u: Sequence[Element], v: Sequence[Element]) -> tuple[
     )
 
 
-def _line_key(p: int, u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    """The line through two points of P^2(F_p), from their ints: the 2x2
-    minors mod p through ``_unit``, which refuses equal points' (0, 0, 0)."""
-    (u0, u1, u2), (v0, v1, v2) = u, v
-    return _unit(p, (u1 * v2 - u2 * v1) % p, (u2 * v0 - u0 * v2) % p, (u0 * v1 - u1 * v0) % p)
-
-
 def line_through(a: ProjPoint, b: ProjPoint) -> tuple[Element, Element, Element]:
-    """Normalized dual coordinates of the line joining two distinct points."""
+    """Normalized dual coordinates of the line joining two distinct points:
+    their cross product, which is zero exactly when the points coincide,
+    however each is scaled."""
     if b.field != a.field:
         raise ValueError("points must share a coordinate field")
-    if a == b:
-        raise ValueError("two coincident points do not span a line")
     F = a.field
-    return _normalized(F, _cross(F, a.coords, b.coords))
+    line = _cross(F, a.coords, b.coords)
+    if line == (F.zero,) * 3:
+        raise ValueError("two coincident points do not span a line")
+    return _normalized(F, line)
 
 
 def incident(line: Sequence[Element], pt: ProjPoint) -> bool:
@@ -339,12 +316,8 @@ class ClosedPoint:
 
 def _drawn_point(F: FiniteField, r: Sequence[int]) -> ProjPoint:
     """The point of P^2(F) whose coordinates hold the 3m residues r, m per
-    coordinate, normalized; r must not be all 0.  Over F_p the three ints
-    go through ``_unit``."""
-    p, m = F.p, F.m
-    if m == 1:
-        x0, x1, x2 = _unit(p, *r)
-        return ProjPoint(F, ((x0,), (x1,), (x2,)))
+    coordinate, normalized; r must not be all 0."""
+    m = F.m
     return ProjPoint(F, _normalized(F, (tuple(r[:m]), tuple(r[m:2 * m]), tuple(r[2 * m:]))))
 
 
@@ -505,9 +478,7 @@ _CASE_BY_PROFILE = {case.profile: case for case in ConfigCase}
 
 
 #: The largest p whose pairs ``connecting_lines`` reads from ``_line_table``
-#: and whose draws ``sample_configuration`` reads from ``_point_table``:
-#: N^2 = 33,489 one-byte entries at p = 13, while p = 17 would need 94,249
-#: and line numbers past 255.  The point table, p^3 entries, is far smaller.
+#: and whose draws ``sample_configuration`` reads from ``_point_table``.
 LINE_TABLE_MAX_PRIME = 13
 
 #: The diagonal entry of ``_line_table``: no line through i = j.
@@ -590,29 +561,22 @@ def connecting_lines(points: Sequence[ProjPoint]) -> list[frozenset[int]]:
     between calls and immutable; a line met again becomes its union with
     the new pair, a new frozenset, so no call sees another's lines.
 
-    Over F_p with p <= ``LINE_TABLE_MAX_PRIME`` (13, whose table takes
-    33,489 bytes) each point's normalized ints are read once into its
-    ``_index``, and each pair's line from ``_line_table(p)``, built once
-    per prime; a larger p keys the pairs by ``_line_key``, and F_{p^m} by
-    ``line_through``.  Two coincident points raise ``ValueError`` on every
-    route.  A point built unnormalized raises from ``_index`` on the table
-    route; ``_line_key`` normalizes the minors, so it reads such a point as
-    the point it is."""
+    Over F_p with p <= ``LINE_TABLE_MAX_PRIME`` each point's normalized
+    ints are read once into its ``_index``, and each pair's line from
+    ``_line_table(p)``; every other field keys the pairs by
+    ``line_through``.  Two coincident points raise ``ValueError`` on both
+    routes.  A point built unnormalized raises from ``_index`` on the
+    table route; ``line_through`` normalizes the cross product, so it
+    reads such a point as the point it is."""
     pairs, pair_sets = _pairs(len(points))
-    if not points or _check_same_field(points).m > 1:
-        keys = [line_through(points[i], points[j]) for i, j in pairs]
-    elif (p := points[0].field.p) <= LINE_TABLE_MAX_PRIME:
+    if points and (F := _check_same_field(points)).m == 1 and (p := F.p) <= LINE_TABLE_MAX_PRIME:
         line_of, n = _line_table(p), p * p + p + 1
         at = [_index(p, x0, x1, x2) for (x0,), (x1,), (x2,) in [pt.coords for pt in points]]
         keys = [line_of[at[i] * n + at[j]] for i, j in pairs]
         if _NO_LINE in keys:
             raise ValueError("two coincident points do not span a line")
     else:
-        ints = [[x for (x,) in pt.coords] for pt in points]
-        try:
-            keys = [_line_key(p, ints[i], ints[j]) for i, j in pairs]
-        except ValueError:
-            raise ValueError("two coincident points do not span a line") from None
+        keys = [line_through(points[i], points[j]) for i, j in pairs]
     lines: dict[object, frozenset[int]] = {}
     for key, pair in zip(keys, pair_sets):
         lines[key] = pair if (line := lines.get(key)) is None else line | pair
@@ -628,7 +592,7 @@ def classify_configuration(
     The profile is the sizes of the lines through at least three points,
     largest first, and the number of points those lines cover; it is
     looked up in ``_CASE_BY_PROFILE``.  Two coincident points raise from
-    ``connecting_lines``, on each of its routes.  Raises
+    ``connecting_lines``, on both of its routes.  Raises
     :class:`UnclassifiableConfiguration` if the profile is not there; a
     correct line grouping makes that unreachable, so any raise would
     expose a gap in the case analysis.
@@ -660,9 +624,8 @@ def sample_configuration(
     one triple per try, so the generator consumes what one
     ``_random_point`` call per try until six distinct points would, and
     ends in the same state.  Over F_p with p <= ``LINE_TABLE_MAX_PRIME``
-    a triple reads its point from ``_point_table(p)``, built once per
-    prime, whose points lie over ``field(p, 1)``; otherwise
-    ``_drawn_point`` normalizes it."""
+    a triple reads its point from ``_point_table(p)``, whose points lie
+    over ``field(p, 1)``; otherwise ``_drawn_point`` normalizes it."""
     p, w = F.p, 3 * F.m
     point_of = _point_table(p) if F.m == 1 and p <= LINE_TABLE_MAX_PRIME else None
     kept: dict[tuple[Element, ...], ProjPoint] = {}

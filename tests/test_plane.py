@@ -91,10 +91,10 @@ def test_coincident_points_span_no_line():
             line_through(a, b)
 
 
-@pytest.mark.parametrize("F", [F7, field(17, 1), field(7, 2)], ids=["table", "line_key", "F49"])
+@pytest.mark.parametrize("F", [F7, field(17, 1), field(7, 2)], ids=["table", "line_through", "F49"])
 def test_coincident_points_raise_on_every_connecting_lines_route(F):
-    # the line table at p = 7, ``_line_key`` at p = 17 and ``line_through``
-    # over F_49; the repeated pair comes last, after two distinct points
+    # the line table at p = 7 and ``line_through`` at p = 17 and over F_49;
+    # the repeated pair comes last, after two distinct points
     a, b = pt(1, 2, 3, F=F), pt(0, 1, 5, F=F)
     assert len(connecting_lines([a, b])) == 1
     with pytest.raises(ValueError, match=r"^two coincident points do not span a line$"):
@@ -175,7 +175,7 @@ def _reference_minors(F, u, v):
 
 def _reference_normalized(F, coords):
     """The first nonzero coordinate scaled to 1 by ``FiniteField`` ops
-    alone, independent of ``plane._normalized``'s F_p path."""
+    alone, independent of ``plane._normalized``."""
     c = next(c for c in coords if c != F.zero)
     scale = F.inv(c)
     return tuple(F.mul(scale, x) for x in coords)
@@ -188,9 +188,9 @@ def _all_points(F):
 
 @pytest.mark.parametrize("p", [5, 7, 101])
 def test_prime_field_cross_equals_the_reference_minors(p):
-    # ``_line_key``, the F_p minors on ints, and ``line_through`` against
-    # the ``FiniteField`` minors: every ordered pair of P^2(F_p) at p = 5
-    # and 7, coincident ones included; 1,000 random pairs at p = 101
+    # ``line_through`` against the ``FiniteField`` minors: every ordered
+    # pair of P^2(F_p) at p = 5 and 7, coincident ones included; 1,000
+    # random pairs at p = 101
     F = field(p, 1)
     if p < 100:
         points = _all_points(F)
@@ -207,34 +207,31 @@ def test_prime_field_cross_equals_the_reference_minors(p):
 
         pairs = [(point(), point()) for _ in range(1000)]
     for a, b in pairs:
-        u, v = ([x for (x,) in q.coords] for q in (a, b))
         if a == b:
-            with pytest.raises(ValueError, match=r"^\(0 : 0 : 0\) is not a projective point$"):
-                plane._line_key(p, u, v)
+            with pytest.raises(ValueError, match=r"^two coincident points do not span a line$"):
+                line_through(a, b)
         else:
             key = _reference_normalized(F, _reference_minors(F, a.coords, b.coords))
-            assert plane._line_key(p, u, v) == tuple(x for (x,) in key)
             assert line_through(a, b) == key
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_line_table_groups_every_pair_as_line_key_does(p):
     # every ordered pair of distinct points of P^2(F_p): two pairs share a
-    # table entry exactly when they share a ``_line_key``, and the entry
-    # is the index of that key's dual coordinates; a point paired with
-    # itself reads the sentinel, and connecting_lines raises on it
+    # table entry exactly when they share a ``line_through``, and the
+    # entry is the index of that line's dual coordinates; a point paired
+    # with itself reads the sentinel, and connecting_lines raises on it
     F = field(p, 1)
     points = _all_points(F)
     n = p * p + p + 1
     assert p <= plane.LINE_TABLE_MAX_PRIME and len(points) == n
-    ints = [[x for (x,) in q.coords] for q in points]
-    at = [plane._index(p, *u) for u in ints]
+    at = [plane._index(p, *(x for (x,) in q.coords)) for q in points]
     assert sorted(at) == list(range(n))
     line_of = plane._line_table(p)
     assert len(line_of) == n * n
     line_of_key = {}
     for i, j in itertools.permutations(range(n), 2):
-        key = plane._line_key(p, ints[i], ints[j])
+        key = tuple(x for (x,) in line_through(points[i], points[j]))
         line = line_of[at[i] * n + at[j]]
         assert line_of_key.setdefault(key, line) == line == plane._index(p, *key)
     assert len(set(line_of_key.values())) == len(line_of_key) == n
@@ -520,10 +517,10 @@ def test_random_point_draws_as_randrange_does(p, m):
 
 def test_sample_configuration_matches_the_reference_dedup():
     # one _random_point-shaped draw per try, deduplicated as ProjPoint ==
-    # does, on each route of the one loop: the point table (p = 5, 13),
-    # ``_unit`` (p = 17) and ``_normalized`` over F_25.  Six draws from the
-    # N points of the plane repeat one about 15 / N of the time (N = 31,
-    # 183, 307, 651), so the redraw rounds run on every field
+    # does, on both routes of the one loop: the point table (p = 5, 13)
+    # and ``_drawn_point`` (p = 17, F_25).  Six draws from the N points of
+    # the plane repeat one about 15 / N of the time (N = 31, 183, 307,
+    # 651), so the redraw rounds run on every field
     for p, m in [(5, 1), (13, 1), (17, 1), (5, 2)]:
         F = field(p, m)
         rng, twin, duplicates = random.Random(p * m), random.Random(p * m), 0
@@ -555,18 +552,23 @@ def test_point_table_gives_each_triple_its_one_shared_point(p):
     assert len(shared) == len(set(shared.values())) == p * p + p + 1
 
 
-@pytest.mark.parametrize("p", [7, 17], ids=["table", "line_key"])
-def test_unnormalized_points_raise_on_the_f_p_routes(p):
+@pytest.mark.parametrize("F", [F7, field(17, 1), field(7, 2)], ids=["table", "line_through", "F49"])
+def test_unnormalized_points_raise_on_the_f_p_routes(F):
     # (2 : 4 : 6) built directly is (1 : 2 : 3) unnormalized: the table
-    # route refuses its index, ``_line_key`` finds it coincident with
-    # (1 : 2 : 3); neither reads it as another point
-    F = field(p, 1)
-    points = [ProjPoint(F, ((2,), (4,), (6,))), pt(1, 2, 3, F=F), pt(0, 1, 0, F=F)]
-    message = {7: r"^\(2, 4, 6\) is not normalized", 17: r"^two coincident points do not span a line$"}
-    with pytest.raises(ValueError, match=message[p]):
-        connecting_lines(points)
+    # route (p = 7) refuses its index, and ``line_through``, alone on
+    # every field and in connecting_lines at p = 17 and over F_49, finds
+    # their cross product zero, so the two coincide; no route reads it as
+    # another point
+    bad, a = ProjPoint(F, tuple(F.element(t) for t in (2, 4, 6))), pt(1, 2, 3, F=F)
+    coincident = r"^two coincident points do not span a line$"
+    on_table = F.m == 1 and F.p <= plane.LINE_TABLE_MAX_PRIME
+    with pytest.raises(ValueError, match=r"^\(2, 4, 6\) is not normalized" if on_table else coincident):
+        connecting_lines([bad, a, pt(0, 1, 0, F=F)])
+    for u, v in ((bad, a), (a, bad)):
+        with pytest.raises(ValueError, match=coincident):
+            line_through(u, v)
     with pytest.raises(ValueError, match=r"^\(0, 2, 1\) is not normalized: its first nonzero entry must be 1$"):
-        plane._index(p, 0, 2, 1)
+        plane._index(F.p, 0, 2, 1)
 
 
 def test_closed_point_requires_orbit_order():
@@ -906,8 +908,8 @@ def test_connecting_lines_of_a_triangle():
 
 def _reference_grouping(points):
     """The pairs grouped by a line key built from ``FiniteField`` ops alone,
-    independent of ``plane._line_key``: each line once, listed at its first
-    pair in ``itertools.combinations`` order."""
+    independent of ``plane.line_through``: each line once, listed at its
+    first pair in ``itertools.combinations`` order."""
     members = {}
     for i, j in itertools.combinations(range(len(points)), 2):
         F = points[i].field
@@ -922,7 +924,7 @@ def test_prime_field_connecting_lines_equal_the_reference_grouping():
     primes = [q for q in range(5, 100) if all(q % d for d in range(2, q))]
     assert len(primes) == 23
     configs = [case_witness(case_id, q) for q in primes for case_id in range(1, 10)]
-    # the line table up to p = 13, ``_line_key`` from p = 17
+    # the line table up to p = 13, ``line_through`` from p = 17
     for q in (5, 7, 11, 13, 17):
         rng = random.Random(q)
         configs += [sample_configuration(field(q, 1), rng) for _ in range(2000)]
@@ -952,12 +954,12 @@ def _seven_point_configurations(F, rounds):
 
 
 @pytest.mark.parametrize(
-    "q, m", [(7, 1), (13, 1), (17, 1), (5, 2)], ids=["table7", "table13", "line_key17", "F25"]
+    "q, m", [(7, 1), (13, 1), (17, 1), (5, 2)], ids=["table7", "table13", "line_through17", "F25"]
 )
 def test_connecting_lines_keep_the_first_pair_order(q, m):
-    # the line table at p = 7 and 13, ``_line_key`` at 17 and
-    # ``line_through`` over F_25; the counts 0 to 7 take the per-count
-    # pair cache through more counts than it keeps
+    # the line table at p = 7 and 13, ``line_through`` at 17 and over
+    # F_25; the counts 0 to 7 take the per-count pair cache through more
+    # counts than it keeps
     F = field(q, m)
     for points in _seven_point_configurations(F, 40):
         for n in (0, 1, 2, 3, 6, 7):

@@ -425,6 +425,38 @@ def test_abtest_refuses_a_moved_name_no_trace_reports(monkeypatch, capsys, tmp_p
     assert calls == [1, 1]
 
 
+def test_abtest_takes_several_names_per_flag_and_repeated_flags(monkeypatch, capsys, tmp_path):
+    # ``--workload classify words`` and ``--workload classify --workload
+    # words`` are the same request, and so for ``--moved``; a bad name
+    # among several is still refused
+    abtest = _load_abtest(monkeypatch)
+    monkeypatch.setattr(abtest, "ROOT", tmp_path)
+    spec = dict(AB_SPEC, workloads=[{"name": n} for n in ("census", "classify", "words")])
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    traced = []
+
+    def fake_perfbench(tree, workload, seed, seconds, trace):
+        if trace:
+            traced.append(workload)
+        counts = {n: (1.0, "count") for n in ("a.calls", "b.calls", "c.calls")}
+        return _canned_run(dict(counts, items_per_s=(100.0, "1/s"), peak_rss_mb=(30.0, "MB")))
+
+    monkeypatch.setattr(abtest, "extract", lambda rev, dest: f"tree-{rev}")
+    monkeypatch.setattr(abtest, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(abtest, "setup_seconds", lambda *args: 0.1)
+    monkeypatch.setattr(abtest, "_speed", lambda: None)
+    code = abtest.main(["--parent", "f00d", "--change", "c0ffee", "--pairs", "1",
+                        "--workload", "words", "census", "--workload", "classify",
+                        "--moved", "a.calls", "b.calls", "--moved", "c.calls"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and list(report["workloads"]) == ["words", "census", "classify"]
+    assert traced == ["words", "words", "census", "census", "classify", "classify"]
+    assert report["moved"] == ["a.calls", "b.calls", "c.calls"]
+    with pytest.raises(SystemExit) as exc:
+        abtest.main(["--parent", "f00d", "--workload", "classify", "clasify"])
+    assert exc.value.code == 2 and "invalid choice: 'clasify'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value,least", [("--pairs", "0", 1), ("--seed", "-1", 0)])
 def test_abtest_refuses_too_few_runs(monkeypatch, capsys, flag, value, least):
     abtest = _load_abtest(monkeypatch)
